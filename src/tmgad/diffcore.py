@@ -412,16 +412,21 @@ def relu(x: Tensor) -> Tensor:
     return _make("relu", y, (x,), bwd)
 
 
-def clip_min(x: Tensor, floor: float) -> Tensor:
-    """Elementwise max(x, floor); gradient passes only where x >= floor."""
-    y = np.maximum(x.data, floor)
+def clip(x: Tensor, lo: float, hi: float) -> Tensor:
+    """Elementwise min(max(x, lo), hi); gradient passes only where lo <= x <= hi."""
+    y = np.minimum(np.maximum(x.data, lo), hi)
 
     def bwd(out):
         def fn(g):
-            _accum(x, g * (x.data >= floor))
+            _accum(x, g * ((x.data >= lo) & (x.data <= hi)))
         return fn
 
-    return _make("clip_min", y, (x,), bwd)
+    return _make("clip", y, (x,), bwd)
+
+
+def clip_min(x: Tensor, floor: float) -> Tensor:
+    """Elementwise max(x, floor); gradient passes only where x >= floor."""
+    return clip(x, floor, math.inf)
 
 
 def _check_col(op: str, x: Tensor) -> None:
@@ -455,26 +460,50 @@ def softmax_vec(x: Tensor) -> Tensor:
 
 
 def sparsemax_vec(x: Tensor) -> Tensor:
-    """Euclidean projection of a column vector onto the probability simplex.
-
-    Backward uses the support-set Jacobian: identity minus uniform averaging
-    over the support, zero off-support.
-    """
+    """Euclidean projection of a column vector onto the probability simplex."""
     _check_col("sparsemax_vec", x)
-    z = x.data[:, 0]
-    y = sparsemax_project(z).reshape(-1, 1)
+    return segment_sparsemax(x, [x.shape[0]])
+
+
+def segment_sparsemax(x: Tensor, sizes) -> Tensor:
+    """Sparsemax within consecutive segments of a column vector.
+
+    Each segment is projected onto its own simplex by the sort-and-threshold
+    steps of `sparsemax_project`, run for all segments at once on a
+    segments x longest grid. Backward uses the support-set Jacobian per
+    segment: identity minus uniform averaging over the support, zero
+    off-support.
+    """
+    _check_col("segment_sparsemax", x)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    _shape_check("segment_sparsemax", sizes.ndim == 1 and sizes.size > 0 and sizes.min() > 0,
+                 "segment sizes must be positive")
+    _shape_check("segment_sparsemax", int(sizes.sum()) == x.shape[0],
+                 f"segments cover {int(sizes.sum())} rows, tensor has {x.shape[0]}")
+    k = sizes.size
+    seg = np.repeat(np.arange(k), sizes)
+    pos = np.arange(x.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    grid = np.full((k, int(sizes.max())), np.inf)
+    grid[seg, pos] = -x.data[:, 0]
+    zs = -np.sort(grid, axis=1)                      # descending, padding last
+    valid = np.arange(grid.shape[1]) < sizes[:, None]
+    zs[~valid] = 0.0
+    css = np.cumsum(zs, axis=1)
+    ks = np.arange(1, grid.shape[1] + 1)
+    k_star = np.where((1.0 + ks * zs > css) & valid, ks, 0).max(axis=1)
+    tau = (css[np.arange(k), k_star - 1] - 1.0) / k_star
+    y = np.maximum(x.data[:, 0] - tau[seg], 0.0).reshape(-1, 1)
 
     def bwd(out):
         def fn(g):
             support = out.data[:, 0] > 0.0
-            k = support.sum()
-            gv = g[:, 0]
-            mean_supp = gv[support].sum() / k
-            gx = np.where(support, gv - mean_supp, 0.0)
-            _accum(x, gx.reshape(-1, 1))
+            gv = np.where(support, g[:, 0], 0.0)
+            mean_supp = (np.bincount(seg, weights=gv, minlength=k)
+                         / np.bincount(seg, weights=support, minlength=k))
+            _accum(x, np.where(support, gv - mean_supp[seg], 0.0).reshape(-1, 1))
         return fn
 
-    return _make("sparsemax_vec", y, (x,), bwd)
+    return _make("segment_sparsemax", y, (x,), bwd)
 
 
 def sparsemax_project(z: np.ndarray) -> np.ndarray:

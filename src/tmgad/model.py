@@ -1,10 +1,13 @@
 """Model head: adaptive windows, dual motif attention, classifier.
 
-The head runs per focal node on top of the backbone embeddings. Each motif
-instance is augmented with a learned per-type supernode row and pooled by
-softmax attention over its four members; instances of a type are averaged
-under recency weights sigmoid(delta_v - (t_max^u - t_v)), which is the only
-path by which the window learner receives gradient; present types are then
+The head runs once per forward over all requested nodes, on top of the
+backbone embeddings. The motif instances of those nodes are laid out as
+columnar arrays (`HeadLayout`, built once per index and node list), so every
+stage is a single segment op. Each motif instance is augmented with a learned
+per-type supernode row and pooled by softmax attention over its four members;
+instances of a type are averaged under recency weights
+sigmoid(delta_v - (t_max^u - t_v)), which is the only path by which the
+window learner receives gradient; the types present at a node are then
 combined by sparsemax attention. Nodes without motif instances contribute a
 zero motif embedding, so absence itself is visible to the classifier.
 """
@@ -131,46 +134,20 @@ def window_logits(h: dc.Tensor, state: ModelState) -> dc.Tensor:
 
 
 def adaptive_windows(h: dc.Tensor, state: ModelState, tau_max: float) -> dc.Tensor:
-    """Per-row window length tau_max * sigmoid(f(h)); always in (0, tau_max)."""
+    """Per-row window length tau_max * sigmoid(f(h)), clamped into (0, tau_max).
+
+    The sigmoid rounds to exactly 0 or 1 once its logit saturates; the clamp
+    to the nearest floats inside the open interval keeps the bound.
+    """
     if tau_max <= 0:
         raise ValueError("tau_max must be positive")
-    return dc.scale(dc.sigmoid(window_logits(h, state)), tau_max)
-
-
-def adaptive_window(h_v, state: ModelState, tau_max: float) -> float:
-    """Scalar window for one embedding row (convenience over adaptive_windows)."""
-    h = h_v if isinstance(h_v, dc.Tensor) else dc.tensor(np.asarray(h_v).reshape(1, -1))
-    return adaptive_windows(h, state, tau_max).item()
+    return dc.clip(dc.scale(dc.sigmoid(window_logits(h, state)), tau_max),
+                   np.nextafter(0.0, 1.0), np.nextafter(tau_max, 0.0))
 
 
 def instance_weight(delta_v: float, tau_instance_max: float, t_v: float) -> float:
     """Recency weight sigmoid(delta_v - (tau_instance_max - t_v))."""
     return float(expit(delta_v - (tau_instance_max - t_v)))
-
-
-def intra_instance_embedding(instance, h: dc.Tensor, supernodes: dc.Tensor,
-                             w_intra: dc.Tensor) -> dc.Tensor:
-    """Attention pool over [supernode, focal, other, other] for one instance."""
-    members = dc.concat_rows([
-        dc.select_rows(supernodes, [instance.type_id]),
-        dc.select_rows(h, list(instance.nodes)),
-    ])
-    scores = dc.tanh(dc.matmul(members, w_intra))
-    alpha = dc.softmax_vec(scores)
-    return dc.matmul(dc.transpose(alpha), members)
-
-
-def type_embedding(instance_embs: dc.Tensor, weights: dc.Tensor) -> dc.Tensor:
-    """Recency-weighted average of instance embeddings (normalized)."""
-    return dc.weighted_sum(instance_embs, dc.clip_min(weights, WEIGHT_FLOOR))
-
-
-def inter_embedding(type_embs: dc.Tensor, type_ids, w_inter: dc.Tensor) -> dc.Tensor:
-    """Sparsemax attention over the types present at a node."""
-    w_sel = dc.select_rows(w_inter, list(type_ids))
-    scores = dc.tanh(dc.rowwise_dot(type_embs, w_sel))
-    beta = dc.sparsemax_vec(scores)
-    return dc.matmul(dc.transpose(beta), type_embs)
 
 
 def classifier_logits(z: dc.Tensor, state: ModelState) -> dc.Tensor:
@@ -179,53 +156,107 @@ def classifier_logits(z: dc.Tensor, state: ModelState) -> dc.Tensor:
 
 
 # ---------------------------------------------------------------------------
-# per-node head and batched forward
+# batched head
 
 
-def _recency_weights(m: int, gaps: np.ndarray, delta_v, opts: HeadOptions):
-    if opts.adaptive:
-        stretched = dc.matmul(dc.tensor(np.ones((m, 1))), delta_v)  # m x 1
-        return dc.clip_min(dc.sigmoid(dc.add_const(stretched, -gaps)), WEIGHT_FLOOR)
-    return dc.tensor(np.maximum(expit(opts.delta_fixed - gaps), WEIGHT_FLOOR))
+@dataclass(frozen=True)
+class HeadLayout:
+    """Columnar motif instances of a node list: everything the head reads from the index.
 
-
-def motif_embedding_for_node(v: int, combined: dc.Tensor, n_nodes: int,
-                             index: MotifIndex, state: ModelState,
-                             opts: HeadOptions, delta_v=None) -> dc.Tensor | None:
-    """Motif half of the node embedding, or None when v has no instances.
-
-    `combined` stacks the backbone embeddings (rows 0..n-1) on top of the
-    supernode table (rows n..n+catalog_size-1) so one gather fetches every
-    member row. Instances are laid out type-major so the per-instance
-    attention, the recency weighting and the per-type normalized averages all
-    run as single segment ops over the node's whole instance list.
+    Instances run node-major in request order, then by type id, then in index
+    order, so each (node, type) pair and each node is a contiguous segment.
     """
-    by_type = index.instances_at(v)
-    if not by_type:
-        return None
-    start = index.window_starts[v]
-    tids = sorted(by_type)
-    sizes = [len(by_type[t]) for t in tids]
-    insts = [inst for t in tids for inst in by_type[t]]
+
+    members: np.ndarray      # m x 4 rows of [h; supernodes]: supernode, then the 3 nodes
+    gaps: np.ndarray         # m x 1, t_max minus the owner's window start
+    owner: np.ndarray        # m, owning node id
+    type_sizes: np.ndarray   # instances per (node, type) segment
+    type_ids: np.ndarray     # type id per (node, type) segment
+    node_sizes: np.ndarray   # (node, type) segments per node that has instances
+    slot: np.ndarray         # per requested node: its segment among those nodes, or -1
+
+
+def head_layout(index: MotifIndex, nodes, n_nodes: int) -> HeadLayout:
+    """Layout of `nodes` over `index`, built once and kept on the index."""
+    nodes = np.asarray(nodes, dtype=np.intp)
+    key = ("head_layout", n_nodes, nodes.tobytes())
+    layout = index.derived.get(key)
+    if layout is None:
+        layout = _build_layout(index, nodes.tolist(), n_nodes)
+        index.derived[key] = layout
+    return layout
+
+
+def _build_layout(index: MotifIndex, nodes: list, n_nodes: int) -> HeadLayout:
+    members, gaps, owner = [], [], []
+    type_sizes, type_ids, node_sizes = [], [], []
+    slot = np.full(len(nodes), -1, dtype=np.intp)
+    for i, v in enumerate(nodes):
+        by_type = index.instances_at(v)
+        if not by_type:
+            continue
+        slot[i] = len(node_sizes)
+        node_sizes.append(len(by_type))
+        start = index.window_starts[v]
+        for t in sorted(by_type):
+            insts = by_type[t]
+            type_ids.append(t)
+            type_sizes.append(len(insts))
+            for inst in insts:
+                members.append((n_nodes + t, *inst.nodes))
+                gaps.append(inst.t_max - start)
+                owner.append(v)
+    return HeadLayout(
+        members=np.array(members, dtype=np.intp).reshape(-1, 4),
+        gaps=np.array(gaps, dtype=np.float64).reshape(-1, 1),
+        owner=np.array(owner, dtype=np.intp),
+        type_sizes=np.array(type_sizes, dtype=np.intp),
+        type_ids=np.array(type_ids, dtype=np.intp),
+        node_sizes=np.array(node_sizes, dtype=np.intp),
+        slot=slot)
+
+
+def motif_embeddings(h: dc.Tensor, deltas, state: ModelState, layout: HeadLayout,
+                     opts: HeadOptions) -> dc.Tensor:
+    """Motif half of the node embeddings, one row per requested node.
+
+    Intra attention pools each instance's four members with a softmax,
+    recency weights sigmoid(delta_v - gap) average the instances of a type,
+    and inter attention takes a sparsemax over the types present at a node;
+    every step is one segment op over all requested nodes at once.
+    """
+    d = h.shape[1]
+    if layout.node_sizes.size == 0:
+        return dc.tensor(np.zeros((layout.slot.size, d)))
     if opts.use_intra:
-        flat = []
-        for inst in insts:
-            flat.append(n_nodes + inst.type_id)
-            flat.extend(inst.nodes)
-        members = dc.select_rows(combined, flat)                   # 4m x d
-        scores = dc.tanh(dc.matmul(members, state.w_intra))
-        alpha = dc.softmax_blocks(scores, 4)
-        inst_embs = dc.sum_blocks(dc.mul_col(members, alpha), 4)   # m x d
+        members = dc.select_rows(dc.concat_rows([h, state.supernodes]),
+                                 layout.members.reshape(-1))                # 4m x d
+        alpha = dc.softmax_blocks(dc.tanh(dc.matmul(members, state.w_intra)), 4)
+        inst_embs = dc.sum_blocks(dc.mul_col(members, alpha), 4)            # m x d
     else:
-        flat = [x for inst in insts for x in inst.nodes]
-        inst_embs = dc.scale(dc.sum_blocks(dc.select_rows(combined, flat), 3), 1.0 / 3.0)
-    gaps = np.array([[float(inst.t_max - start)] for inst in insts])
-    weights = _recency_weights(len(insts), gaps, delta_v, opts)
-    type_embs = dc.div_col(dc.segment_sum_rows(dc.mul_col(inst_embs, weights), sizes),
-                           dc.segment_sum_rows(weights, sizes))    # k x d
+        members = dc.select_rows(h, layout.members[:, 1:].reshape(-1))      # 3m x d
+        inst_embs = dc.scale(dc.sum_blocks(members, 3), 1.0 / 3.0)
+    if opts.adaptive:
+        stretched = dc.select_rows(deltas, layout.owner)                    # m x 1
+        weights = dc.clip_min(dc.sigmoid(dc.add_const(stretched, -layout.gaps)),
+                              WEIGHT_FLOOR)
+    else:
+        weights = dc.tensor(np.maximum(expit(opts.delta_fixed - layout.gaps), WEIGHT_FLOOR))
+    type_embs = dc.div_col(
+        dc.segment_sum_rows(dc.mul_col(inst_embs, weights), layout.type_sizes),
+        dc.segment_sum_rows(weights, layout.type_sizes))                     # k x d
     if opts.use_inter:
-        return inter_embedding(type_embs, tids, state.w_inter)
-    return dc.mean_rows(type_embs)
+        w_sel = dc.select_rows(state.w_inter, layout.type_ids)
+        beta = dc.segment_sparsemax(dc.tanh(dc.rowwise_dot(type_embs, w_sel)),
+                                    layout.node_sizes)
+        node_embs = dc.segment_sum_rows(dc.mul_col(type_embs, beta), layout.node_sizes)
+    else:
+        counts = dc.tensor(layout.node_sizes.astype(np.float64).reshape(-1, 1))
+        node_embs = dc.div_col(dc.segment_sum_rows(type_embs, layout.node_sizes), counts)
+    # nodes without instances read the appended zero row: absence is a signal
+    padded = dc.concat_rows([node_embs, dc.tensor(np.zeros((1, d)))])
+    return dc.select_rows(padded, np.where(layout.slot < 0, layout.node_sizes.size,
+                                           layout.slot))
 
 
 def forward_nodes(x, a_hat, state: ModelState, index: MotifIndex | None,
@@ -241,43 +272,13 @@ def forward_nodes(x, a_hat, state: ModelState, index: MotifIndex | None,
     h = gcn_forward(x, a_hat, state.gcn, training=training, dropout=dropout, rng=rng)
     n = h.shape[0]
     deltas = adaptive_windows(h, state, tau_max) if opts.adaptive else None
-    d = state.embed_dim
-    zero_row = dc.tensor(np.zeros((1, d)))
     if opts.use_motifs:
-        combined = dc.concat_rows([h, state.supernodes])
-        parts = []
-        for v in nodes:
-            delta_v = dc.select_rows(deltas, [v]) if opts.adaptive else None
-            emb = motif_embedding_for_node(v, combined, n, index, state, opts, delta_v)
-            parts.append(zero_row if emb is None else emb)
-        ztilde = dc.concat_rows(parts) if len(parts) > 1 else parts[0]
+        ztilde = motif_embeddings(h, deltas, state, head_layout(index, nodes, n), opts)
     else:
-        ztilde = dc.tensor(np.zeros((len(nodes), d)))
+        ztilde = dc.tensor(np.zeros((len(nodes), state.embed_dim)))
     z = dc.concat_cols([dc.select_rows(h, list(nodes)), ztilde])
     logits = classifier_logits(z, state)
     return logits, deltas, h
-
-
-def node_forward(v: int, h: dc.Tensor, index: MotifIndex | None,
-                 state: ModelState, opts: HeadOptions, tau_max: float):
-    """Single-node head on precomputed embeddings: returns (z_v, y_hat).
-
-    Nodes with no motif instances use a zero motif embedding; prediction is
-    still defined.
-    """
-    n = h.shape[0]
-    d = state.embed_dim
-    emb = None
-    if opts.use_motifs:
-        delta_v = None
-        if opts.adaptive:
-            delta_v = dc.scale(dc.sigmoid(window_logits(dc.select_rows(h, [v]), state)), tau_max)
-        combined = dc.concat_rows([h, state.supernodes])
-        emb = motif_embedding_for_node(v, combined, n, index, state, opts, delta_v)
-    ztilde = emb if emb is not None else dc.tensor(np.zeros((1, d)))
-    z = dc.concat_cols([dc.select_rows(h, [v]), ztilde])
-    y_hat = float(expit(classifier_logits(z, state).item()))
-    return z, y_hat
 
 
 def delta_snapshot(x, a_hat, state: ModelState, tau_max: float) -> np.ndarray:

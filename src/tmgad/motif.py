@@ -224,6 +224,10 @@ class MotifIndex:
     windows: dict             # node -> delta used at extraction
     window_starts: dict       # node -> window anchor
     cap: int | None
+    # arrays that consumers derive from per_node, cached for the index's
+    # lifetime (the model head keeps its layouts here); per_node is not
+    # edited once a consumer has read it
+    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def total_instances(self) -> int:
         return sum(len(lst) for types in self.per_node.values() for lst in types.values())

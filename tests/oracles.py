@@ -3,7 +3,10 @@
 from itertools import combinations, permutations
 
 import numpy as np
+from scipy.special import expit
 
+from tmgad import diffcore as dc
+from tmgad.model import WEIGHT_FLOOR, adaptive_windows, classifier_logits
 from tmgad.motif import spanning_sequences
 
 
@@ -98,3 +101,98 @@ def pearson_two_pass(counts):
             elif va > 0 and vb > 0:
                 out[a, b] = (da * db).sum() / np.sqrt(va * vb)
     return out
+
+
+# ---------------------------------------------------------------------------
+# single-node model head: the per-node reference for the batched head
+
+
+def adaptive_window(h_v, state, tau_max: float) -> float:
+    """Scalar window for one embedding row."""
+    h = h_v if isinstance(h_v, dc.Tensor) else dc.tensor(np.asarray(h_v).reshape(1, -1))
+    return adaptive_windows(h, state, tau_max).item()
+
+
+def intra_instance_embedding(instance, h, supernodes, w_intra):
+    """Attention pool over [supernode, focal, other, other] for one instance."""
+    members = dc.concat_rows([
+        dc.select_rows(supernodes, [instance.type_id]),
+        dc.select_rows(h, list(instance.nodes)),
+    ])
+    scores = dc.tanh(dc.matmul(members, w_intra))
+    alpha = dc.softmax_vec(scores)
+    return dc.matmul(dc.transpose(alpha), members)
+
+
+def type_embedding(instance_embs, weights):
+    """Recency-weighted average of instance embeddings (normalized)."""
+    return dc.weighted_sum(instance_embs, dc.clip_min(weights, WEIGHT_FLOOR))
+
+
+def inter_embedding(type_embs, type_ids, w_inter):
+    """Sparsemax attention over the types present at a node."""
+    w_sel = dc.select_rows(w_inter, list(type_ids))
+    scores = dc.tanh(dc.rowwise_dot(type_embs, w_sel))
+    beta = dc.sparsemax_vec(scores)
+    return dc.matmul(dc.transpose(beta), type_embs)
+
+
+def _recency_weights(m, gaps, delta_v, opts):
+    if opts.adaptive:
+        stretched = dc.matmul(dc.tensor(np.ones((m, 1))), delta_v)  # m x 1
+        return dc.clip_min(dc.sigmoid(dc.add_const(stretched, -gaps)), WEIGHT_FLOOR)
+    return dc.tensor(np.maximum(expit(opts.delta_fixed - gaps), WEIGHT_FLOOR))
+
+
+def motif_embedding_for_node(v, combined, n_nodes, index, state, opts, delta_v=None):
+    """Motif half of one node's embedding, or None when v has no instances.
+
+    `combined` stacks the backbone embeddings (rows 0..n-1) on top of the
+    supernode table (rows n..n+catalog_size-1), as in the batched head.
+    """
+    by_type = index.instances_at(v)
+    if not by_type:
+        return None
+    start = index.window_starts[v]
+    tids = sorted(by_type)
+    sizes = [len(by_type[t]) for t in tids]
+    insts = [inst for t in tids for inst in by_type[t]]
+    if opts.use_intra:
+        flat = []
+        for inst in insts:
+            flat.append(n_nodes + inst.type_id)
+            flat.extend(inst.nodes)
+        members = dc.select_rows(combined, flat)                   # 4m x d
+        scores = dc.tanh(dc.matmul(members, state.w_intra))
+        alpha = dc.softmax_blocks(scores, 4)
+        inst_embs = dc.sum_blocks(dc.mul_col(members, alpha), 4)   # m x d
+    else:
+        flat = [x for inst in insts for x in inst.nodes]
+        inst_embs = dc.scale(dc.sum_blocks(dc.select_rows(combined, flat), 3), 1.0 / 3.0)
+    gaps = np.array([[float(inst.t_max - start)] for inst in insts])
+    weights = _recency_weights(len(insts), gaps, delta_v, opts)
+    type_embs = dc.div_col(dc.segment_sum_rows(dc.mul_col(inst_embs, weights), sizes),
+                           dc.segment_sum_rows(weights, sizes))    # k x d
+    if opts.use_inter:
+        return inter_embedding(type_embs, tids, state.w_inter)
+    return dc.mean_rows(type_embs)
+
+
+def node_forward(v, h, index, state, opts, tau_max: float):
+    """Single-node head on precomputed embeddings: returns (z_v, y_hat).
+
+    Nodes with no motif instances use a zero motif embedding.
+    """
+    n = h.shape[0]
+    d = state.embed_dim
+    emb = None
+    if opts.use_motifs:
+        delta_v = None
+        if opts.adaptive:
+            delta_v = adaptive_windows(dc.select_rows(h, [v]), state, tau_max)
+        combined = dc.concat_rows([h, state.supernodes])
+        emb = motif_embedding_for_node(v, combined, n, index, state, opts, delta_v)
+    ztilde = emb if emb is not None else dc.tensor(np.zeros((1, d)))
+    z = dc.concat_cols([dc.select_rows(h, [v]), ztilde])
+    y_hat = float(expit(classifier_logits(z, state).item()))
+    return z, y_hat

@@ -71,6 +71,67 @@ class TestSparsemax:
             checked += 1
 
 
+def _split(z, sizes):
+    return np.split(z, np.cumsum(sizes)[:-1])
+
+
+class TestSegmentSparsemax:
+    def test_matches_projection_per_segment(self):
+        # criterion 4's tolerances, over segments of very different lengths
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            sizes = rng.choice([1, 2, 3, 7, 24, 96], size=rng.integers(1, 8))
+            z = rng.normal(0, rng.uniform(0.5, 4.0), size=int(sizes.sum()))
+            got = dc.segment_sparsemax(dc.tensor(z.reshape(-1, 1)), sizes).data[:, 0]
+            for zs, ys in zip(_split(z, sizes), _split(got, sizes)):
+                assert np.abs(ys - dc.sparsemax_project(zs)).max() < 1e-9
+                assert np.abs(ys - simplex_projection_bisect(zs)).max() < 1e-9
+                assert abs(ys.sum() - 1.0) < 1e-12 and ys.min() >= 0.0
+
+    def test_singleton_segments_are_one(self):
+        z = np.array([[-3.0], [0.2], [40.0], [-1e3]])
+        out = dc.segment_sparsemax(dc.tensor(z), [1, 1, 1, 1])
+        np.testing.assert_array_equal(out.data, np.ones((4, 1)))
+
+    def test_tied_scores(self):
+        z = np.array([[7.3], [7.3], [7.3], [1.0], [1.0], [0.0], [2.0], [2.0]])
+        out = dc.segment_sparsemax(dc.tensor(z), [3, 3, 2]).data[:, 0]
+        np.testing.assert_allclose(out, [1 / 3] * 3 + [0.5, 0.5, 0.0] + [0.5, 0.5],
+                                   atol=1e-12)
+
+    def test_single_segment_is_sparsemax_vec(self):
+        z = np.random.default_rng(13).normal(size=(9, 1))
+        np.testing.assert_array_equal(dc.segment_sparsemax(dc.tensor(z), [9]).data,
+                                      dc.sparsemax_vec(dc.tensor(z)).data)
+
+    def test_gradient_at_stable_support(self):
+        rng = np.random.default_rng(14)
+        sizes = [1, 4, 2, 6]
+        checked = 0
+        while checked < 10:
+            z = rng.normal(0, 1, size=(13, 1))
+
+            def supports(zz):
+                return [(dc.sparsemax_project(s) > 0).tolist() for s in _split(zz, sizes)]
+
+            base = supports(z[:, 0])
+            if not all(supports(z[:, 0] + s * 2e-5 * np.eye(13)[i]) == base
+                       for i in range(13) for s in (1, -1)):
+                continue
+            x = dc.parameter(z)
+            probe = rng.normal(0, 1, size=(13, 1))
+            _fd(lambda: dc.mean_all(dc.mul_const(dc.segment_sparsemax(x, sizes), probe)),
+                [x], rng)
+            checked += 1
+
+    def test_segments_must_cover_the_column(self):
+        x = dc.tensor(np.zeros((4, 1)))
+        with pytest.raises(dc.ShapeMismatchError, match="segment_sparsemax"):
+            dc.segment_sparsemax(x, [2, 1])
+        with pytest.raises(dc.ShapeMismatchError, match="segment_sparsemax"):
+            dc.segment_sparsemax(x, [4, 0])
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = dc.parameter(np.arange(4.0).reshape(2, 2))
@@ -178,6 +239,7 @@ class TestPrimitiveGradients:
         _fd(lambda: dc.mean_all(dc.tanh(a)), [a], self.rng)
         _fd(lambda: dc.mean_all(dc.sigmoid(a)), [a], self.rng)
         _fd(lambda: dc.mean_all(dc.clip_min(a, -0.2)), [a], self.rng)
+        _fd(lambda: dc.mean_all(dc.clip(a, -0.3, 0.4)), [a], self.rng)
 
     def test_reductions(self):
         a = dc.parameter(self.rng.normal(size=(4, 3)))

@@ -8,7 +8,10 @@ from tmgad import diffcore as dc
 from tmgad import model as md
 from tmgad.backbone import GCNConfig, gcn_forward
 from tmgad.motif import FOCAL_ROOTED, MotifInstance, build_catalog, build_index
+from tmgad.train import synth_burst_graph
 from tmgad.txgraph import normalized_adjacency
+
+import oracles as orc
 
 
 @pytest.fixture(scope="module")
@@ -27,21 +30,21 @@ class TestAdaptiveWindow:
         state = fresh_state(catalog)
         for t in (state.win_w1, state.win_b1, state.win_w2, state.win_b2):
             t.data[...] = 0.0
-        assert md.adaptive_window(np.ones(4), state, 100.0) == pytest.approx(50.0)
+        assert orc.adaptive_window(np.ones(4), state, 100.0) == pytest.approx(50.0)
 
     def test_saturated_low_still_positive(self, catalog):
         state = fresh_state(catalog)
         for t in (state.win_w1, state.win_b1, state.win_w2):
             t.data[...] = 0.0
         state.win_b2.data[...] = -20.0
-        delta = md.adaptive_window(np.ones(4), state, 100.0)
+        delta = orc.adaptive_window(np.ones(4), state, 100.0)
         assert 0.0 < delta < 1e-6
         assert delta == pytest.approx(100.0 * expit(-20.0), rel=1e-9)
 
     def test_matches_scalar_oracle(self, catalog):
         state = fresh_state(catalog, seed=11)
         h = np.random.default_rng(1).normal(size=4)
-        got = md.adaptive_window(h, state, 37.0)
+        got = orc.adaptive_window(h, state, 37.0)
         hidden = np.tanh(h @ state.win_w1.data + state.win_b1.data[0])
         logit = float(hidden @ state.win_w2.data[:, 0] + state.win_b2.data[0, 0])
         assert got == pytest.approx(37.0 * expit(logit), abs=1e-12)
@@ -50,8 +53,17 @@ class TestAdaptiveWindow:
         state = fresh_state(catalog, seed=13)
         rng = np.random.default_rng(2)
         for _ in range(100):
-            d = md.adaptive_window(rng.normal(0, 10, size=4), state, 55.0)
+            d = orc.adaptive_window(rng.normal(0, 10, size=4), state, 55.0)
             assert 0.0 < d < 55.0
+
+
+    @pytest.mark.parametrize("bias", [1e3, -1e3])
+    def test_saturated_logits_stay_inside_open_interval(self, catalog, bias):
+        state = fresh_state(catalog)
+        state.win_b2.data[...] = bias
+        h = dc.tensor(np.random.default_rng(3).normal(size=(6, 4)))
+        deltas = md.adaptive_windows(h, state, 55.0).data
+        assert (deltas > 0.0).all() and (deltas < 55.0).all()
 
 
 class TestInstanceWeight:
@@ -92,7 +104,7 @@ class TestIntraAttention:
         e = np.array([0.3, -1.2, 0.7, 2.0])
         h = dc.tensor(np.tile(e, (3, 1)))
         state.supernodes.data[3] = e
-        out = md.intra_instance_embedding(self.make_instance(), h, state.supernodes,
+        out = orc.intra_instance_embedding(self.make_instance(), h, state.supernodes,
                                           state.w_intra)
         np.testing.assert_allclose(out.data[0], e, atol=1e-12)
 
@@ -101,7 +113,7 @@ class TestIntraAttention:
         state.w_intra.data[...] = 0.0
         rng = np.random.default_rng(4)
         h = dc.tensor(rng.normal(size=(3, 4)))
-        out = md.intra_instance_embedding(self.make_instance(), h, state.supernodes,
+        out = orc.intra_instance_embedding(self.make_instance(), h, state.supernodes,
                                           state.w_intra)
         members = np.vstack([state.supernodes.data[3], h.data])
         np.testing.assert_allclose(out.data[0], members.mean(axis=0), atol=1e-12)
@@ -110,7 +122,7 @@ class TestIntraAttention:
         state = fresh_state(catalog, seed=21)
         rng = np.random.default_rng(5)
         h = dc.tensor(rng.normal(size=(3, 4)))
-        out = md.intra_instance_embedding(self.make_instance(), h, state.supernodes,
+        out = orc.intra_instance_embedding(self.make_instance(), h, state.supernodes,
                                           state.w_intra)
         members = np.vstack([state.supernodes.data[3], h.data])
         s = np.tanh(members @ state.w_intra.data[:, 0])
@@ -123,7 +135,7 @@ class TestIntraAttention:
         rng = np.random.default_rng(6)
         for _ in range(25):
             h = dc.tensor(rng.normal(size=(3, 4)))
-            out = md.intra_instance_embedding(self.make_instance(), h,
+            out = orc.intra_instance_embedding(self.make_instance(), h,
                                               state.supernodes, state.w_intra).data[0]
             members = np.vstack([state.supernodes.data[3], h.data])
             assert (out >= members.min(axis=0) - 1e-12).all()
@@ -134,20 +146,20 @@ class TestTypeEmbedding:
     def test_single_instance_unchanged(self):
         v = dc.tensor(np.array([[1.0, 2.0, 3.0]]))
         w = dc.tensor(np.array([[0.37]]))
-        np.testing.assert_allclose(md.type_embedding(v, w).data, v.data, atol=1e-12)
+        np.testing.assert_allclose(orc.type_embedding(v, w).data, v.data, atol=1e-12)
 
     def test_equal_weights_mean(self):
         rng = np.random.default_rng(7)
         v = dc.tensor(rng.normal(size=(4, 3)))
         w = dc.tensor(np.full((4, 1), 0.2))
-        np.testing.assert_allclose(md.type_embedding(v, w).data[0],
+        np.testing.assert_allclose(orc.type_embedding(v, w).data[0],
                                    v.data.mean(axis=0), atol=1e-12)
 
     def test_mixed_weights_match_oracle(self):
         rng = np.random.default_rng(8)
         v = dc.tensor(rng.normal(size=(5, 3)))
         wv = rng.uniform(0.01, 1.0, size=(5, 1))
-        got = md.type_embedding(v, dc.tensor(wv)).data[0]
+        got = orc.type_embedding(v, dc.tensor(wv)).data[0]
         want = (wv[:, 0] @ v.data) / wv.sum()
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -156,7 +168,7 @@ class TestInterAttention:
     def test_single_type_passes_through(self, catalog):
         state = fresh_state(catalog)
         t = dc.tensor(np.array([[0.5, -0.25, 1.0, 0.0]]))
-        out = md.inter_embedding(t, [7], state.w_inter)
+        out = orc.inter_embedding(t, [7], state.w_inter)
         np.testing.assert_allclose(out.data, t.data, atol=1e-12)
 
     def test_equal_scores_uniform(self, catalog):
@@ -164,7 +176,7 @@ class TestInterAttention:
         state.w_inter.data[...] = 0.0
         rng = np.random.default_rng(9)
         t = dc.tensor(rng.normal(size=(4, 4)))
-        out = md.inter_embedding(t, [0, 1, 2, 3], state.w_inter)
+        out = orc.inter_embedding(t, [0, 1, 2, 3], state.w_inter)
         np.testing.assert_allclose(out.data[0], t.data.mean(axis=0), atol=1e-12)
 
     def test_matches_projection_oracle(self, catalog):
@@ -172,7 +184,7 @@ class TestInterAttention:
         rng = np.random.default_rng(10)
         tids = [2, 9, 40]
         t = dc.tensor(rng.normal(size=(3, 4)))
-        out = md.inter_embedding(t, tids, state.w_inter).data[0]
+        out = orc.inter_embedding(t, tids, state.w_inter).data[0]
         scores = np.tanh((t.data * state.w_inter.data[tids]).sum(axis=1))
         beta = dc.sparsemax_project(scores)
         np.testing.assert_allclose(out, beta @ t.data, atol=1e-12)
@@ -238,7 +250,7 @@ class TestNodeForward:
         index.per_node[1] = {}
         h = gcn_forward(g.features, a_hat, state.gcn)
         opts = md.HeadOptions()
-        z, y_hat = md.node_forward(1, h, index, state, opts, tau)
+        z, y_hat = orc.node_forward(1, h, index, state, opts, tau)
         d = state.embed_dim
         np.testing.assert_allclose(z.data[0, :d], h.data[1])
         np.testing.assert_array_equal(z.data[0, d:], np.zeros(d))
@@ -249,7 +261,7 @@ class TestNodeForward:
         for t in (state.clf_w1, state.clf_b1, state.clf_w2, state.clf_b2):
             t.data[...] = 0.0
         h = gcn_forward(g.features, a_hat, state.gcn)
-        _, y_hat = md.node_forward(0, h, index, state, md.HeadOptions(), tau)
+        _, y_hat = orc.node_forward(0, h, index, state, md.HeadOptions(), tau)
         assert y_hat == pytest.approx(0.5)
 
     def test_matches_scalar_oracle(self, fixture_graph, catalog):
@@ -257,7 +269,7 @@ class TestNodeForward:
         h = gcn_forward(g.features, a_hat, state.gcn)
         opts = md.HeadOptions()
         for v in range(g.n):
-            _, y_hat = md.node_forward(v, h, index, state, opts, tau)
+            _, y_hat = orc.node_forward(v, h, index, state, opts, tau)
             want = scalar_head_oracle(g, state, a_hat, tau, index, v)
             assert y_hat == pytest.approx(want, abs=1e-10), f"node {v}"
 
@@ -267,7 +279,7 @@ class TestNodeForward:
         logits, deltas, h = md.forward_nodes(g.features, a_hat, state, index,
                                              list(range(g.n)), opts, tau)
         for v in range(g.n):
-            _, y_hat = md.node_forward(v, h, index, state, opts, tau)
+            _, y_hat = orc.node_forward(v, h, index, state, opts, tau)
             assert expit(logits.data[v, 0]) == pytest.approx(y_hat, abs=1e-12)
 
     def test_delta_bounds(self, fixture_graph, catalog):
@@ -337,6 +349,58 @@ class TestAblationOptions:
                 g.features, a_hat, state, index if opts.use_motifs else None,
                 [0, 4, 5], opts, tau)
             assert logits.shape == (3, 1)
+
+    @pytest.mark.parametrize("graph", ["fixture", "synthetic"])
+    def test_ablations_match_per_node_oracle(self, fixture_graph, catalog, graph):
+        if graph == "fixture":
+            g = fixture_graph
+            tau = float(g.tau_max)
+            # nodes 1..4 and 6..9 are requested but not indexed
+            index = build_index(g, np.full(g.n, tau), catalog, nodes=[0, 5, 7], cap=None)
+            nodes = list(range(g.n))
+        else:
+            g = synth_burst_graph(80, 0.1, burst_len=10, seed=3)
+            tau = float(g.tau_max)
+            windows = np.full(g.n, tau / 2)
+            index = build_index(g, windows, catalog, nodes=np.arange(0, g.n, 2), cap=2)
+            uncapped = build_index(g, windows, catalog, nodes=np.arange(0, g.n, 2), cap=None)
+            assert index.total_instances() < uncapped.total_instances()  # the cap binds
+            nodes = list(range(g.n - 1, -1, -1))
+        assert any(not index.instances_at(v) for v in nodes)
+        state = fresh_state(catalog, in_dim=g.num_features, seed=41)
+        a_hat = normalized_adjacency(g)
+        for name in md.ABLATIONS:
+            opts = md.HeadOptions.from_ablation(name, delta_fixed=tau / 5)
+            logits, _, h = md.forward_nodes(
+                g.features, a_hat, state, index if opts.use_motifs else None,
+                nodes, opts, tau)
+            want = [md.classifier_logits(orc.node_forward(v, h, index, state, opts, tau)[0],
+                                         state).item() for v in nodes]
+            np.testing.assert_allclose(logits.data[:, 0], want, rtol=0, atol=1e-10,
+                                       err_msg=name)
+
+
+class TestTapeSize:
+    def test_op_count_does_not_grow_with_node_count(self, fixture_graph, catalog):
+        g, state, a_hat, tau, index = build_everything(fixture_graph, catalog)
+        y = g.labels.astype(float)
+
+        def ops(nodes):
+            with dc.Tape() as tape:
+                logits, _, _ = md.forward_nodes(g.features, a_hat, state, index, nodes,
+                                                md.HeadOptions(), tau)
+                dc.bce_with_logits(logits, y[nodes].reshape(-1, 1))
+            return len(tape)
+
+        few = ops([0, 5, 7])
+        assert few == ops(list(range(g.n)))
+        assert few < 60
+
+    def test_layout_built_once_per_index_and_nodes(self, fixture_graph, catalog):
+        g, state, a_hat, tau, index = build_everything(fixture_graph, catalog)
+        first = md.head_layout(index, [0, 5, 7], g.n)
+        assert md.head_layout(index, np.array([0, 5, 7]), g.n) is first
+        assert md.head_layout(index, [0, 5], g.n) is not first
 
 
 class TestCheckpointMeta:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from tmgad import diffcore as dc
+from tmgad import model as md
 from tmgad import train as tr
 from tmgad.backbone import GCNConfig
 from tmgad.motif import FOCAL_ROOTED, build_catalog, build_index
-from tmgad.txgraph import build_graph, make_splits, set_features_labels
+from tmgad.txgraph import build_graph, make_splits, normalized_adjacency, set_features_labels
 
 
 def auc_pairwise_oracle(scores, labels):
@@ -230,6 +231,21 @@ class TestTrainLoop:
         gcn = GCNConfig(layers=2, hidden_dim=16, out_dim=8, dropout=0.0)
         _, rep = tr.train(g, cfg, gcn)
         assert rep.total_instances > 0
+
+    @pytest.mark.parametrize("bias", [1e3, -1e3])
+    def test_saturated_window_logits_train_and_index(self, monkeypatch, bias):
+        # the sigmoid rounds to exactly 1 (or 0) here; windows must stay in (0, tau)
+        monkeypatch.setattr(md, "WINDOW_BIAS_INIT", bias)
+        g = tiny_graph(seed=6)
+        cfg = tr.TrainConfig(epochs=1, learning_rate=1e-2, seed=0, ablation="full")
+        state, rep = tr.train(g, cfg, GCNConfig(layers=2, hidden_dim=16, out_dim=8,
+                                                 dropout=0.0))
+        tau = float(g.tau_max)
+        assert 0.0 < rep.delta_stats[0][0] and rep.delta_stats[0][2] < tau
+        assert abs(state.win_b2.item() - bias) < 1.0
+        deltas = md.delta_snapshot(g.features, normalized_adjacency(g), state, tau)
+        index = build_index(g, deltas, build_catalog(FOCAL_ROOTED))
+        assert set(index.windows) == set(g.labeled_nodes().tolist())
 
     def test_tm_fixed_needs_delta(self):
         g = tiny_graph(seed=5)
