@@ -194,19 +194,6 @@ def spmm(a_const, x: Tensor) -> Tensor:
     return _make("spmm", np.asarray(data), (x,), bwd)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _shape_check("add", a.shape == b.shape, f"{a.shape} + {b.shape}")
-    data = a.data + b.data
-
-    def bwd(out):
-        def fn(g):
-            _accum(a, g)
-            _accum(b, g)
-        return fn
-
-    return _make("add", data, (a, b), bwd)
-
-
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Row-vector bias added to every row (the one permitted broadcast)."""
     _shape_check("add_bias", b.shape == (1, x.shape[1]), f"{x.shape} + bias {b.shape}")
@@ -267,15 +254,6 @@ def mul_col(x: Tensor, col: Tensor) -> Tensor:
         return fn
 
     return _make("mul_col", data, (x, col), bwd)
-
-
-def transpose(x: Tensor) -> Tensor:
-    def bwd(out):
-        def fn(g):
-            _accum(x, g.T)
-        return fn
-
-    return _make("transpose", x.data.T.copy(), (x,), bwd)
 
 
 def concat_rows(parts) -> Tensor:
@@ -454,11 +432,6 @@ def softmax_blocks(x: Tensor, block: int) -> Tensor:
     return _make("softmax_blocks", y, (x,), bwd)
 
 
-def softmax_vec(x: Tensor) -> Tensor:
-    _check_col("softmax_vec", x)
-    return softmax_blocks(x, x.shape[0])
-
-
 def sparsemax_vec(x: Tensor) -> Tensor:
     """Euclidean projection of a column vector onto the probability simplex."""
     _check_col("sparsemax_vec", x)
@@ -518,24 +491,6 @@ def sparsemax_project(z: np.ndarray) -> np.ndarray:
     return np.maximum(z - tau, 0.0)
 
 
-def weighted_sum(values: Tensor, weights: Tensor) -> Tensor:
-    """Normalized weighted average of rows: sum_i w_i v_i / sum_i w_i -> 1 x d."""
-    _shape_check("weighted_sum", weights.shape == (values.shape[0], 1),
-                 f"values {values.shape} vs weights {weights.shape}")
-    s = weights.data.sum()
-    if s == 0.0:
-        raise NumericGuardError("weighted_sum: weights sum to zero")
-    out_data = (weights.data.T @ values.data) / s
-
-    def bwd(out):
-        def fn(g):
-            _accum(values, (weights.data / s) @ g)
-            _accum(weights, (values.data @ g.T - out.data @ g.T) / s)
-        return fn
-
-    return _make("weighted_sum", out_data, (values, weights), bwd)
-
-
 def rowwise_dot(a: Tensor, b: Tensor) -> Tensor:
     """Per-row dot product of two k x d tensors -> k x 1."""
     _shape_check("rowwise_dot", a.shape == b.shape, f"{a.shape} vs {b.shape}")
@@ -550,17 +505,6 @@ def rowwise_dot(a: Tensor, b: Tensor) -> Tensor:
     return _make("rowwise_dot", data, (a, b), bwd)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    data = np.array([[x.data.sum()]])
-
-    def bwd(out):
-        def fn(g):
-            _accum(x, np.full_like(x.data, g[0, 0]))
-        return fn
-
-    return _make("sum_all", data, (x,), bwd)
-
-
 def mean_all(x: Tensor) -> Tensor:
     n = x.data.size
     data = np.array([[x.data.sum() / n]])
@@ -571,19 +515,6 @@ def mean_all(x: Tensor) -> Tensor:
         return fn
 
     return _make("mean_all", data, (x,), bwd)
-
-
-def mean_rows(x: Tensor) -> Tensor:
-    """Column-wise mean over rows: m x d -> 1 x d."""
-    m = x.shape[0]
-    data = x.data.mean(axis=0, keepdims=True)
-
-    def bwd(out):
-        def fn(g):
-            _accum(x, np.repeat(g / m, m, axis=0))
-        return fn
-
-    return _make("mean_rows", data, (x,), bwd)
 
 
 def bce_with_logits(logits: Tensor, targets, pos_weight: float | None = None) -> Tensor:

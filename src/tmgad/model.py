@@ -182,38 +182,28 @@ def head_layout(index: MotifIndex, nodes, n_nodes: int) -> HeadLayout:
     key = ("head_layout", n_nodes, nodes.tobytes())
     layout = index.derived.get(key)
     if layout is None:
-        layout = _build_layout(index, nodes.tolist(), n_nodes)
+        layout = _build_layout(index, nodes, n_nodes)
         index.derived[key] = layout
     return layout
 
 
-def _build_layout(index: MotifIndex, nodes: list, n_nodes: int) -> HeadLayout:
-    members, gaps, owner = [], [], []
-    type_sizes, type_ids, node_sizes = [], [], []
-    slot = np.full(len(nodes), -1, dtype=np.intp)
-    for i, v in enumerate(nodes):
-        by_type = index.instances_at(v)
-        if not by_type:
-            continue
-        slot[i] = len(node_sizes)
-        node_sizes.append(len(by_type))
-        start = index.window_starts[v]
-        for t in sorted(by_type):
-            insts = by_type[t]
-            type_ids.append(t)
-            type_sizes.append(len(insts))
-            for inst in insts:
-                members.append((n_nodes + t, *inst.nodes))
-                gaps.append(inst.t_max - start)
-                owner.append(v)
+def _build_layout(index: MotifIndex, nodes: np.ndarray, n_nodes: int) -> HeadLayout:
+    rows, counts = index.rows_of(nodes)      # index rows are (owner, type, edges) sorted
+    has = counts > 0
+    request = np.repeat(np.arange(nodes.size), counts)
+    tids = index.type_id[rows]
+    first = np.ones(rows.size, dtype=bool)   # first row of each (request, type) segment
+    first[1:] = (tids[1:] != tids[:-1]) | (request[1:] != request[:-1])
+    bounds = np.flatnonzero(first)
+    starts = index.node_starts[index.locate(nodes)]
     return HeadLayout(
-        members=np.array(members, dtype=np.intp).reshape(-1, 4),
-        gaps=np.array(gaps, dtype=np.float64).reshape(-1, 1),
-        owner=np.array(owner, dtype=np.intp),
-        type_sizes=np.array(type_sizes, dtype=np.intp),
-        type_ids=np.array(type_ids, dtype=np.intp),
-        node_sizes=np.array(node_sizes, dtype=np.intp),
-        slot=slot)
+        members=np.column_stack([n_nodes + tids, index.nodes[rows]]).astype(np.intp),
+        gaps=(index.t_max[rows] - np.repeat(starts, counts)).astype(np.float64).reshape(-1, 1),
+        owner=index.owner[rows].astype(np.intp),
+        type_sizes=np.diff(np.append(bounds, rows.size)).astype(np.intp),
+        type_ids=tids[bounds].astype(np.intp),
+        node_sizes=np.bincount(request[bounds], minlength=nodes.size)[has].astype(np.intp),
+        slot=np.where(has, np.cumsum(has) - 1, -1).astype(np.intp))
 
 
 def motif_embeddings(h: dc.Tensor, deltas, state: ModelState, layout: HeadLayout,

@@ -130,11 +130,11 @@ _EMPTY_IDX = np.empty(0, dtype=np.int64)
 
 
 def _earliest(n: int, src, dst, ts) -> np.ndarray:
-    out = np.full(n, NO_TIMESTAMP, dtype=np.int64)
-    for arr in (src, dst):
-        for v, t in zip(arr, ts):
-            if out[v] == NO_TIMESTAMP or t < out[v]:
-                out[v] = t
+    unset = np.iinfo(np.int64).max
+    out = np.full(n, unset, dtype=np.int64)
+    np.minimum.at(out, src, ts)
+    np.minimum.at(out, dst, ts)
+    out[out == unset] = NO_TIMESTAMP
     return out
 
 
@@ -280,12 +280,9 @@ def set_features_labels(g: TransactionGraph, features: np.ndarray,
 
 def normalized_adjacency(g: TransactionGraph) -> sp.csr_matrix:
     """Symmetric-normalized (A+I) over the direction-collapsed simple graph."""
-    pairs = set(zip(g.src.tolist(), g.dst.tolist()))
-    rows, cols = [], []
-    for u, v in pairs:
-        rows.extend((u, v))
-        cols.extend((v, u))
-    a = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.n, g.n))
+    rows = np.concatenate([g.src, g.dst])
+    cols = np.concatenate([g.dst, g.src])
+    a = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(g.n, g.n))
     a = (a > 0).astype(np.float64)  # collapse parallel edges
     a_tilde = a + sp.identity(g.n, format="coo")
     deg = np.asarray(a_tilde.sum(axis=1)).ravel()

@@ -104,6 +104,55 @@ def pearson_two_pass(counts):
 
 
 # ---------------------------------------------------------------------------
+# tape primitives only the single-node head below uses
+
+
+def transpose(x):
+    def bwd(out):
+        def fn(g):
+            dc._accum(x, g.T)
+        return fn
+
+    return dc._make("transpose", x.data.T.copy(), (x,), bwd)
+
+
+def softmax_vec(x):
+    dc._check_col("softmax_vec", x)
+    return dc.softmax_blocks(x, x.shape[0])
+
+
+def weighted_sum(values, weights):
+    """Normalized weighted average of rows: sum_i w_i v_i / sum_i w_i -> 1 x d."""
+    dc._shape_check("weighted_sum", weights.shape == (values.shape[0], 1),
+                    f"values {values.shape} vs weights {weights.shape}")
+    s = weights.data.sum()
+    if s == 0.0:
+        raise dc.NumericGuardError("weighted_sum: weights sum to zero")
+    out_data = (weights.data.T @ values.data) / s
+
+    def bwd(out):
+        def fn(g):
+            dc._accum(values, (weights.data / s) @ g)
+            dc._accum(weights, (values.data @ g.T - out.data @ g.T) / s)
+        return fn
+
+    return dc._make("weighted_sum", out_data, (values, weights), bwd)
+
+
+def mean_rows(x):
+    """Column-wise mean over rows: m x d -> 1 x d."""
+    m = x.shape[0]
+    data = x.data.mean(axis=0, keepdims=True)
+
+    def bwd(out):
+        def fn(g):
+            dc._accum(x, np.repeat(g / m, m, axis=0))
+        return fn
+
+    return dc._make("mean_rows", data, (x,), bwd)
+
+
+# ---------------------------------------------------------------------------
 # single-node model head: the per-node reference for the batched head
 
 
@@ -120,13 +169,13 @@ def intra_instance_embedding(instance, h, supernodes, w_intra):
         dc.select_rows(h, list(instance.nodes)),
     ])
     scores = dc.tanh(dc.matmul(members, w_intra))
-    alpha = dc.softmax_vec(scores)
-    return dc.matmul(dc.transpose(alpha), members)
+    alpha = softmax_vec(scores)
+    return dc.matmul(transpose(alpha), members)
 
 
 def type_embedding(instance_embs, weights):
     """Recency-weighted average of instance embeddings (normalized)."""
-    return dc.weighted_sum(instance_embs, dc.clip_min(weights, WEIGHT_FLOOR))
+    return weighted_sum(instance_embs, dc.clip_min(weights, WEIGHT_FLOOR))
 
 
 def inter_embedding(type_embs, type_ids, w_inter):
@@ -134,7 +183,7 @@ def inter_embedding(type_embs, type_ids, w_inter):
     w_sel = dc.select_rows(w_inter, list(type_ids))
     scores = dc.tanh(dc.rowwise_dot(type_embs, w_sel))
     beta = dc.sparsemax_vec(scores)
-    return dc.matmul(dc.transpose(beta), type_embs)
+    return dc.matmul(transpose(beta), type_embs)
 
 
 def _recency_weights(m, gaps, delta_v, opts):
@@ -175,7 +224,7 @@ def motif_embedding_for_node(v, combined, n_nodes, index, state, opts, delta_v=N
                            dc.segment_sum_rows(weights, sizes))    # k x d
     if opts.use_inter:
         return inter_embedding(type_embs, tids, state.w_inter)
-    return dc.mean_rows(type_embs)
+    return mean_rows(type_embs)
 
 
 def node_forward(v, h, index, state, opts, tau_max: float):
@@ -196,3 +245,80 @@ def node_forward(v, h, index, state, opts, tau_max: float):
     z = dc.concat_cols([dc.select_rows(h, [v]), ztilde])
     y_hat = float(expit(classifier_logits(z, state).item()))
     return z, y_hat
+
+
+# ---------------------------------------------------------------------------
+# loop forms of vectorized library code
+
+
+def earliest_loop(n, src, dst, ts):
+    """Per-node earliest timestamp, NO_TIMESTAMP for isolated nodes."""
+    from tmgad.txgraph import NO_TIMESTAMP
+
+    out = np.full(n, NO_TIMESTAMP, dtype=np.int64)
+    for arr in (src, dst):
+        for v, t in zip(arr, ts):
+            if out[v] == NO_TIMESTAMP or t < out[v]:
+                out[v] = t
+    return out
+
+
+def normalized_adjacency_from_pairs(g):
+    """Symmetric-normalized (A+I), A built from the set of distinct edge pairs."""
+    import scipy.sparse as sp
+
+    pairs = set(zip(g.src.tolist(), g.dst.tolist()))
+    rows, cols = [], []
+    for u, v in pairs:
+        rows.extend((u, v))
+        cols.extend((v, u))
+    a = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.n, g.n))
+    a = (a > 0).astype(np.float64)  # collapse parallel edges
+    a_tilde = a + sp.identity(g.n, format="coo")
+    deg = np.asarray(a_tilde.sum(axis=1)).ravel()
+    dmat = sp.diags(1.0 / np.sqrt(deg))
+    return (dmat @ a_tilde @ dmat).tocsr()
+
+
+def auc_tie_loop(scores, labels):
+    """Mann-Whitney AUC from average ranks assigned run by run over tied scores."""
+    y = np.asarray(labels)
+    pos, neg = np.nonzero(y == 1)[0], np.nonzero(y == 0)[0]
+    s = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(s, kind="mergesort")
+    ranks = np.empty(len(s), dtype=np.float64)
+    sorted_s = s[order]
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
+        i = j + 1
+    p, n = len(pos), len(neg)
+    return float((ranks[pos].sum() - p * (p + 1) / 2.0) / (p * n))
+
+
+def auprc_tie_loop(scores, labels):
+    """Precision-recall step integral, one step per run of tied scores."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    order = np.argsort(-s, kind="mergesort")
+    s_sorted, y_sorted = s[order], y[order]
+    total_pos = float((y == 1).sum())
+    area = 0.0
+    tp = fp = 0.0
+    prev_recall = 0.0
+    i = 0
+    while i < len(s_sorted):
+        j = i
+        while j + 1 < len(s_sorted) and s_sorted[j + 1] == s_sorted[i]:
+            j += 1
+        tp += float(y_sorted[i:j + 1].sum())
+        fp += float(j - i + 1 - y_sorted[i:j + 1].sum())
+        recall = tp / total_pos
+        precision = tp / (tp + fp)
+        area += (recall - prev_recall) * precision
+        prev_recall = recall
+        i = j + 1
+    return float(area)

@@ -7,7 +7,7 @@ from scipy.special import expit
 from tmgad import diffcore as dc
 from tmgad import model as md
 from tmgad.backbone import GCNConfig, gcn_forward
-from tmgad.motif import FOCAL_ROOTED, MotifInstance, build_catalog, build_index
+from tmgad.motif import FOCAL_ROOTED, MotifIndex, MotifInstance, build_catalog, build_index
 from tmgad.train import synth_burst_graph
 from tmgad.txgraph import normalized_adjacency
 
@@ -247,7 +247,10 @@ def scalar_head_oracle(g, state, a_hat, tau, index, v):
 class TestNodeForward:
     def test_node_without_motifs_defined(self, fixture_graph, catalog):
         g, state, a_hat, tau, index = build_everything(fixture_graph, catalog)
-        index.per_node[1] = {}
+        index = MotifIndex.from_instances(
+            index.catalog_mode, index.catalog_size,
+            {v: {} if v == 1 else types for v, types in index.per_node.items()},
+            windows=index.windows, window_starts=index.window_starts)
         h = gcn_forward(g.features, a_hat, state.gcn)
         opts = md.HeadOptions()
         z, y_hat = orc.node_forward(1, h, index, state, opts, tau)

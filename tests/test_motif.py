@@ -1,5 +1,6 @@
 """Catalog generation, canonical typing, windowed enumeration, analysis stats."""
 
+import dataclasses
 from itertools import permutations
 
 import numpy as np
@@ -209,6 +210,123 @@ class TestIndex:
         assert min(m.t_max for m in kept) >= all_tmax[dropped - 1]
 
 
+def with_isolated(g, extra):
+    """The same edges on `extra` more nodes, which have none."""
+    return build_graph(g.n + extra, g.src, g.dst, g.timestamp)
+
+
+COLUMNS = ("node_ids", "node_windows", "node_starts", "offsets",
+           "owner", "type_id", "nodes", "edges", "t_max")
+
+
+class TestRestrict:
+    def test_equals_fresh_build(self, rooted, tmp_path):
+        rng = np.random.default_rng(31)
+        for trial in range(30):
+            g = with_isolated(random_graph(rng, max_nodes=12, max_edges=50, max_ts=40), 2)
+            tau = float(g.tau_max)
+            nodes = np.arange(g.n) if trial % 2 else rng.choice(g.n, g.n // 2, replace=False)
+            full = motif.build_index(g, np.full(g.n, tau), rooted, nodes=nodes, cap=None)
+            for cap in (None, 1, 2):
+                windows = rng.uniform(0.02, 1.0, g.n) * tau
+                got = full.restrict(windows, cap)
+                want = motif.build_index(g, windows, rooted, nodes=nodes, cap=cap)
+                for name in COLUMNS:
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and a.shape == b.shape, name
+                    np.testing.assert_array_equal(a, b, err_msg=name)
+                assert (got.cap, got.tau_max) == (want.cap, want.tau_max)
+                motif.write_index_csv(got, tmp_path / "got.csv")
+                motif.write_index_csv(want, tmp_path / "want.csv")
+                assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_cap_binds_in_the_checked_graphs(self, rooted):
+        # the equality above is only worth something if the cap drops instances
+        rng = np.random.default_rng(31)
+        g = with_isolated(random_graph(rng, max_nodes=12, max_edges=50, max_ts=40), 2)
+        full = motif.build_index(g, np.full(g.n, float(g.tau_max)), rooted,
+                                 nodes=np.arange(g.n), cap=None)
+        assert full.restrict(full.node_windows, 1).total_instances() < full.total_instances()
+
+    def test_anchor_offsets_and_smaller_enumerated_windows(self, rooted):
+        rng = np.random.default_rng(32)
+        g = random_graph(rng, max_nodes=12, max_edges=50, max_ts=40)
+        tau = float(g.tau_max)
+        starts = {v: int(rng.integers(0, 10)) for v in range(g.n)}
+        top = rng.uniform(0.5, 1.0, g.n) * tau
+        full = motif.build_index(g, top, rooted, nodes=np.arange(g.n),
+                                 window_starts=starts, cap=None)
+        windows = top * rng.uniform(0.1, 1.0, g.n)
+        got = full.restrict(windows, 3)
+        want = motif.build_index(g, windows, rooted, nodes=np.arange(g.n),
+                                 window_starts=starts, cap=3)
+        for name in COLUMNS:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_rejects_window_above_enumerated(self, rooted):
+        g = with_isolated(random_graph(np.random.default_rng(33)), 1)
+        tau = float(g.tau_max)
+        full = motif.build_index(g, np.full(g.n, tau / 2), rooted, nodes=np.arange(g.n),
+                                 cap=None)
+        windows = np.full(g.n, tau / 4)
+        windows[2] = tau / 2 + 1.0
+        with pytest.raises(motif.MotifError, match="node 2 exceeds the enumerated"):
+            full.restrict(windows, None)
+        windows[2] = tau / 2
+        full.restrict(windows, None)  # equal to the enumerated window is fine
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, "over_tau"])
+    def test_rejects_window_outside_bounds(self, rooted, bad):
+        g = random_graph(np.random.default_rng(34))
+        tau = float(g.tau_max)
+        full = motif.build_index(g, np.full(g.n, tau), rooted, nodes=np.arange(g.n), cap=None)
+        windows = np.full(g.n, tau / 2)
+        windows[3] = tau * 2.0 if bad == "over_tau" else bad
+        with pytest.raises(motif.MotifError, match="window for node 3 out of bounds"):
+            full.restrict(windows, 4)
+        with pytest.raises(motif.MotifError, match="window for node 3 out of bounds"):
+            motif.build_index(g, windows, rooted, nodes=np.arange(g.n))
+
+    def test_needs_uncapped_index(self, rooted):
+        g = random_graph(np.random.default_rng(35))
+        capped = motif.build_index(g, np.full(g.n, float(g.tau_max)), rooted,
+                                   nodes=np.arange(g.n), cap=5)
+        with pytest.raises(motif.MotifError, match="uncapped"):
+            capped.restrict(np.full(g.n, 1.0), 5)
+
+
+class TestIndexColumns:
+    def make_index(self, rooted):
+        g = random_graph(np.random.default_rng(36))
+        return motif.build_index(g, np.full(g.n, float(g.tau_max)), rooted,
+                                 nodes=np.arange(g.n), cap=None)
+
+    def test_columns_are_read_only(self, rooted):
+        idx = self.make_index(rooted)
+        assert idx.total_instances() > 0
+        for name in COLUMNS:
+            col = getattr(idx, name)
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = col[-1]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(idx, name, col.copy())
+
+    def test_views_are_read_only(self, rooted):
+        idx = self.make_index(rooted)
+        v = int(idx.node_ids[0])
+        for view in (idx.per_node, idx.windows, idx.window_starts, idx.instances_at(v)):
+            with pytest.raises(TypeError):
+                view[v] = None
+
+    def test_rows_follow_owner_type_edges_order(self, rooted):
+        idx = self.make_index(rooted)
+        keys = np.column_stack([idx.owner, idx.type_id, idx.edges])
+        assert all(tuple(a) < tuple(b) for a, b in zip(keys[:-1].tolist(), keys[1:].tolist()))
+        np.testing.assert_array_equal(idx.owner, idx.nodes[:, 0])
+        np.testing.assert_array_equal(np.diff(idx.offsets),
+                                      [(idx.owner == v).sum() for v in idx.node_ids])
+
+
 class TestAnalysis:
     def test_histogram_empty_and_single(self, rooted, tmp_path):
         g = build_graph(3, [0, 0, 1], [1, 2, 2], [1, 2, 3])
@@ -226,21 +344,21 @@ class TestAnalysis:
         assert len(lines) == 1 + rooted.size * 2
 
     def test_correlation_identical_vectors(self, rooted):
-        idx = motif.MotifIndex(rooted.mode, rooted.size, {}, {}, {}, None)
         insts = [motif.MotifInstance(0, (0, 1, 2), (0, 1, 2), 3, 5),
                  motif.MotifInstance(0, (0, 1, 2), (0, 1, 3), 7, 6)]
-        idx.per_node = {0: {3: [insts[0]], 7: [insts[1]]},
-                        1: {3: [insts[0]], 7: [insts[1]]},
-                        2: {3: [], 7: []}}
-        idx.per_node[2] = {3: [insts[0], insts[0]], 7: [insts[1], insts[1]]}
+        idx = motif.MotifIndex.from_instances(
+            rooted.mode, rooted.size,
+            {0: {3: [insts[0]], 7: [insts[1]]},
+             1: {3: [insts[0]], 7: [insts[1]]},
+             2: {3: [insts[0], insts[0]], 7: [insts[1], insts[1]]}})
         corr = motif.motif_cross_correlation(idx, [0, 1, 2])
         assert corr[3, 7] == pytest.approx(1.0)
         assert corr[3, 3] == 1.0
 
     def test_zero_variance_sentinel(self, rooted):
-        idx = motif.MotifIndex(rooted.mode, rooted.size, {}, {}, {}, None)
         i0 = motif.MotifInstance(0, (0, 1, 2), (0, 1, 2), 0, 5)
-        idx.per_node = {0: {0: [i0]}, 1: {0: [i0, i0]}}
+        idx = motif.MotifIndex.from_instances(rooted.mode, rooted.size,
+                                              {0: {0: [i0]}, 1: {0: [i0, i0]}})
         corr = motif.motif_cross_correlation(idx, [0, 1])
         dead = 5  # type with zero counts everywhere
         assert corr[dead, dead] == 1.0
@@ -250,16 +368,15 @@ class TestAnalysis:
     def test_correlation_matches_pearson_oracle(self, rooted):
         rng = np.random.default_rng(3)
         counts = rng.integers(0, 6, size=(8, rooted.size))
-        idx = motif.MotifIndex(rooted.mode, rooted.size, {}, {}, {}, None)
         inst = motif.MotifInstance(0, (0, 1, 2), (0, 1, 2), 0, 5)
-        idx.per_node = {
+        idx = motif.MotifIndex.from_instances(rooted.mode, rooted.size, {
             v: {t: [inst] * int(counts[v, t]) for t in range(rooted.size) if counts[v, t]}
-            for v in range(8)}
+            for v in range(8)})
         got = motif.motif_cross_correlation(idx, list(range(8)))
         want = pearson_two_pass(counts)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_subset_too_small(self, rooted):
-        idx = motif.MotifIndex(rooted.mode, rooted.size, {0: {}}, {}, {}, None)
+        idx = motif.MotifIndex.from_instances(rooted.mode, rooted.size, {0: {}})
         with pytest.raises(motif.MotifError):
             motif.motif_cross_correlation(idx, [0])

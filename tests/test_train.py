@@ -10,6 +10,8 @@ from tmgad.backbone import GCNConfig
 from tmgad.motif import FOCAL_ROOTED, build_catalog, build_index
 from tmgad.txgraph import build_graph, make_splits, normalized_adjacency, set_features_labels
 
+from oracles import auc_tie_loop, auprc_tie_loop
+
 
 def auc_pairwise_oracle(scores, labels):
     s = np.asarray(scores)
@@ -106,6 +108,18 @@ class TestRankingMetrics:
             assert tr.auprc(scores, labels) == pytest.approx(
                 auprc_threshold_oracle(scores, labels), abs=1e-12)
 
+    def test_match_tie_loops(self):
+        rng = np.random.default_rng(4)
+        for trial in range(200):
+            n = int(rng.integers(2, 60))
+            scores = rng.integers(0, int(rng.integers(1, 8)), n) / 7.0  # tie-heavy
+            if trial % 4 == 0:
+                scores = rng.random(n)
+            labels = rng.integers(0, 2, n)
+            labels[:2] = (0, 1)
+            assert tr.auc(scores, labels) == auc_tie_loop(scores, labels)
+            assert abs(tr.auprc(scores, labels) - auprc_tie_loop(scores, labels)) <= 1e-12
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         scores = rng.random(30)
@@ -135,7 +149,7 @@ class TestAdam:
         for _ in range(200):
             opt.zero_grad()
             with dc.Tape() as t:
-                loss = dc.matmul(p, dc.transpose(p))
+                loss = dc.rowwise_dot(p, p)
                 t.backward(loss)
             opt.step()
         assert abs(p.data[0, 0]) < 0.2
@@ -246,6 +260,26 @@ class TestTrainLoop:
         deltas = md.delta_snapshot(g.features, normalized_adjacency(g), state, tau)
         index = build_index(g, deltas, build_catalog(FOCAL_ROOTED))
         assert set(index.windows) == set(g.labeled_nodes().tolist())
+
+    @pytest.mark.parametrize("ablation", ["full", "tm_fixed", "gcn_only"])
+    def test_motifs_enumerated_once_per_run(self, monkeypatch, ablation):
+        calls = []
+
+        def counting_build_index(*args, **kwargs):
+            calls.append(kwargs.get("cap"))
+            return build_index(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "build_index", counting_build_index)
+        g = tiny_graph(seed=7)
+        cfg = tr.TrainConfig(epochs=6, learning_rate=1e-2, seed=0, ablation=ablation,
+                             delta_fixed=15.0, refresh_interval=1)
+        _, rep = tr.train(g, cfg, GCNConfig(layers=2, hidden_dim=16, out_dim=8, dropout=0.0))
+        assert calls == ([] if ablation == "gcn_only" else [None])
+        if ablation != "gcn_only":
+            # the last refresh's masked index is what a fresh build would give
+            fresh = build_index(g, rep.extraction_windows, build_catalog(FOCAL_ROOTED),
+                                nodes=g.labeled_nodes(), cap=cfg.instance_cap)
+            assert rep.total_instances == fresh.total_instances() > 0
 
     def test_tm_fixed_needs_delta(self):
         g = tiny_graph(seed=5)

@@ -5,6 +5,8 @@ import pytest
 
 from tmgad import txgraph as tg
 
+from oracles import earliest_loop, normalized_adjacency_from_pairs, random_graph
+
 
 def write_edges(tmp_path, text, name="edges.csv"):
     p = tmp_path / name
@@ -138,6 +140,37 @@ class TestNormalizedAdjacency:
         a = tg.normalized_adjacency(g).toarray()
         np.testing.assert_allclose(a, a.T, atol=1e-15)
         assert (np.abs(a).sum(axis=1) > 0).all()
+
+
+    def test_matches_set_of_pairs_oracle_exactly(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            base = random_graph(rng, max_nodes=15, max_edges=60)
+            # parallel and reversed edges, plus a few isolated nodes at the end
+            g = tg.build_graph(base.n + int(rng.integers(0, 4)),
+                               np.concatenate([base.src, base.dst[:5]]),
+                               np.concatenate([base.dst, base.src[:5]]),
+                               np.concatenate([base.timestamp, base.timestamp[:5]]))
+            got, want = tg.normalized_adjacency(g), normalized_adjacency_from_pairs(g)
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+class TestEarliest:
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            base = random_graph(rng, max_nodes=15, max_edges=60)
+            n = base.n + int(rng.integers(0, 4))  # trailing isolated nodes
+            g = tg.build_graph(n, base.src, base.dst, base.timestamp)
+            want = earliest_loop(n, base.src, base.dst, base.timestamp)
+            np.testing.assert_array_equal(g.t_earliest, want)
+            assert g.t_earliest.dtype == want.dtype
+
+    def test_isolated_nodes_keep_sentinel(self):
+        g = tg.build_graph(5, [1, 3], [3, 1], [7, 2])
+        np.testing.assert_array_equal(g.t_earliest,
+                                      [tg.NO_TIMESTAMP, 2, tg.NO_TIMESTAMP, 2, tg.NO_TIMESTAMP])
 
 
 class TestTemporalSubgraph:
