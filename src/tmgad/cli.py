@@ -9,6 +9,7 @@ validation error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -82,110 +83,58 @@ def _out_dir(cfg, args) -> Path:
     return out
 
 
+def _fields(cls, *sections) -> dict:
+    """The keys of the config sections that name fields of the dataclass `cls`."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {k: v for body in sections for k, v in body.items() if k in names}
+
+
 def _gcn_config(cfg) -> GCNConfig:
-    m = cfg["model"]
-    return GCNConfig(layers=m.get("layers", 2), hidden_dim=m.get("hidden_dim", 16),
-                     out_dim=m.get("out_dim", 16), dropout=m.get("dropout", 0.1))
+    return GCNConfig(**_fields(GCNConfig, cfg["model"]))
 
 
-def _train_config(cfg, seed_override=None) -> train_mod.TrainConfig:
-    t = cfg["train"]
-    return train_mod.TrainConfig(
-        epochs=t.get("epochs", 150),
-        learning_rate=t.get("learning_rate", 1e-3),
-        optimizer=t.get("optimizer", "adam"),
-        refresh_interval=t.get("refresh_interval", 5),
-        seed=seed_override if seed_override is not None else t.get("seed", 0),
-        ablation=t.get("ablation", "full"),
-        delta_fixed=t.get("delta_fixed"),
-        catalog_mode=cfg["model"].get("catalog_mode", motif_mod.FOCAL_ROOTED),
-        window_slack=t.get("window_slack", 1.5),
-        instance_cap=t.get("instance_cap", 512),
-        pos_weight=t.get("pos_weight"),
-        window_hidden=cfg["model"].get("window_hidden", 8),
-        clf_hidden=cfg["model"].get("clf_hidden", 16),
-    )
+def _train_config(cfg) -> train_mod.TrainConfig:
+    return train_mod.TrainConfig(**_fields(train_mod.TrainConfig, cfg["model"], cfg["train"]))
+
+
+def _read_dataset(cfg) -> tuple[txgraph.TransactionGraph, dict | None]:
+    """The graph the config's CSVs describe, and its id token map (None when
+    the edge file's ids are integers): edges, id compaction, time_unit, then
+    features and labels."""
+    data = cfg["data"]
+    if "edges" not in data:
+        raise ConfigError("data section needs 'edges' (or, outside ingest, an existing 'cache')")
+    if ("features" in data) != ("labels" in data):
+        raise ConfigError("features and labels must be provided together")
+    for key in ("edges", "features", "labels"):
+        if key in data and not Path(data[key]).exists():
+            raise txgraph.ValidationError(f"missing {key} file: {data[key]}")
+    g, id_map = txgraph.read_edge_list(data["edges"], data.get("format", "csv"),
+                                        compact=True)
+    unit = data.get("time_unit")
+    if unit:
+        # rescale dataset-native time so the model sees a desk-scale horizon
+        ts = (g.timestamp - (g.timestamp.min() if g.num_edges else 0)) // int(unit)
+        g = txgraph.build_graph(g.n, g.src, g.dst, ts, g.amount)
+    if "features" in data:
+        g = txgraph.attach_features_labels(g, data["features"], data["labels"])
+    return g, id_map
 
 
 def _load_graph(cfg) -> txgraph.TransactionGraph:
-    data = cfg["data"]
-    cache = data.get("cache")
+    cache = cfg["data"].get("cache")
     if cache and Path(cache).exists():
         return txgraph.load_cache(cache)
-    if "edges" not in data:
-        raise ConfigError("data section needs 'edges' (or an existing 'cache')")
-    g = txgraph.load_edge_list(data["edges"], data.get("format", "csv"))
-    if "features" in data or "labels" in data:
-        if "features" not in data or "labels" not in data:
-            raise ConfigError("features and labels must be provided together")
-        for key in ("features", "labels"):
-            if not Path(data[key]).exists():
-                raise txgraph.ValidationError(f"missing {key} file: {data[key]}")
-        g = txgraph.attach_features_labels(g, data["features"], data["labels"])
-    return g
+    return _read_dataset(cfg)[0]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _remap_external_ids(edges_path: Path, out: Path):
-    """Map arbitrary id tokens (hex addresses etc.) to dense integers.
-
-    Returns (path to an integer-id CSV, mapping dict). Files that already use
-    dense-friendly integer ids pass through untouched with an identity map.
-    """
-    rows = []
-    tokens = set()
-    all_int = True
-    with open(edges_path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if lineno == 1 and parts[0].lower() in ("src", "source"):
-                continue
-            if len(parts) < 3:
-                raise txgraph.ParseError(f"line {lineno}: expected at least 3 columns")
-            rows.append(parts)
-            tokens.update(parts[:2])
-            if not (parts[0].lstrip("-").isdigit() and parts[1].lstrip("-").isdigit()):
-                all_int = False
-    if all_int:
-        return edges_path, None
-    mapping = {tok: i for i, tok in enumerate(sorted(tokens))}
-    remapped = out / "edges_dense.csv"
-    with open(remapped, "w", encoding="utf-8") as f:
-        f.write("src,dst,timestamp,amount\n")
-        for parts in rows:
-            rest = ",".join(parts[2:4])
-            f.write(f"{mapping[parts[0]]},{mapping[parts[1]]},{rest}\n")
-    return remapped, mapping
-
-
 def cmd_ingest(cfg, args) -> int:
     out = _out_dir(cfg, args)
-    data = cfg["data"]
-    if "edges" not in data:
-        raise ConfigError("ingest needs data.edges")
-    edges_path = Path(data["edges"])
-    if not edges_path.exists():
-        raise txgraph.ValidationError(f"missing edges file: {edges_path}")
-    edges_file, id_map = _remap_external_ids(edges_path, out)
-    g = txgraph.load_edge_list(edges_file, data.get("format", "csv"))
-    unit = data.get("time_unit")
-    if unit:
-        # rescale dataset-native time so the model sees a desk-scale horizon
-        ts = (g.timestamp - (g.timestamp.min() if g.num_edges else 0)) // int(unit)
-        g = txgraph.build_graph(g.n, g.src, g.dst, ts, g.amount)
-    if "features" in data or "labels" in data:
-        if "features" not in data or "labels" not in data:
-            raise ConfigError("features and labels must be provided together")
-        for key in ("features", "labels"):
-            if not Path(data[key]).exists():
-                raise txgraph.ValidationError(f"missing {key} file: {data[key]}")
-        g = txgraph.attach_features_labels(g, data["features"], data["labels"])
+    g, id_map = _read_dataset(cfg)
     cache_path = out / "graph.cache"
     txgraph.save_cache(g, cache_path)
     if id_map is None:
@@ -218,7 +167,8 @@ def cmd_motifs(cfg, args) -> int:
             print(f"warning: delta {d} exceeds tau_max {tau}; clamping", file=sys.stderr)
             d = tau
         clamped.append(d)
-    catalog = motif_mod.build_catalog(cfg["model"].get("catalog_mode", motif_mod.FOCAL_ROOTED))
+    tcfg = _train_config(cfg)
+    catalog = motif_mod.build_catalog(tcfg.catalog_mode)
     labeled = g.labeled_nodes()
     window_starts = None
     if args.anchor_offset:
@@ -233,7 +183,7 @@ def cmd_motifs(cfg, args) -> int:
         indexes[d] = motif_mod.build_index(
             g, np.full(g.n, d), catalog, nodes=labeled,
             window_starts=window_starts,
-            cap=cfg["train"].get("instance_cap", 512), jobs=args.jobs)
+            cap=tcfg.instance_cap, jobs=args.jobs)
         print(f"delta={d}: {indexes[d].total_instances()} instances")
     table = motif_mod.motif_histogram(indexes, g.labels)
     for i, d in enumerate(clamped):
@@ -246,23 +196,17 @@ def cmd_motifs(cfg, args) -> int:
     return EXIT_OK
 
 
-def _run_splits(cfg, args, g):
-    t = cfg["train"]
-    k = t.get("splits", 3)
-    fraction = t.get("train_fraction", 0.8)
-    seed = args.seed if args.seed is not None else t.get("seed", 0)
-    splits = txgraph.make_splits(g, k, fraction, seed)
-    return splits, seed
-
-
 def cmd_train(cfg, args) -> int:
     out = _out_dir(cfg, args)
     g = _load_graph(cfg)
     gcn_cfg = _gcn_config(cfg)
-    splits, seed = _run_splits(cfg, args, g)
+    base = _train_config(cfg)
+    seed = args.seed if args.seed is not None else base.seed
+    splits = txgraph.make_splits(g, cfg["train"].get("splits", 3),
+                                 cfg["train"].get("train_fraction", 0.8), seed)
     per_split = []
     for i, split in enumerate(splits):
-        tcfg = _train_config(cfg, seed_override=seed + i)
+        tcfg = dataclasses.replace(base, seed=seed + i)
         state, report = train_mod.train(g, tcfg, gcn_cfg, split)
         meta = {
             "split_index": i,
@@ -321,15 +265,14 @@ def cmd_eval(cfg, args) -> int:
     ckpt = Path(args.checkpoint)
     if not ckpt.exists():
         raise txgraph.ValidationError(f"missing checkpoint: {ckpt}")
-    catalog_mode = cfg["model"].get("catalog_mode", motif_mod.FOCAL_ROOTED)
-    catalog = motif_mod.build_catalog(catalog_mode)
+    tcfg = _train_config(cfg)
+    catalog = motif_mod.build_catalog(tcfg.catalog_mode)
     with open(str(ckpt) + ".json", "r", encoding="utf-8") as f:
         meta = json.load(f)
-    if meta["catalog_mode"] != catalog_mode or meta["catalog_size"] != catalog.size:
+    if meta["catalog_mode"] != tcfg.catalog_mode or meta["catalog_size"] != catalog.size:
         raise txgraph.ValidationError(
             f"checkpoint catalog ({meta['catalog_mode']}, {meta['catalog_size']}) does not "
-            f"match config ({catalog_mode}, {catalog.size})")
-    tcfg = _train_config(cfg)
+            f"match config ({tcfg.catalog_mode}, {catalog.size})")
     rng = np.random.default_rng(0)
     state = model_mod.init_model(rng, g.num_features, gcn_cfg, catalog.size,
                                  window_hidden=tcfg.window_hidden,
@@ -368,11 +311,12 @@ def cmd_bench(cfg, args) -> int:
     out = _out_dir(cfg, args)
     sizes = [int(s) for s in (args.sizes or [1000, 2000, 4000])]
     repeats = args.repeats
-    catalog = motif_mod.build_catalog(cfg["model"].get("catalog_mode", motif_mod.FOCAL_ROOTED))
+    tcfg = _train_config(cfg)
+    catalog = motif_mod.build_catalog(tcfg.catalog_mode)
     rows = []
     for n in sizes:
         g = train_mod.synth_burst_graph(n, 0.05, burst_len=10,
-                                        seed=cfg["train"].get("seed", 0))
+                                        seed=tcfg.seed)
         windows = np.full(g.n, float(g.tau_max) / 8.0)
         times = []
         for _ in range(repeats):
@@ -448,6 +392,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (dc.DiffError, train_mod.TrainError) as e:
         _error_json(EXIT_INTERNAL, str(e), args.command)
+        return EXIT_INTERNAL
+    except Exception as e:  # anything else is a defect: report it as one JSON line
+        _error_json(EXIT_INTERNAL, f"{type(e).__name__}: {e}", args.command)
         return EXIT_INTERNAL
 
 

@@ -11,6 +11,7 @@ broadcasting beyond row-vector bias addition and column-vector scaling.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -611,21 +612,33 @@ def save_tensors(path, named: dict) -> None:
 
 
 def load_tensors(path) -> dict:
+    """Read a `save_tensors` file; it must hold exactly the bytes its header promises."""
     with open(path, "rb") as f:
-        magic = f.read(4)
+        size = os.fstat(f.fileno()).st_size
+
+        def read(k: int) -> bytes:
+            if f.tell() + k > size:
+                raise DiffError(f"checkpoint {path} is truncated: expected at least "
+                                f"{f.tell() + k} bytes, got {size}")
+            return f.read(k)
+
+        magic = read(4)
         if magic != _CKPT_MAGIC:
             raise DiffError(f"not a checkpoint file: bad magic {magic!r}")
-        (version,) = struct.unpack("<B", f.read(1))
+        (version,) = struct.unpack("<B", read(1))
         if version != _CKPT_VERSION:
             raise DiffError(f"unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", f.read(4))
+        (count,) = struct.unpack("<I", read(4))
         out = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            rows, cols = struct.unpack("<II", f.read(8))
-            buf = f.read(rows * cols * 8)
+            (nlen,) = struct.unpack("<H", read(2))
+            name = read(nlen).decode("utf-8")
+            rows, cols = struct.unpack("<II", read(8))
+            buf = read(rows * cols * 8)
             out[name] = np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()
+        if f.tell() != size:
+            raise DiffError(f"checkpoint {path} has trailing bytes: expected "
+                            f"{f.tell()} bytes, got {size}")
         return out
 
 

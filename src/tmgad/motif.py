@@ -70,13 +70,6 @@ def _first_appearance_relabel(seq, focal=None):
     return pairs, mapping[focal]
 
 
-def encoding_str(enc) -> str:
-    if len(enc) == 2 and isinstance(enc[1], int):
-        pairs, focal = enc
-        return " ".join(f"{s}>{d}" for s, d in pairs) + f" f{focal}"
-    return " ".join(f"{s}>{d}" for s, d in enc)
-
-
 @dataclass
 class MotifCatalog:
     mode: str
@@ -432,9 +425,6 @@ class MotifIndex:
         k, size = counts.size, self.catalog_size
         key = np.repeat(np.arange(k), counts) * size + self.type_id[rows]
         return np.bincount(key, minlength=k * size).reshape(k, size)
-
-    def count_vector(self, v: int) -> np.ndarray:
-        return self.count_matrix([v])[0]
 
     def instances_at(self, v: int):
         """Read-only type_id -> (MotifInstance, ...) of node v, built on demand."""

@@ -9,9 +9,10 @@ GCN adjacency collapses it.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from array import array
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,13 +32,6 @@ class ValidationError(GraphError):
 
 NO_TIMESTAMP = -1  # t_earliest sentinel for isolated nodes
 UNLABELED = -1
-
-
-class EdgeRecord(NamedTuple):
-    src: int
-    dst: int
-    timestamp: int
-    amount: float
 
 
 @dataclass
@@ -78,10 +72,6 @@ class TransactionGraph:
     @property
     def num_features(self) -> int:
         return 0 if self.features is None else self.features.shape[1]
-
-    def edge(self, i: int) -> EdgeRecord:
-        return EdgeRecord(int(self.src[i]), int(self.dst[i]),
-                          int(self.timestamp[i]), float(self.amount[i]))
 
     def labeled_nodes(self) -> np.ndarray:
         if self.labels is None:
@@ -126,9 +116,6 @@ class TransactionGraph:
         return self.incident_with_ts(v)[0]
 
 
-_EMPTY_IDX = np.empty(0, dtype=np.int64)
-
-
 def _earliest(n: int, src, dst, ts) -> np.ndarray:
     unset = np.iinfo(np.int64).max
     out = np.full(n, unset, dtype=np.int64)
@@ -161,11 +148,11 @@ def build_graph(n: int, src, dst, ts, amount=None) -> TransactionGraph:
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
-    token = token.strip()
     try:
         return int(token)
     except ValueError:
         pass
+    token = token.strip()
     try:
         f = float(token)
     except ValueError:
@@ -175,52 +162,111 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
     return int(f)
 
 
-def load_edge_list(path, fmt: str = "csv") -> TransactionGraph:
-    """Read a src,dst,timestamp[,amount] CSV into a graph skeleton.
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
-    Header rows are detected by a non-numeric first field. Node count is
-    max id + 1; self-loops and negative timestamps are rejected.
+
+def read_records(path, ncols: tuple, where: str = "line"):
+    """Yield (line number, fields) for each data line of a comma-separated file.
+
+    Blank lines and lines starting with '#' are skipped. The first remaining
+    line is a header, and is skipped, when none of its fields parses as a
+    number. Every data line must have one of the field counts in `ncols`.
+    Line numbers count every line of the file; `where` prefixes them in errors.
     """
-    if fmt != "csv":
-        raise ValidationError(f"unsupported edge format {fmt!r}")
-    srcs, dsts, tss, amts = [], [], [], []
+    header_possible = True
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
-            if lineno == 1 and not parts[0].strip().lstrip("-").replace(".", "", 1).isdigit():
-                continue  # header
-            if len(parts) < 3 or len(parts) > 4:
-                raise ParseError(f"line {lineno}: expected 3 or 4 columns, got {len(parts)}")
-            s = _parse_int(parts[0], "src", lineno)
-            d = _parse_int(parts[1], "dst", lineno)
-            t = _parse_int(parts[2], "timestamp", lineno)
-            if s < 0 or d < 0:
-                raise ValidationError(f"line {lineno}: negative node id")
-            if s == d:
-                raise ValidationError(f"line {lineno}: self-loop {s}->{d}")
-            if t < 0:
-                raise ValidationError(f"line {lineno}: negative timestamp {t}")
-            srcs.append(s)
-            dsts.append(d)
-            tss.append(t)
-            if len(parts) == 4:
+            fields = line.split(",")
+            if header_possible:
+                header_possible = False
+                if not any(map(_is_number, fields)):
+                    continue
+            if len(fields) not in ncols:
+                expected = " or ".join(map(str, ncols))
+                raise ParseError(f"{where} {lineno}: expected {expected} columns, "
+                                 f"got {len(fields)}")
+            yield lineno, fields
+
+
+def read_edge_list(path, fmt: str = "csv",
+                   compact: bool = False) -> tuple[TransactionGraph, dict | None]:
+    """`load_edge_list`, and with `compact` also files whose ids are tokens.
+
+    With `compact`, when some id does not parse as an integer, node ids become
+    the positions of the sorted distinct id tokens, and the token -> node id
+    map is returned with the graph. Otherwise the map is None.
+    """
+    if fmt != "csv":
+        raise ValidationError(f"unsupported edge format {fmt!r}")
+    src, dst, ts, lines = array("q"), array("q"), array("q"), array("q")
+    amount = array("d")
+    tokens = None  # (src, dst) id strings, once some id is not an integer
+    for lineno, fields in read_records(path, (3, 4)):
+        if tokens is None:
+            try:
+                s, d = int(fields[0]), int(fields[1])
+            except ValueError:  # name the bad id, read 1.0 as 1, or switch to id tokens
                 try:
-                    a = float(parts[3])
-                except ValueError:
-                    raise ParseError(f"line {lineno}: cannot parse amount {parts[3]!r}") from None
-                if a < 0:
-                    raise ValidationError(f"line {lineno}: negative amount {a}")
-                amts.append(a)
-            else:
-                amts.append(np.nan)
-    if not srcs:
-        return TransactionGraph(n=0, src=_EMPTY_IDX.copy(), dst=_EMPTY_IDX.copy(),
-                                timestamp=_EMPTY_IDX.copy(), amount=np.empty(0))
-    n = int(max(max(srcs), max(dsts))) + 1
-    return build_graph(n, srcs, dsts, tss, amts)
+                    s = _parse_int(fields[0], "src", lineno)
+                    d = _parse_int(fields[1], "dst", lineno)
+                except ParseError:
+                    if not compact:
+                        raise
+                    # ids read so far were integers; they keep their decimal spelling
+                    tokens = ([str(v) for v in src], [str(v) for v in dst])
+            if tokens is None:
+                src.append(s)
+                dst.append(d)
+        if tokens is not None:
+            tokens[0].append(fields[0].strip())
+            tokens[1].append(fields[1].strip())
+        try:
+            ts.append(int(fields[2]))
+        except ValueError:
+            ts.append(_parse_int(fields[2], "timestamp", lineno))
+        if len(fields) == 4:
+            try:
+                amount.append(float(fields[3]))
+            except ValueError:
+                raise ParseError(f"line {lineno}: cannot parse amount {fields[3]!r}") from None
+        else:
+            amount.append(np.nan)
+        lines.append(lineno)
+    id_map = None
+    if tokens is None:
+        src, dst = np.frombuffer(src, np.int64), np.frombuffer(dst, np.int64)
+    else:
+        id_map = {tok: i for i, tok in enumerate(sorted(set(tokens[0]).union(tokens[1])))}
+        src, dst = (np.fromiter(map(id_map.__getitem__, col), np.int64, len(col))
+                    for col in tokens)
+    ts, amount = np.frombuffer(ts, np.int64), np.frombuffer(amount, np.float64)
+    bad = (src < 0) | (dst < 0) | (src == dst) | (ts < 0) | (amount < 0)
+    if bad.any():  # report the first bad row's first fault
+        i = int(bad.argmax())
+        s, d, t, a = src[i], dst[i], ts[i], amount[i]
+        fault = ("negative node id" if min(s, d) < 0 else f"self-loop {s}->{d}" if s == d
+                 else f"negative timestamp {t}" if t < 0 else f"negative amount {a}")
+        raise ValidationError(f"line {lines[i]}: {fault}")
+    n = int(max(src.max(), dst.max())) + 1 if len(src) else 0
+    return build_graph(n, src, dst, ts, amount), id_map
+
+
+def load_edge_list(path, fmt: str = "csv") -> TransactionGraph:
+    """Read a src,dst,timestamp[,amount] CSV into a graph skeleton.
+
+    The file layout is the one `read_records` reads. Ids must be integers and
+    the node count is max id + 1; self-loops and negative ids, timestamps and
+    amounts are rejected.
+    """
+    return read_edge_list(path, fmt)[0]
 
 
 def write_edge_csv(g: TransactionGraph, path) -> None:
@@ -233,32 +279,23 @@ def write_edge_csv(g: TransactionGraph, path) -> None:
 
 
 def attach_features_labels(g: TransactionGraph, features_path, labels_path) -> TransactionGraph:
-    """Attach node features (one row per node, id order) and {0,1} labels."""
+    """Attach node features (headerless numeric rows, one per node in id order)
+    and node_id,label rows with labels in {0,1} (empty or -1: unlabeled)."""
     feats = np.loadtxt(features_path, delimiter=",", dtype=np.float64, ndmin=2)
     if feats.shape[0] != g.n:
         raise ValidationError(
             f"feature row count mismatch: expected {g.n}, got {feats.shape[0]}")
     labels = np.full(g.n, UNLABELED, dtype=np.int8)
-    with open(labels_path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if lineno == 1 and not parts[0].strip().lstrip("-").isdigit():
-                continue
-            if len(parts) != 2:
-                raise ParseError(f"labels line {lineno}: expected node_id,label")
-            v = _parse_int(parts[0], "node_id", lineno)
-            if not (0 <= v < g.n):
-                raise ValidationError(f"labels line {lineno}: node {v} out of range")
-            raw = parts[1].strip()
-            if raw == "" or raw == "-1":
-                continue  # missing marker
-            y = _parse_int(raw, "label", lineno)
-            if y not in (0, 1):
-                raise ValidationError(f"labels line {lineno}: label must be 0 or 1, got {y}")
-            labels[v] = y
+    for lineno, (node, raw) in read_records(labels_path, (2,), "labels line"):
+        v = _parse_int(node, "node_id", lineno)
+        if not (0 <= v < g.n):
+            raise ValidationError(f"labels line {lineno}: node {v} out of range")
+        if raw.strip() in ("", "-1"):
+            continue  # missing marker
+        y = _parse_int(raw, "label", lineno)
+        if y not in (0, 1):
+            raise ValidationError(f"labels line {lineno}: label must be 0 or 1, got {y}")
+        labels[v] = y
     return TransactionGraph(n=g.n, src=g.src.copy(), dst=g.dst.copy(),
                             timestamp=g.timestamp.copy(), amount=g.amount.copy(),
                             features=feats, labels=labels)
@@ -380,24 +417,36 @@ def save_cache(g: TransactionGraph, path) -> None:
 
 
 def load_cache(path) -> TransactionGraph:
+    """Read a `save_cache` file; it must hold exactly the bytes its header promises."""
     with open(path, "rb") as f:
-        magic = f.read(4)
+        size = os.fstat(f.fileno()).st_size
+
+        def read(k: int) -> bytes:
+            if f.tell() + k > size:
+                raise ValidationError(f"graph cache {path} is truncated: expected at least "
+                                      f"{f.tell() + k} bytes, got {size}")
+            return f.read(k)
+
+        magic = read(4)
         if magic != _CACHE_MAGIC:
             raise ValidationError(f"not a graph cache: bad magic {magic!r}")
-        (version,) = struct.unpack("<B", f.read(1))
+        (version,) = struct.unpack("<B", read(1))
         if version != _CACHE_VERSION:
             raise ValidationError(f"unsupported graph cache version {version}")
-        n, m, flags = struct.unpack("<QQB", f.read(17))
-        src = np.frombuffer(f.read(8 * m), dtype="<i8").copy()
-        dst = np.frombuffer(f.read(8 * m), dtype="<i8").copy()
-        ts = np.frombuffer(f.read(8 * m), dtype="<i8").copy()
-        amount = np.frombuffer(f.read(8 * m), dtype="<f8").copy()
+        n, m, flags = struct.unpack("<QQB", read(17))
+        src = np.frombuffer(read(8 * m), dtype="<i8").copy()
+        dst = np.frombuffer(read(8 * m), dtype="<i8").copy()
+        ts = np.frombuffer(read(8 * m), dtype="<i8").copy()
+        amount = np.frombuffer(read(8 * m), dtype="<f8").copy()
         features = labels = None
         if flags & 1:
-            (d,) = struct.unpack("<I", f.read(4))
-            features = np.frombuffer(f.read(8 * n * d), dtype="<f8").reshape(n, d).copy()
+            (d,) = struct.unpack("<I", read(4))
+            features = np.frombuffer(read(8 * n * d), dtype="<f8").reshape(n, d).copy()
         if flags & 2:
-            labels = np.frombuffer(f.read(n), dtype="<i1").copy()
+            labels = np.frombuffer(read(n), dtype="<i1").copy()
+        if f.tell() != size:
+            raise ValidationError(f"graph cache {path} has trailing bytes: expected "
+                                  f"{f.tell()} bytes, got {size}")
         return TransactionGraph(n=n, src=src, dst=dst, timestamp=ts, amount=amount,
                                 features=features, labels=labels)
 

@@ -35,6 +35,18 @@ def small_dataset(tmp_path):
     return g, edges, feats, labels
 
 
+def hex_edges(g, path, header="from,to,ts,amount"):
+    """Write g's edges with fixed-width hex id tokens, whose sorted order is id order."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for s, d, t, a in zip(g.src.tolist(), g.dst.tolist(), g.timestamp.tolist(),
+                              g.amount.tolist()):
+            f.write(f"0x{s:04x},0x{d:04x},{t},{a!r}\n")
+
+
+DATA = {"edges": "edges.csv", "features": "features.csv", "labels": "labels.csv"}
+
+
 class TestConfig:
     def test_unknown_section_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"nonsense": {}})
@@ -103,6 +115,73 @@ class TestIngest:
         first = (tmp_path / "out" / "graph.cache").read_bytes()
         assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_OK
         assert (tmp_path / "out" / "graph.cache").read_bytes() == first
+
+
+    def test_hex_ids_with_from_to_header(self, tmp_path):
+        g, edges, *_ = small_dataset(tmp_path)
+        hex_edges(g, edges)
+        cfg = write_config(tmp_path, {"data": DATA, "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_OK
+        out = tmp_path / "out"
+        id_map = json.loads((out / "id_map.json").read_text())
+        assert id_map == {f"0x{v:04x}": v for v in range(g.n)}
+        g2 = tg.load_cache(out / "graph.cache")
+        for name in ("src", "dst", "timestamp", "labels"):
+            np.testing.assert_array_equal(getattr(g2, name), getattr(g, name))
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["graph.cache", "id_map.json", "ingest_summary.json"]
+
+    @pytest.mark.parametrize("ids", [("1", "2", "3"), ("0x1", "0x2", "0x3")])
+    def test_five_columns_rejected_for_both_id_kinds(self, tmp_path, capsys, ids):
+        a, b, c = ids
+        (tmp_path / "edges.csv").write_text(
+            f"src,dst,timestamp,amount\n{a},{b},5\n{b},{c},7,1.0,9\n")
+        cfg = write_config(tmp_path, {"data": {"edges": "edges.csv"},
+                                      "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == "line 3: expected 3 or 4 columns, got 5"
+
+    def test_error_lines_count_comments_and_blank_lines(self, tmp_path, capsys):
+        (tmp_path / "edges.csv").write_text(
+            "src,dst,timestamp\n# exported by a wallet\n\n0xa,0xb,1\n0xb,0xc,soon\n")
+        cfg = write_config(tmp_path, {"data": {"edges": "edges.csv"},
+                                      "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == "line 5: cannot parse timestamp from 'soon'"
+
+
+class TestOneLoader:
+    """ingest, train, motifs and eval turn one config into one graph."""
+
+    def test_time_unit_gives_the_same_tau_in_ingest_and_train(self, tmp_path):
+        small_dataset(tmp_path)
+        cfg = write_config(tmp_path, {"data": dict(DATA, time_unit=10),
+                                      "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_OK
+        cached = tg.load_cache(tmp_path / "out" / "graph.cache")
+        loaded = cli._load_graph(cli.load_config(cfg))
+        assert loaded.tau_max == cached.tau_max
+        np.testing.assert_array_equal(loaded.timestamp, cached.timestamp)
+
+    def test_hex_edges_train_without_ingest(self, tmp_path):
+        g, edges, *_ = small_dataset(tmp_path)
+        hex_edges(g, edges)
+        cfg = write_config(tmp_path, {
+            "data": DATA,
+            "train": {"epochs": 2, "learning_rate": 0.01, "splits": 1, "seed": 1},
+            "output": {"directory": "out"},
+        })
+        assert cli.main(["--config", cfg, "train"]) == cli.EXIT_OK
+        assert (tmp_path / "out" / "train_report.json").exists()
+
+    def test_missing_edges_file_exit_2_names_path(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"data": {"edges": "nowhere.csv"},
+                                      "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, "train"]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == f"missing edges file: {tmp_path / 'nowhere.csv'}"
 
 
 class TestMotifs:
@@ -226,6 +305,21 @@ class TestTrainEval:
         assert cli.main(["--config", cfg, "eval",
                          "--checkpoint", str(tmp_path / "ghost.bin")]) == cli.EXIT_INPUT
 
+    def test_meta_without_catalog_mode_exits_1_with_json(self, trained, tmp_path, capsys):
+        _, run_path, cfg = trained
+        out = run_path / "out"
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes((out / "checkpoint_0.bin").read_bytes())
+        meta = json.loads((out / "checkpoint_0.bin.json").read_text())
+        del meta["catalog_mode"]
+        (tmp_path / "checkpoint.bin.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert cli.main(["--config", cfg, "--output", str(tmp_path / "eval"), "eval",
+                         "--checkpoint", str(ckpt)]) == cli.EXIT_INTERNAL
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"code": cli.EXIT_INTERNAL, "context": "eval",
+                       "message": "KeyError: 'catalog_mode'"}
+
     def test_eval_catalog_mismatch(self, trained, tmp_path):
         code, run_path, _ = trained
         out = run_path / "out"
@@ -292,6 +386,17 @@ class TestMoreSurfaces:
         assert cli.main(["--config", cfg, "train"]) == cli.EXIT_OK
         assert (tmp_path / "out" / "train_report.json").read_bytes() == report
         assert (tmp_path / "out" / "checkpoint_0.bin").read_bytes() == ckpt
+
+
+    def test_output_naming_a_file_exits_1_with_json(self, tmp_path, capsys):
+        small_dataset(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        cfg = write_config(tmp_path, {"data": DATA})
+        assert cli.main(["--config", cfg, "--output", str(taken), "ingest"]) == cli.EXIT_INTERNAL
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == cli.EXIT_INTERNAL and err["context"] == "ingest"
+        assert err["message"].startswith("FileExistsError: ")
 
 
 class TestBench:

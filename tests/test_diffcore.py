@@ -343,6 +343,27 @@ class TestCheckpoints:
         with pytest.raises(dc.DiffError, match="version"):
             dc.load_tensors(bad)
 
+    def test_every_truncation_and_trailing_byte_rejected(self, tmp_path):
+        named = {"w": dc.parameter(np.arange(6.0).reshape(3, 2)),
+                 "b": dc.parameter(np.ones((1, 2)))}
+        full = tmp_path / "ckpt.bin"
+        dc.save_tensors(full, named)
+        raw = full.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for k in range(len(raw)):
+            cut.write_bytes(raw[:k])
+            with pytest.raises(dc.DiffError,
+                               match=rf"cut\.bin is truncated: expected at least \d+ bytes, got {k}$"):
+                dc.load_tensors(cut)
+        cut.write_bytes(raw + b"\0")
+        with pytest.raises(dc.DiffError,
+                           match=f"trailing bytes: expected {len(raw)} bytes, got {len(raw) + 1}"):
+            dc.load_tensors(cut)
+        loaded = dc.load_tensors(full)
+        assert sorted(loaded) == ["b", "w"]
+        for name, t in named.items():
+            np.testing.assert_array_equal(loaded[name], t.data)
+
     def test_rejects_name_and_shape_mismatch(self, tmp_path):
         p = tmp_path / "ckpt.bin"
         dc.save_tensors(p, {"w": dc.parameter(np.ones((2, 2)))})

@@ -33,6 +33,19 @@ class TestLoadEdgeList:
         g = tg.load_edge_list(write_edges(tmp_path, "src,dst,timestamp\n0,1,5\n"))
         assert g.num_edges == 1
 
+    def test_header_after_comment_is_skipped(self, tmp_path):
+        p = write_edges(tmp_path, "# exported 2024-01-01\n\nsrc,dst,timestamp\n0,1,5\n")
+        assert tg.load_edge_list(p).num_edges == 1
+
+    def test_hex_ids_rejected_but_read_as_data(self, tmp_path):
+        p = write_edges(tmp_path, "0xa,0xb,1\n")
+        with pytest.raises(tg.ParseError, match="line 1: cannot parse src from '0xa'"):
+            tg.load_edge_list(p)
+
+    def test_five_columns_rejected(self, tmp_path):
+        with pytest.raises(tg.ParseError, match="line 2: expected 3 or 4 columns, got 5"):
+            tg.load_edge_list(write_edges(tmp_path, "0,1,3\n1,2,4,0.5,9\n"))
+
     def test_self_loop_rejected(self, tmp_path):
         with pytest.raises(tg.ValidationError, match="self-loop"):
             tg.load_edge_list(write_edges(tmp_path, "0,0,5\n"))
@@ -67,6 +80,35 @@ class TestLoadEdgeList:
         assert original == reloaded
 
 
+class TestReadEdgeListCompact:
+    def test_integer_ids_match_load_edge_list(self, tmp_path):
+        p = write_edges(tmp_path, "src,dst,timestamp,amount\n3,1,10,2.5\n1,2,20,1.0\n")
+        g, id_map = tg.read_edge_list(p, compact=True)
+        want = tg.load_edge_list(p)
+        assert id_map is None and g.n == want.n == 4
+        for name in ("src", "dst", "timestamp", "amount"):
+            np.testing.assert_array_equal(getattr(g, name), getattr(want, name))
+
+    def test_tokens_compacted_in_sorted_order(self, tmp_path):
+        # the first non-integer id is on line 3; line 2's integer ids become tokens too
+        p = write_edges(tmp_path, "from,to,ts,amount\n7,12,1\n7,0xb,5,1.5\n"
+                                  "0xb,0xa,3\n0xa,7,9,2\n")
+        g, id_map = tg.read_edge_list(p, compact=True)
+        assert id_map == {"0xa": 0, "0xb": 1, "12": 2, "7": 3}
+        assert g.n == 4
+        assert sorted(zip(g.src.tolist(), g.dst.tolist(), g.timestamp.tolist())) == \
+            [(0, 3, 9), (1, 0, 3), (3, 1, 5), (3, 2, 1)]
+        np.testing.assert_array_equal(np.isnan(g.amount), [True, True, False, False])
+
+    def test_errors_name_the_users_line(self, tmp_path):
+        p = write_edges(tmp_path, "src,dst,timestamp\n# note\n\n0xa,0xb,1\n0xb,0xc,zz\n")
+        with pytest.raises(tg.ParseError, match="line 5: cannot parse timestamp"):
+            tg.read_edge_list(p, compact=True)
+        p = write_edges(tmp_path, "0xa,0xb,1\n\n0xc,0xc,2\n")
+        with pytest.raises(tg.ValidationError, match="line 3: self-loop"):
+            tg.read_edge_list(p, compact=True)
+
+
 class TestFeaturesLabels:
     def test_attach(self, tmp_path):
         g = tg.load_edge_list(write_edges(tmp_path, "0,1,10\n1,2,20\n"))
@@ -95,6 +137,14 @@ class TestFeaturesLabels:
         lp.write_text("0,2\n")
         with pytest.raises(tg.ValidationError, match="label"):
             tg.attach_features_labels(g, fp, lp)
+
+    def test_header_after_comment_is_skipped(self, tmp_path):
+        g = tg.load_edge_list(write_edges(tmp_path, "0,1,10\n"))
+        fp = tmp_path / "f.csv"
+        fp.write_text("1.0\n2.0\n")
+        lp = tmp_path / "l.csv"
+        lp.write_text("# labels export\nnode_id,label\n0,1\n\n1,0\n")
+        np.testing.assert_array_equal(tg.attach_features_labels(g, fp, lp).labels, [1, 0])
 
     def test_missing_marker_leaves_unlabeled(self, tmp_path):
         g = tg.load_edge_list(write_edges(tmp_path, "0,1,10\n"))
@@ -286,6 +336,27 @@ class TestCache:
         p.write_bytes(bytes(raw))
         with pytest.raises(tg.ValidationError, match="version"):
             tg.load_cache(p)
+
+    def test_every_truncation_and_trailing_byte_rejected(self, tmp_path):
+        g = tg.build_graph(3, [0, 1], [1, 2], [4, 6], [1.5, np.nan])
+        g = tg.set_features_labels(g, np.arange(6.0).reshape(3, 2),
+                                   np.array([0, 1, -1], dtype=np.int8))
+        full = tmp_path / "full.bin"
+        tg.save_cache(g, full)
+        raw = full.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for k in range(len(raw)):
+            cut.write_bytes(raw[:k])
+            with pytest.raises(tg.ValidationError,
+                               match=rf"cut\.bin is truncated: expected at least \d+ bytes, got {k}$"):
+                tg.load_cache(cut)
+        cut.write_bytes(raw + b"\0")
+        with pytest.raises(tg.ValidationError,
+                           match=f"trailing bytes: expected {len(raw)} bytes, got {len(raw) + 1}"):
+            tg.load_cache(cut)
+        g2 = tg.load_cache(full)
+        for name in ("src", "dst", "timestamp", "amount", "features", "labels"):
+            np.testing.assert_array_equal(getattr(g2, name), getattr(g, name))
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "d.bin"
