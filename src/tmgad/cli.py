@@ -79,7 +79,14 @@ def load_config(path) -> dict:
 def _out_dir(cfg, args) -> Path:
     d = args.output or cfg["output"].get("directory") or "tmgad_out"
     out = Path(d)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        clash = out
+        while not (clash.exists() or clash.is_symlink()):
+            clash = clash.parent
+        raise ConfigError(f"output directory {out} cannot be created: "
+                          f"{clash} is not a directory") from None
     return out
 
 
@@ -258,6 +265,21 @@ def cmd_train(cfg, args) -> int:
     return EXIT_OK
 
 
+_META_KEYS = ("catalog_mode", "catalog_size", "extraction_windows", "train_ids", "test_ids")
+
+
+def _checkpoint_meta(path: Path) -> dict:
+    """A checkpoint's metadata, checked for every key `eval` reads."""
+    if not path.exists():
+        raise txgraph.ValidationError(f"missing checkpoint metadata: {path}")
+    with open(path, "r", encoding="utf-8") as f:
+        meta = json.load(f)
+    missing = [k for k in _META_KEYS if k not in meta]
+    if missing:
+        raise txgraph.ValidationError(f"checkpoint metadata {path} lacks key {missing[0]!r}")
+    return meta
+
+
 def cmd_eval(cfg, args) -> int:
     out = _out_dir(cfg, args)
     g = _load_graph(cfg)
@@ -267,8 +289,7 @@ def cmd_eval(cfg, args) -> int:
         raise txgraph.ValidationError(f"missing checkpoint: {ckpt}")
     tcfg = _train_config(cfg)
     catalog = motif_mod.build_catalog(tcfg.catalog_mode)
-    with open(str(ckpt) + ".json", "r", encoding="utf-8") as f:
-        meta = json.load(f)
+    meta = _checkpoint_meta(Path(str(ckpt) + ".json"))
     if meta["catalog_mode"] != tcfg.catalog_mode or meta["catalog_size"] != catalog.size:
         raise txgraph.ValidationError(
             f"checkpoint catalog ({meta['catalog_mode']}, {meta['catalog_size']}) does not "

@@ -6,6 +6,12 @@ node, with all timestamps inside the focal node's window. Types are
 equivalence classes of the time-ordered directed-pair sequence under node
 relabeling; the catalog is generated exhaustively, never hand-listed.
 
+Enumeration at focal node v visits only the third-node pairs {a, b} that can
+hold an instance: an instance needs 3 window edges among the pairs v-a, v-b
+and a-b. So a pair is a candidate when it has an a-b edge and the three pairs
+hold at least 3 window edges together (b need not be a neighbour of v), or
+when it has no a-b edge and a or b has at least 2 window edges to v.
+
 The motif index stores the instances of many focal nodes as read-only
 columns (owner, type, member nodes, edges, latest timestamp), sorted by
 (owner, type, edges). Because a node's window always starts at the same
@@ -155,11 +161,16 @@ _ROW = 7
 
 def _enumerate_rows(g: TransactionGraph, v: int, delta: float, catalog: MotifCatalog,
                     window_start: int) -> np.ndarray:
-    """Instances at v within [start, start + delta] as an m x _ROW array, unordered.
+    """Instances at v within [start, start + delta] as an m x _ROW array.
 
-    Candidate third nodes are grown from v's window neighborhood and its 1-hop
-    frontier; edge triples are only ever materialized inside a 3-node
-    candidate set.
+    Only window edges count: those of the pairs v-a, v-b and a-b with a
+    timestamp in [start, start + delta]. `vedges[a]` holds the v-a edges and
+    `abedges[a, b]` (a < b) the a-b edges of every neighbour a of v, found by
+    scanning a's incident edges once. A pair {a, b} is a candidate when its
+    three lists hold at least 3 edges; a pair with no a-b edge can only get
+    there when a or b has at least 2 v-edges, so only those neighbour pairs
+    are added. Each candidate's edges are then typed triple by triple; rows
+    come per candidate, in ascending (a, b) order.
     """
     w0, w1 = window_start, window_start + delta
     src, dst, ts = g.edge_lists()
@@ -168,36 +179,34 @@ def _enumerate_rows(g: TransactionGraph, v: int, delta: float, catalog: MotifCat
         idx, t = idx_ts
         return idx[bisect_left(t, w0):bisect_right(t, w1)]
 
-    ev = in_window(g.incident_with_ts(v))
-    if not ev:
+    vedges: dict = {}
+    for i in in_window(g.incident_with_ts(v)):
+        s = src[i]
+        vedges.setdefault(dst[i] if s == v else s, []).append(i)
+    if not vedges:
         return np.empty((0, _ROW), dtype=np.int64)
-    nbrs_v = sorted({dst[i] if src[i] == v else src[i] for i in ev})
 
-    cand = set()
-    for ai, a in enumerate(nbrs_v):
-        for b in nbrs_v[ai + 1:]:
-            cand.add((a, b))
+    abedges: dict = {}
+    for a in vedges:
         for i in in_window(g.incident_with_ts(a)):
-            b = dst[i] if src[i] == a else src[i]
-            if b != v and b != a:
-                cand.add((a, b) if a < b else (b, a))
+            s = src[i]
+            b = dst[i] if s == a else s
+            if b == v or (b < a and b in vedges):
+                continue  # a v-edge, or an a-b edge already seen from b
+            abedges.setdefault((a, b) if a < b else (b, a), []).append(i)
 
-    pair_cache: dict = {}
-
-    def window_pair(x, y):
-        key = (x, y) if x < y else (y, x)
-        got = pair_cache.get(key)
-        if got is None:
-            got = in_window(g.pair_with_ts(x, y))
-            pair_cache[key] = got
-        return got
+    no_edges: list = []
+    cand = {(a, b) for (a, b), e in abedges.items()
+            if len(vedges.get(a, no_edges)) + len(vedges.get(b, no_edges)) + len(e) >= 3}
+    for a, ea in vedges.items():
+        if len(ea) >= 2:  # two v-a edges and one v-b edge make 3 without an a-b edge
+            cand.update((a, b) if a < b else (b, a) for b in vedges if b != a)
 
     flat = []
     type_of_roles = catalog.type_of_roles
     for a, b in sorted(cand):
-        idxs = sorted(window_pair(v, a) + window_pair(v, b) + window_pair(a, b))
-        if len(idxs) < 3:
-            continue
+        idxs = sorted(vedges.get(a, no_edges) + vedges.get(b, no_edges)
+                      + abedges.get((a, b), no_edges))
         role = {v: 0, a: 1, b: 2}
         ends = []
         for i in idxs:

@@ -32,6 +32,7 @@ class ValidationError(GraphError):
 
 NO_TIMESTAMP = -1  # t_earliest sentinel for isolated nodes
 UNLABELED = -1
+_INT64 = range(-2**63, 2**63)  # the values an int64 column holds
 
 
 @dataclass
@@ -53,7 +54,6 @@ class TransactionGraph:
     t_earliest: np.ndarray = field(default=None)  # int64, NO_TIMESTAMP for isolated nodes
     tau_max: int | None = None
     _incident: list | None = field(default=None, repr=False)
-    _pair_edges: dict | None = field(default=None, repr=False)
     _edge_lists: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -86,31 +86,19 @@ class TransactionGraph:
         return self._edge_lists
 
     def _build_adjacency_caches(self) -> None:
-        inc = [[] for _ in range(self.n)]
-        pairs: dict = {}
-        src, dst, ts = self.edge_lists()
-        for i in range(self.num_edges):
-            s, d, t = src[i], dst[i], ts[i]
-            inc[s].append((i, t))
-            inc[d].append((i, t))
-            key = (s, d) if s < d else (d, s)
-            pairs.setdefault(key, ([], []))
-            pairs[key][0].append(i)
-            pairs[key][1].append(t)
-        self._incident = [([i for i, _ in lst], [t for _, t in lst]) for lst in inc]
-        self._pair_edges = pairs
+        # endpoints interleaved per edge, so a stable sort keeps each node's
+        # edges in ascending edge order
+        ends = np.column_stack([self.src, self.dst]).ravel()
+        order = np.argsort(ends, kind="stable") // 2
+        idx, ts = order.tolist(), self.timestamp[order].tolist()
+        bounds = [0] + np.cumsum(np.bincount(ends, minlength=self.n)).tolist()
+        self._incident = [(idx[lo:hi], ts[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
     def incident_with_ts(self, v: int) -> tuple[list, list]:
         """(edge indices, timestamps) touching v, ascending in the edge order."""
         if self._incident is None:
             self._build_adjacency_caches()
         return self._incident[v]
-
-    def pair_with_ts(self, u: int, w: int) -> tuple[list, list]:
-        """(edge indices, timestamps) between u and w in either direction."""
-        if self._pair_edges is None:
-            self._build_adjacency_caches()
-        return self._pair_edges.get((u, w) if u < w else (w, u), ([], []))
 
     def incident(self, v: int) -> list:
         return self.incident_with_ts(v)[0]
@@ -160,6 +148,12 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
     if f != int(f):
         raise ParseError(f"line {lineno}: {what} must be an integer, got {token!r}")
     return int(f)
+
+
+def _out_of_range(lineno: int, **values) -> ParseError:
+    """The error for the first of `values` that an int64 column cannot hold."""
+    what, x = next((k, x) for k, x in values.items() if x not in _INT64)
+    return ParseError(f"line {lineno}: {what} {x} does not fit in a 64-bit integer")
 
 
 def _is_number(token: str) -> bool:
@@ -223,15 +217,22 @@ def read_edge_list(path, fmt: str = "csv",
                     # ids read so far were integers; they keep their decimal spelling
                     tokens = ([str(v) for v in src], [str(v) for v in dst])
             if tokens is None:
-                src.append(s)
-                dst.append(d)
+                try:
+                    src.append(s)
+                    dst.append(d)
+                except OverflowError:
+                    raise _out_of_range(lineno, src=s, dst=d) from None
         if tokens is not None:
             tokens[0].append(fields[0].strip())
             tokens[1].append(fields[1].strip())
         try:
-            ts.append(int(fields[2]))
+            t = int(fields[2])
         except ValueError:
-            ts.append(_parse_int(fields[2], "timestamp", lineno))
+            t = _parse_int(fields[2], "timestamp", lineno)
+        try:
+            ts.append(t)
+        except OverflowError:
+            raise _out_of_range(lineno, timestamp=t) from None
         if len(fields) == 4:
             try:
                 amount.append(float(fields[3]))

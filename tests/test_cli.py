@@ -142,6 +142,19 @@ class TestIngest:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["message"] == "line 3: expected 3 or 4 columns, got 5"
 
+    @pytest.mark.parametrize("row, fault", [
+        ("99999999999999999999,2,4", "src 99999999999999999999"),
+        ("1,2,9223372036854775808", "timestamp 9223372036854775808"),
+    ])
+    def test_values_beyond_int64_exit_2(self, tmp_path, capsys, row, fault):
+        (tmp_path / "edges.csv").write_text(f"src,dst,timestamp\n1,2,3\n{row}\n")
+        cfg = write_config(tmp_path, {"data": {"edges": "edges.csv"},
+                                      "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"code": cli.EXIT_INPUT, "context": "ingest",
+                       "message": f"line 3: {fault} does not fit in a 64-bit integer"}
+
     def test_error_lines_count_comments_and_blank_lines(self, tmp_path, capsys):
         (tmp_path / "edges.csv").write_text(
             "src,dst,timestamp\n# exported by a wallet\n\n0xa,0xb,1\n0xb,0xc,soon\n")
@@ -305,20 +318,38 @@ class TestTrainEval:
         assert cli.main(["--config", cfg, "eval",
                          "--checkpoint", str(tmp_path / "ghost.bin")]) == cli.EXIT_INPUT
 
-    def test_meta_without_catalog_mode_exits_1_with_json(self, trained, tmp_path, capsys):
+    def test_meta_without_catalog_mode_exits_2_with_json(self, trained, tmp_path, capsys):
+        self.check_meta_without(trained, tmp_path, capsys, "catalog_mode")
+
+    @pytest.mark.parametrize("key", ["catalog_size", "extraction_windows", "test_ids"])
+    def test_meta_without_another_read_key_exits_2(self, trained, tmp_path, capsys, key):
+        self.check_meta_without(trained, tmp_path, capsys, key)
+
+    @staticmethod
+    def check_meta_without(trained, tmp_path, capsys, key):
         _, run_path, cfg = trained
         out = run_path / "out"
         ckpt = tmp_path / "checkpoint.bin"
         ckpt.write_bytes((out / "checkpoint_0.bin").read_bytes())
         meta = json.loads((out / "checkpoint_0.bin.json").read_text())
-        del meta["catalog_mode"]
+        del meta[key]
         (tmp_path / "checkpoint.bin.json").write_text(json.dumps(meta))
         capsys.readouterr()
         assert cli.main(["--config", cfg, "--output", str(tmp_path / "eval"), "eval",
-                         "--checkpoint", str(ckpt)]) == cli.EXIT_INTERNAL
+                         "--checkpoint", str(ckpt)]) == cli.EXIT_INPUT
         err = json.loads(capsys.readouterr().err.strip())
-        assert err == {"code": cli.EXIT_INTERNAL, "context": "eval",
-                       "message": "KeyError: 'catalog_mode'"}
+        assert err == {"code": cli.EXIT_INPUT, "context": "eval",
+                       "message": f"checkpoint metadata {ckpt}.json lacks key {key!r}"}
+
+    def test_missing_meta_exits_2_with_json(self, trained, tmp_path, capsys):
+        _, run_path, cfg = trained
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes((run_path / "out" / "checkpoint_0.bin").read_bytes())
+        capsys.readouterr()
+        assert cli.main(["--config", cfg, "--output", str(tmp_path / "eval"), "eval",
+                         "--checkpoint", str(ckpt)]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == f"missing checkpoint metadata: {ckpt}.json"
 
     def test_eval_catalog_mismatch(self, trained, tmp_path):
         code, run_path, _ = trained
@@ -388,15 +419,39 @@ class TestMoreSurfaces:
         assert (tmp_path / "out" / "checkpoint_0.bin").read_bytes() == ckpt
 
 
-    def test_output_naming_a_file_exits_1_with_json(self, tmp_path, capsys):
+    def test_output_naming_a_file_exits_2_with_json(self, tmp_path, capsys):
+        self.check_output_clash(tmp_path, capsys, "")
+
+    def test_output_below_a_file_exits_2_with_json(self, tmp_path, capsys):
+        self.check_output_clash(tmp_path, capsys, "sub/dir")
+
+    @staticmethod
+    def check_output_clash(tmp_path, capsys, below):
         small_dataset(tmp_path)
         taken = tmp_path / "taken"
         taken.write_text("not a directory")
+        output = taken / below if below else taken
         cfg = write_config(tmp_path, {"data": DATA})
-        assert cli.main(["--config", cfg, "--output", str(taken), "ingest"]) == cli.EXIT_INTERNAL
+        assert cli.main(["--config", cfg, "--output", str(output), "ingest"]) == cli.EXIT_INPUT
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["code"] == cli.EXIT_INTERNAL and err["context"] == "ingest"
-        assert err["message"].startswith("FileExistsError: ")
+        assert err == {"code": cli.EXIT_INPUT, "context": "ingest",
+                       "message": f"output directory {output} cannot be created: "
+                                  f"{taken} is not a directory"}
+        assert taken.read_text() == "not a directory"
+
+    def test_unexpected_exception_still_exits_1_with_json(self, tmp_path, capsys,
+                                                          monkeypatch):
+        small_dataset(tmp_path)
+        cfg = write_config(tmp_path, {"data": DATA, "output": {"directory": "out"}})
+
+        def boom(*args, **kwargs):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cli, "_read_dataset", boom)
+        assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_INTERNAL
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"code": cli.EXIT_INTERNAL, "context": "ingest",
+                       "message": "KeyError: 'boom'"}
 
 
 class TestBench:

@@ -129,6 +129,39 @@ class TestEnumerate:
         assert insts[0].edges == (0, 1, 2)
 
 
+class TestCandidatePruning:
+    """Each rule that admits or drops a third-node pair, at focal 0 (a = 1, b = 2)."""
+
+    @staticmethod
+    def check(rooted, edges, delta, at_focal):
+        src, dst, ts = zip(*edges)
+        g = build_graph(max(max(src), max(dst)) + 1, src, dst, ts)
+        idx = motif.build_index(g, np.full(g.n, delta), rooted, nodes=np.arange(g.n),
+                                cap=None)
+        want = brute_force_instances(g, rooted, {v: delta for v in range(g.n)})
+        assert index_as_sets(idx) == want
+        assert len(want[0]) == at_focal
+
+    def test_single_edge_triangle(self, rooted):
+        self.check(rooted, [(0, 1, 1), (0, 2, 2), (1, 2, 3)], 3.0, 1)
+
+    def test_two_v_a_edges_and_one_v_b_edge_without_a_b(self, rooted):
+        self.check(rooted, [(0, 1, 1), (1, 0, 2), (0, 2, 3)], 3.0, 1)
+
+    def test_b_reached_only_through_two_a_b_edges(self, rooted):
+        self.check(rooted, [(0, 1, 1), (1, 2, 2), (2, 1, 3)], 3.0, 1)
+
+    def test_three_v_a_edges_only(self, rooted):
+        self.check(rooted, [(0, 1, 1), (1, 0, 2), (0, 1, 3)], 3.0, 0)
+
+    def test_one_v_a_and_one_v_b_edge_without_a_b(self, rooted):
+        self.check(rooted, [(0, 1, 1), (2, 0, 2), (1, 3, 3)], 3.0, 0)
+
+    @pytest.mark.parametrize("delta, at_focal", [(4.0, 0), (5.0, 1)])
+    def test_a_b_edge_at_the_window_end(self, rooted, delta, at_focal):
+        self.check(rooted, [(0, 1, 0), (0, 2, 1), (1, 2, 5)], delta, at_focal)
+
+
 class TestIndex:
     def make_graph(self):
         rng = np.random.default_rng(21)

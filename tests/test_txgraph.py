@@ -54,6 +54,19 @@ class TestLoadEdgeList:
         with pytest.raises(tg.ValidationError, match="negative timestamp"):
             tg.load_edge_list(write_edges(tmp_path, "0,1,-3\n"))
 
+    def test_id_beyond_int64_names_line_and_field(self, tmp_path):
+        p = write_edges(tmp_path, "src,dst,ts\n1,2,3\n2,99999999999999999999,4\n")
+        with pytest.raises(tg.ParseError) as e:
+            tg.load_edge_list(p)
+        assert str(e.value) == "line 3: dst 99999999999999999999 does not fit in a 64-bit integer"
+
+    def test_timestamp_beyond_int64_names_line_and_field(self, tmp_path):
+        p = write_edges(tmp_path, "1,2,3\n2,3,-9223372036854775809\n")
+        with pytest.raises(tg.ParseError) as e:
+            tg.load_edge_list(p)
+        assert str(e.value) == ("line 2: timestamp -9223372036854775809 does not fit "
+                                "in a 64-bit integer")
+
     def test_malformed_row_reports_line(self, tmp_path):
         with pytest.raises(tg.ParseError, match="line 2"):
             tg.load_edge_list(write_edges(tmp_path, "0,1,3\n0,x,4\n"))
