@@ -189,8 +189,7 @@ def cmd_motifs(cfg, args) -> int:
     for d in clamped:
         indexes[d] = motif_mod.build_index(
             g, np.full(g.n, d), catalog, nodes=labeled,
-            window_starts=window_starts,
-            cap=tcfg.instance_cap, jobs=args.jobs)
+            window_starts=window_starts, cap=tcfg.instance_cap)
         print(f"delta={d}: {indexes[d].total_instances()} instances")
     table = motif_mod.motif_histogram(indexes, g.labels)
     for i, d in enumerate(clamped):
@@ -342,8 +341,7 @@ def cmd_bench(cfg, args) -> int:
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            idx = motif_mod.build_index(g, windows, catalog, nodes=np.arange(g.n),
-                                        cap=512, jobs=args.jobs)
+            idx = motif_mod.build_index(g, windows, catalog, nodes=np.arange(g.n), cap=512)
             times.append(time.perf_counter() - t0)
         rows.append((n, g.num_edges, idx.total_instances(),
                      min(times), float(np.mean(times)), float(np.std(times))))
@@ -375,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="temporal-motif transaction-graph anomaly detection")
     p.add_argument("--config", required=True, help="path to the run's JSON config")
     p.add_argument("--seed", type=int, default=None, help="override train.seed")
-    p.add_argument("--jobs", type=int, default=1, help="worker cap for enumeration")
     p.add_argument("--output", default=None, help="override output.directory")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("ingest", help="validate raw CSVs and write the graph cache")

@@ -10,7 +10,18 @@ Enumeration at focal node v visits only the third-node pairs {a, b} that can
 hold an instance: an instance needs 3 window edges among the pairs v-a, v-b
 and a-b. So a pair is a candidate when it has an a-b edge and the three pairs
 hold at least 3 window edges together (b need not be a neighbour of v), or
-when it has no a-b edge and a or b has at least 2 window edges to v.
+when it has no a-b edge and a or b has at least 2 window edges to v. An a-b
+edge between two neighbours of v is counted once, from the smaller node.
+
+`build_index` applies this rule to all focal nodes at once, with array
+operations on the graph's incidence arrays (`TransactionGraph.incidence`):
+it groups each focal window's edges by neighbour a, then each neighbour's
+window edges by pair {a, b}, keeps the candidates, forms every triple of a
+candidate's edges from a combination index, types it through a 9**3-entry
+table of role-coded triples (`MotifCatalog.role_table`), and sorts and caps
+the rows. Focal nodes go in batches whose neighbour-pair rows, and triples
+in chunks, stay within `BATCH_ROWS`, so a hub cannot blow up memory; the
+batching does not change the result. It all runs in one process.
 
 The motif index stores the instances of many focal nodes as read-only
 columns (owner, type, member nodes, edges, latest timestamp), sorted by
@@ -22,9 +33,8 @@ with a mask instead of a new enumeration.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -81,7 +91,7 @@ class MotifCatalog:
     mode: str
     types: tuple                      # ordered canonical encodings
     _lookup: dict = field(repr=False, default=None)
-    _role_cache: dict = field(repr=False, default_factory=dict)
+    _role_table: np.ndarray | None = field(repr=False, default=None)
 
     def __post_init__(self):
         if self._lookup is None:
@@ -97,20 +107,22 @@ class MotifCatalog:
         except KeyError:
             raise MotifError(f"encoding not in catalog: {enc!r}") from None
 
-    def type_of_roles(self, role_seq) -> int:
-        """Type id for a triple expressed in member roles, focal role = 0.
+    def role_table(self) -> np.ndarray:
+        """Type id of each triple of role-coded edges; -1 where it does not span 3 nodes.
 
-        Memoized: there are at most 216 role patterns per catalog.
+        Roles are 0 for the focal node and 1, 2 for the others in ascending
+        order; an edge s -> d has code 3s + d, and codes (c1, c2, c3) sit at
+        81 c1 + 9 c2 + c3. Built once, read-only.
         """
-        tid = self._role_cache.get(role_seq)
-        if tid is None:
-            if self.mode == FOCAL_ROOTED:
-                enc = _first_appearance_relabel(role_seq, focal=0)
-            else:
-                enc = _first_appearance_relabel(role_seq)
-            tid = self.index_of(enc)
-            self._role_cache[role_seq] = tid
-        return tid
+        if self._role_table is None:
+            table = np.full(9 ** 3, -1, dtype=np.int64)
+            for i, seq in enumerate(product(product(range(3), repeat=2), repeat=3)):
+                if all(s != d for s, d in seq) and len({r for e in seq for r in e}) == 3:
+                    table[i] = self.index_of(_first_appearance_relabel(
+                        seq, focal=0 if self.mode == FOCAL_ROOTED else None))
+            table.setflags(write=False)
+            self._role_table = table
+        return self._role_table
 
 
 def build_catalog(mode: str = FOCAL_ROOTED) -> MotifCatalog:
@@ -158,65 +170,195 @@ def canonical_type(edge_triple, focal, mode: str, catalog: MotifCatalog | None =
 _A, _B, _E1, _E2, _E3, _TYPE, _TMAX = range(7)
 _ROW = 7
 
+BATCH_ROWS = 1 << 16  # rows a batch of focal nodes, or of candidate triples, expands to
 
-def _enumerate_rows(g: TransactionGraph, v: int, delta: float, catalog: MotifCatalog,
-                    window_start: int) -> np.ndarray:
-    """Instances at v within [start, start + delta] as an m x _ROW array.
 
-    Only window edges count: those of the pairs v-a, v-b and a-b with a
-    timestamp in [start, start + delta]. `vedges[a]` holds the v-a edges and
-    `abedges[a, b]` (a < b) the a-b edges of every neighbour a of v, found by
-    scanning a's incident edges once. A pair {a, b} is a candidate when its
-    three lists hold at least 3 edges; a pair with no a-b edge can only get
-    there when a or b has at least 2 v-edges, so only those neighbour pairs
-    are added. Each candidate's edges are then typed triple by triple; rows
-    come per candidate, in ascending (a, b) order.
+def _window_ends(starts: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Largest int t <= start + delta, the sum in float: Python's exact int <= float test."""
+    end = np.floor(starts.astype(np.float64) + deltas)
+    over = end >= 2.0 ** 63
+    return np.where(over, np.iinfo(np.int64).max, np.where(over, 0.0, end).astype(np.int64))
+
+
+def _expand(starts: np.ndarray, counts: np.ndarray):
+    """(owner, position): positions starts[i] .. starts[i] + counts[i] - 1, owner i, in order."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+
+
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal keys."""
+    return np.flatnonzero(np.diff(sorted_keys, prepend=sorted_keys[:1] - 1))
+
+
+def _find(sorted_keys: np.ndarray, keys) -> np.ndarray:
+    """Position of each key in `sorted_keys` (no duplicates), or -1 where absent."""
+    keys = np.asarray(keys, dtype=np.int64)
+    if sorted_keys.size == 0:
+        return np.full(keys.shape, -1, dtype=np.intp)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return np.where(sorted_keys[pos] == keys, pos, -1)
+
+
+def _batches(weight: np.ndarray, budget: int):
+    """Consecutive ranges [i, j) whose weights sum to at most `budget`, or single items."""
+    cum, i = np.cumsum(weight), 0
+    while i < weight.size:
+        j = max(int(np.searchsorted(cum, cum[i] - weight[i] + budget, "right")), i + 1)
+        yield i, j
+        i = j
+
+
+def _unrank_triples(rank: np.ndarray, kmax: int):
+    """(i, j, k), i < j < k: the triples of 0..kmax at these ranks in colexicographic order."""
+    k = np.arange(kmax + 1)
+    c3, c2 = k * (k - 1) * (k - 2) // 6, k * (k - 1) // 2
+    hi = np.searchsorted(c3, rank, "right") - 1
+    rank = rank - c3[hi]
+    mid = np.searchsorted(c2, rank, "right") - 1
+    return rank - c2[mid], mid, hi
+
+
+class _Neighbours(NamedTuple):
+    """(focal position f, neighbour a) entries with a v-a edge in the window, by (f, a).
+
+    Entry j's v-a window edges are `vedge[start[j]:start[j] + count[j]]`,
+    a's incidence entries in the window are `lo[j]:hi[j]`, and focal f's
+    entries are `ptr[f]:ptr[f + 1]`.
     """
-    w0, w1 = window_start, window_start + delta
-    src, dst, ts = g.edge_lists()
 
-    def in_window(idx_ts):
-        idx, t = idx_ts
-        return idx[bisect_left(t, w0):bisect_right(t, w1)]
+    key: np.ndarray  # f * n + a
+    f: np.ndarray
+    a: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    vedge: np.ndarray
+    ptr: np.ndarray
 
-    vedges: dict = {}
-    for i in in_window(g.incident_with_ts(v)):
-        s = src[i]
-        vedges.setdefault(dst[i] if s == v else s, []).append(i)
-    if not vedges:
-        return np.empty((0, _ROW), dtype=np.int64)
 
-    abedges: dict = {}
-    for a in vedges:
-        for i in in_window(g.incident_with_ts(a)):
-            s = src[i]
-            b = dst[i] if s == a else s
-            if b == v or (b < a and b in vedges):
-                continue  # a v-edge, or an a-b edge already seen from b
-            abedges.setdefault((a, b) if a < b else (b, a), []).append(i)
+def _neighbours(inc, n, focal, w0, w1) -> _Neighbours:
+    s, t = inc.window(focal, w0, w1)
+    f, p = _expand(s, t - s)
+    key = f * n + inc.other[p]
+    order = np.argsort(key)
+    key, f, p = key[order], f[order], p[order]
+    first = _run_starts(key)
+    nf, na = f[first], inc.other[p[first]]
+    lo, hi = inc.window(na, w0[nf], w1[nf])
+    return _Neighbours(key=key[first], f=nf, a=na, start=first,
+                       count=np.diff(np.append(first, key.size)), lo=lo, hi=hi,
+                       vedge=inc.edge[p],
+                       ptr=_offsets(np.bincount(nf, minlength=focal.size)))
 
-    no_edges: list = []
-    cand = {(a, b) for (a, b), e in abedges.items()
-            if len(vedges.get(a, no_edges)) + len(vedges.get(b, no_edges)) + len(e) >= 3}
-    for a, ea in vedges.items():
-        if len(ea) >= 2:  # two v-a edges and one v-b edge make 3 without an a-b edge
-            cand.update((a, b) if a < b else (b, a) for b in vedges if b != a)
 
-    flat = []
-    type_of_roles = catalog.type_of_roles
-    for a, b in sorted(cand):
-        idxs = sorted(vedges.get(a, no_edges) + vedges.get(b, no_edges)
-                      + abedges.get((a, b), no_edges))
-        role = {v: 0, a: 1, b: 2}
-        ends = []
-        for i in idxs:
-            rs, rd = role[src[i]], role[dst[i]]
-            ends.append((i, rs, rd, (1 << rs) | (1 << rd)))
-        for (i, s1, d1, m1), (j, s2, d2, m2), (k, s3, d3, m3) in combinations(ends, 3):
-            if (m1 | m2 | m3) != 0b111:
-                continue  # does not span all three nodes
-            flat += (a, b, i, j, k, type_of_roles(((s1, d1), (s2, d2), (s3, d3))), ts[k])
-    return np.array(flat, dtype=np.int64).reshape(-1, _ROW)
+def _candidates(g, inc, nb: _Neighbours, focal, j0, j1):
+    """Candidate pairs of the neighbour entries j0:j1, and each one's member edges.
+
+    Returns (f, lo, hi, members, member_ptr): the focal position and the two
+    other nodes (ascending) of each candidate, and its member edges,
+    ascending, at `members[member_ptr[c]:member_ptr[c + 1]]`.
+    """
+    n, num = g.n, nb.a.size
+    # a-b edges: a's window edges, grouped by the pair {a, b}
+    j, p = _expand(nb.lo[j0:j1], nb.hi[j0:j1] - nb.lo[j0:j1])
+    j += j0
+    key = j * n + inc.other[p]
+    order = np.argsort(key)
+    key = key[order]
+    first = _run_starts(key)  # group g's a-b edges are p[order[first[g]:first[g] + glen[g]]]
+    glen = np.diff(np.append(first, order.size))
+    gj = j[order[first]]
+    gb = key[first] - gj * n
+    # a pair with one v-a edge, one a-b edge and b < a holds 3 edges only if b
+    # is a neighbour, and then it is counted from b
+    ask = np.flatnonzero((gb > nb.a[gj]) | (nb.count[gj] + glen >= 3))
+    first, glen, gj, gb = first[ask], glen[ask], gj[ask], gb[ask]
+    gjb = _find(nb.key[j0:j1], nb.f[gj] * n + gb)  # b's neighbour entry, or -1
+    gjb[gjb >= 0] += j0
+    # drop edges back to v; an edge between two neighbours of v counts from its smaller end
+    ok = (gb != focal[nb.f[gj]]) & ((gjb < 0) | (gb > nb.a[gj]))
+    ok &= nb.count[gj] + np.where(gjb >= 0, nb.count[gjb], 0) + glen >= 3
+    # neighbour pairs without an a-b edge: two v-a edges and one v-b edge make 3
+    heavy = j0 + np.flatnonzero(nb.count[j0:j1] >= 2)
+    hf = nb.f[heavy]
+    i, x = _expand(nb.ptr[hf], nb.ptr[hf + 1] - nb.ptr[hf])
+    h = heavy[i]
+    pair = (x != h) & ((nb.count[x] < 2) | (h < x))
+    hp, hq = np.minimum(h, x)[pair], np.maximum(h, x)[pair]
+    linked = (gjb >= 0) & (gb > nb.a[gj])  # both are neighbours, and there is an a-b edge
+    pair = _find(gj[linked] * num + gjb[linked], hp * num + hq) < 0
+    hp, hq = hp[pair], hq[pair]
+
+    cp = np.concatenate([gj[ok], hp])    # neighbour entry of one node
+    cq = np.concatenate([gjb[ok], hq])   # neighbour entry of the other, or -1
+    other = np.concatenate([gb[ok], nb.a[hq]])
+    f = nb.f[cp]
+    lo, hi = np.minimum(nb.a[cp], other), np.maximum(nb.a[cp], other)
+    # members: the v-edges of both nodes and the pair's a-b edges
+    c1, m1 = _expand(nb.start[cp], nb.count[cp])
+    c2, m2 = _expand(nb.start[np.maximum(cq, 0)], np.where(cq >= 0, nb.count[cq], 0))
+    c3, m3 = _expand(first[ok], glen[ok])  # the a-b candidates come first
+    owner = np.concatenate([c1, c2, c3])
+    members = np.concatenate([nb.vedge[m1], nb.vedge[m2], inc.edge[p[order[m3]]]])
+    return (f, lo, hi, members[np.lexsort((members, owner))],
+            _offsets(np.bincount(owner, minlength=f.size)))
+
+
+def _instance_rows(g, table, focal, f, lo, hi, members, member_ptr) -> tuple:
+    """Every spanning triple of each candidate's members, as rows led by the focal position."""
+    owner = np.repeat(np.arange(f.size), np.diff(member_ptr))
+    v, a = focal[f][owner], lo[owner]
+    src, dst = (np.where(end == v, 0, np.where(end == a, 1, 2))
+                for end in (g.src[members], g.dst[members]))
+    code = 3 * src + dst
+    size = np.diff(member_ptr)
+    if size.size and size.max() >= 2 ** 21:  # C(size, 3) would overflow int64
+        raise MotifError(f"a node pair holds {size.max()} window edges, too many to enumerate")
+    combos = size * (size - 1) * (size - 2) // 6
+    first = np.cumsum(combos) - combos
+    out = [np.empty((0, _ROW + 1), dtype=np.int64)]
+    for r0 in range(0, int(combos.sum()), BATCH_ROWS):
+        rank = np.arange(r0, min(r0 + BATCH_ROWS, int(combos.sum())))
+        c = np.searchsorted(first, rank, "right") - 1
+        i, j, k = (member_ptr[c] + t for t in _unrank_triples(rank - first[c], int(size.max())))
+        tid = table[(code[i] * 9 + code[j]) * 9 + code[k]]
+        span = tid >= 0
+        c, i, j, k = c[span], members[i[span]], members[j[span]], members[k[span]]
+        out.append(np.column_stack([f[c], lo[c], hi[c], i, j, k, tid[span], g.timestamp[k]]))
+    return np.concatenate(out)
+
+
+def _enumerate(g: TransactionGraph, catalog: MotifCatalog, focal: np.ndarray,
+               w0: np.ndarray, w1: np.ndarray, cap: int | None):
+    """(counts, rows): instances of each focal node in [w0, w1], capped per type.
+
+    Rows are in (focal, type, edges) order. Focal nodes are processed in
+    batches of at most BATCH_ROWS a-b and neighbour-pair rows, so a hub cannot
+    blow up memory.
+    """
+    inc = g.incidence()  # also checks that every composite key below fits in int64
+    table = catalog.role_table()
+    nb = _neighbours(inc, g.n, focal, w0, w1)
+    heavy_pairs = (nb.count >= 2) * np.diff(nb.ptr)[nb.f]
+    weight = 1 + np.bincount(nb.f, weights=nb.hi - nb.lo + heavy_pairs, minlength=focal.size)
+    counts = np.zeros(focal.size, dtype=np.int64)
+    parts = [np.empty((0, _ROW), dtype=np.int64)]
+    for f0, f1 in _batches(weight, BATCH_ROWS):
+        j0, j1 = nb.ptr[f0], nb.ptr[f1]
+        rows = _instance_rows(g, table, focal, *_candidates(g, inc, nb, focal, j0, j1))
+        f, rows = rows[:, 0], rows[:, 1:]
+        order = np.lexsort((rows[:, _E3], rows[:, _E2], rows[:, _E1], rows[:, _TYPE], f))
+        f, rows = f[order], rows[order]
+        if cap is not None and rows.shape[0] > cap:
+            seg = _segment_ids(f, rows[:, _TYPE])
+            recency = _recency_order(seg, rows[:, _TMAX], rows[:, _E1:_E3 + 1])
+            keep = _latest(seg, recency, np.bincount(seg), cap)
+            f, rows = f[keep], rows[keep]
+        counts += np.bincount(f, minlength=focal.size)
+        parts.append(rows)
+    return counts, np.concatenate(parts)
 
 
 def enumerate_instances(g: TransactionGraph, v: int, delta: float,
@@ -226,14 +368,16 @@ def enumerate_instances(g: TransactionGraph, v: int, delta: float,
     The window anchors at v's earliest timestamp unless overridden. Instances
     come in ascending edge order.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise MotifError(f"delta must be positive, got {delta}")
     if window_start is None:
         if g.t_earliest[v] == NO_TIMESTAMP:
             return []  # isolated node
         window_start = int(g.t_earliest[v])
     v = int(v)
-    rows = _enumerate_rows(g, v, delta, catalog, window_start)
+    w0 = np.array([window_start], dtype=np.int64)
+    _, rows = _enumerate(g, catalog, np.array([v]), w0,
+                         _window_ends(w0, np.array([float(delta)])), None)
     rows = rows[np.lexsort((rows[:, _E3], rows[:, _E2], rows[:, _E1]))]
     return [MotifInstance(focal=v, nodes=(v, a, b), edges=(i, j, k), type_id=t, t_max=tm)
             for a, b, i, j, k, t, tm in rows.tolist()]
@@ -279,31 +423,6 @@ def _segment_ids(*keys) -> np.ndarray:
     for k in keys:
         starts[1:] |= k[1:] != k[:-1]
     return np.cumsum(starts) - 1
-
-
-def _node_rows(g, catalog, v, delta, start, cap) -> np.ndarray:
-    """Instance rows of one node, capped per type, in (type, edges) order."""
-    rows = _enumerate_rows(g, v, delta, catalog, start)
-    rows = rows[np.lexsort((rows[:, _E3], rows[:, _E2], rows[:, _E1], rows[:, _TYPE]))]
-    if cap is None or rows.shape[0] <= cap:
-        return rows
-    seg = _segment_ids(rows[:, _TYPE])
-    order = _recency_order(seg, rows[:, _TMAX], rows[:, _E1:_E3 + 1])
-    return rows[_latest(seg, order, np.bincount(seg), cap)]
-
-
-def _index_chunk(args):
-    g, mode, nodes, deltas, starts, cap = args
-    catalog = build_catalog(mode)
-    counts = np.zeros(len(nodes), dtype=np.int64)
-    parts = []
-    for i, (v, d, s) in enumerate(zip(nodes.tolist(), deltas.tolist(), starts.tolist())):
-        if s == NO_ANCHOR:
-            continue  # isolated; enumeration yields nothing
-        rows = _node_rows(g, catalog, v, d, s, cap)
-        counts[i] = rows.shape[0]
-        parts.append(rows)
-    return counts, (np.concatenate(parts) if parts else np.empty((0, _ROW), dtype=np.int64))
 
 
 def _checked_windows(windows, node_ids: np.ndarray, tau) -> np.ndarray:
@@ -414,11 +533,7 @@ class MotifIndex:
 
     def locate(self, nodes) -> np.ndarray:
         """Position of each node in `node_ids`, or -1 for nodes not indexed."""
-        nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
-        if self.node_ids.size == 0:
-            return np.full(nodes.size, -1, dtype=np.intp)
-        pos = np.minimum(np.searchsorted(self.node_ids, nodes), self.node_ids.size - 1)
-        return np.where(self.node_ids[pos] == nodes, pos, -1)
+        return _find(self.node_ids, np.asarray(nodes, dtype=np.int64).reshape(-1))
 
     def rows_of(self, nodes) -> tuple[np.ndarray, np.ndarray]:
         """(rows, counts): the rows of each node in turn, and how many each has."""
@@ -494,14 +609,12 @@ class MotifIndex:
 
 
 def build_index(g: TransactionGraph, windows, catalog: MotifCatalog,
-                nodes=None, window_starts=None, cap: int | None = 512,
-                jobs: int = 1) -> MotifIndex:
+                nodes=None, window_starts=None, cap: int | None = 512) -> MotifIndex:
     """Per-node motif index under per-node windows.
 
     `windows` maps node -> delta (dict or array); every delta must lie in
-    (0, tau_max]. Nodes default to the labeled set. Enumeration is independent
-    per focal node; with jobs > 1 node chunks run in worker processes and are
-    reassembled in node order, so results do not depend on the worker count.
+    (0, tau_max]. Nodes default to the labeled set. All nodes are enumerated
+    together, in batches, in one process.
     """
     if nodes is None:
         nodes = g.labeled_nodes()
@@ -513,17 +626,11 @@ def build_index(g: TransactionGraph, windows, catalog: MotifCatalog,
     else:
         starts = g.t_earliest[node_ids].astype(np.int64)
         starts[starts == NO_TIMESTAMP] = NO_ANCHOR
-
-    if jobs > 1 and node_ids.size > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        parts = np.array_split(np.arange(node_ids.size), min(jobs, node_ids.size))
-        args = [(g, catalog.mode, node_ids[p], deltas[p], starts[p], cap) for p in parts]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_index_chunk, args))
-        counts = np.concatenate([c for c, _ in chunks])
-        rows = np.concatenate([r for _, r in chunks])
-    else:
-        counts, rows = _index_chunk((g, catalog.mode, node_ids, deltas, starts, cap))
+    anchored = np.flatnonzero(starts != NO_ANCHOR)  # isolated nodes have no instances
+    counts = np.zeros(node_ids.size, dtype=np.int64)
+    counts[anchored], rows = _enumerate(
+        g, catalog, node_ids[anchored], starts[anchored],
+        _window_ends(starts[anchored], deltas[anchored]), cap)
     return MotifIndex._from_rows(catalog.mode, catalog.size, tau, cap, node_ids, deltas,
                                  starts, counts, rows)
 

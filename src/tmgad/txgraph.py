@@ -53,8 +53,7 @@ class TransactionGraph:
     labels: np.ndarray | None = None            # int8 in {0,1}, UNLABELED when missing
     t_earliest: np.ndarray = field(default=None)  # int64, NO_TIMESTAMP for isolated nodes
     tau_max: int | None = None
-    _incident: list | None = field(default=None, repr=False)
-    _edge_lists: tuple | None = field(default=None, repr=False)
+    _incidence: "Incidence | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         for arr in (self.src, self.dst, self.timestamp, self.amount):
@@ -78,30 +77,59 @@ class TransactionGraph:
             return np.empty(0, dtype=np.int64)
         return np.nonzero(self.labels != UNLABELED)[0].astype(np.int64)
 
-    def edge_lists(self) -> tuple[list, list, list]:
-        """Edge columns as plain lists (cached; hot loops index them a lot)."""
-        if self._edge_lists is None:
-            self._edge_lists = (self.src.tolist(), self.dst.tolist(),
-                                self.timestamp.tolist())
-        return self._edge_lists
+    def incidence(self) -> "Incidence":
+        """The edges touching each node, as arrays (built on first use, then cached)."""
+        if self._incidence is None:
+            self._incidence = Incidence.of(self)
+        return self._incidence
 
-    def _build_adjacency_caches(self) -> None:
+    def incident_with_ts(self, v: int) -> tuple[np.ndarray, np.ndarray]:
+        """(edge indices, timestamps) touching v, ascending in the edge order."""
+        inc = self.incidence()
+        edges = inc.edge[inc.ptr[v]:inc.ptr[v + 1]]
+        return edges, self.timestamp[edges]
+
+    def incident(self, v: int) -> np.ndarray:
+        return self.incident_with_ts(v)[0]
+
+
+@dataclass(frozen=True)
+class Incidence:
+    """Edge endpoints grouped by node, in edge order within a node.
+
+    Node v's entries are `ptr[v]:ptr[v + 1]`. Edges are sorted by time, so
+    `key` (node, then time) is sorted over all entries and `window` finds a
+    node's edges in a time range with binary searches.
+    """
+
+    ptr: np.ndarray     # n + 1 entry offsets
+    edge: np.ndarray    # 2m: edge index of each entry
+    other: np.ndarray   # 2m: the edge's other endpoint
+    key: np.ndarray     # 2m: node * (len(times) + 1) + rank of the edge's timestamp
+    times: np.ndarray   # distinct timestamps, ascending
+
+    @classmethod
+    def of(cls, g: "TransactionGraph") -> "Incidence":
+        n, m = g.n, g.num_edges
+        if max(n, 2 * m) ** 2 >= 2**63:  # keys of the form x * n + y, x and y below this
+            raise ValidationError(f"graph too large to index: {n} nodes, {m} edges")
         # endpoints interleaved per edge, so a stable sort keeps each node's
         # edges in ascending edge order
-        ends = np.column_stack([self.src, self.dst]).ravel()
-        order = np.argsort(ends, kind="stable") // 2
-        idx, ts = order.tolist(), self.timestamp[order].tolist()
-        bounds = [0] + np.cumsum(np.bincount(ends, minlength=self.n)).tolist()
-        self._incident = [(idx[lo:hi], ts[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        ends = np.column_stack([g.src, g.dst]).ravel()
+        order = np.argsort(ends, kind="stable")
+        node, edge = ends[order], order // 2
+        times, rank = np.unique(g.timestamp, return_inverse=True)
+        out = cls(ptr=np.searchsorted(node, np.arange(n + 1)), edge=edge,
+                  other=ends[order ^ 1], key=node * (times.size + 1) + rank[edge], times=times)
+        for arr in (out.ptr, out.edge, out.other, out.key, out.times):
+            arr.setflags(write=False)
+        return out
 
-    def incident_with_ts(self, v: int) -> tuple[list, list]:
-        """(edge indices, timestamps) touching v, ascending in the edge order."""
-        if self._incident is None:
-            self._build_adjacency_caches()
-        return self._incident[v]
-
-    def incident(self, v: int) -> list:
-        return self.incident_with_ts(v)[0]
+    def window(self, nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        """(start, stop): the entries of each node with a timestamp in [lo, hi]."""
+        base = nodes * (self.times.size + 1)
+        return (np.searchsorted(self.key, base + np.searchsorted(self.times, lo, "left")),
+                np.searchsorted(self.key, base + np.searchsorted(self.times, hi, "right")))
 
 
 def _earliest(n: int, src, dst, ts) -> np.ndarray:
@@ -113,8 +141,16 @@ def _earliest(n: int, src, dst, ts) -> np.ndarray:
     return out
 
 
-def _sort_edges(src, dst, ts):
-    order = np.lexsort((dst, src, ts))  # stable: preserves input position within ties
+def _sort_edges(n: int, src, dst, ts):
+    """Edges in (timestamp, src, dst, input position) order; timestamps are non-negative."""
+    if len(ts) and (int(ts.max()) + 1) * n * n <= 2**63:
+        key = ts * n + src  # one stable sort of a combined key that cannot overflow,
+        key *= n            # built in place so that it costs one edge-sized array
+        key += dst
+        order = np.argsort(key, kind="stable")
+        del key
+    else:
+        order = np.lexsort((dst, src, ts))  # stable: preserves input position within ties
     return src[order], dst[order], ts[order], order
 
 
@@ -131,7 +167,7 @@ def build_graph(n: int, src, dst, ts, amount=None) -> TransactionGraph:
         raise ValidationError("self-loops are not allowed")
     if len(ts) and ts.min() < 0:
         raise ValidationError("negative timestamp")
-    s, d, t, order = _sort_edges(src, dst, ts)
+    s, d, t, order = _sort_edges(n, src, dst, ts)
     return TransactionGraph(n=n, src=s, dst=d, timestamp=t, amount=amount[order].copy())
 
 

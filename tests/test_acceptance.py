@@ -272,7 +272,8 @@ def test_criterion_9_enumeration_scaling():
         degs.append(2.0 * g.num_edges / g.n)
         windows = np.full(g.n, float(g.tau_max) / 8.0)
         times = []
-        for _ in range(2):
+        # builds take milliseconds: the best of many keeps host jitter out of the slope
+        while len(times) < 7 or sum(times) < 0.5:
             t0 = time.perf_counter()
             build_index(g, windows, catalog, nodes=np.arange(g.n), cap=512)
             times.append(time.perf_counter() - t0)
@@ -280,5 +281,5 @@ def test_criterion_9_enumeration_scaling():
     slope = float(np.polyfit(np.log(sizes), np.log(best), 1)[0])
     ok = slope <= 1.3
     report(9, "enumeration scaling", ok,
-           f"sizes {sizes} -> best times {[f'{t:.2f}s' for t in best]}, "
+           f"sizes {sizes} -> best times {[f'{t:.3f}s' for t in best]}, "
            f"mean degree {degs[0]:.1f}..{degs[-1]:.1f}, log-log slope {slope:.2f}")

@@ -162,6 +162,73 @@ class TestCandidatePruning:
         self.check(rooted, [(0, 1, 0), (0, 2, 1), (1, 2, 5)], delta, at_focal)
 
 
+class TestBatchedEnumeration:
+    """Cases the batched enumerator must get right beyond small random graphs."""
+
+    def test_hub_above_the_batch_budget(self, rooted, monkeypatch):
+        rng = np.random.default_rng(23)
+        leaves = 20  # 30 hub edges, and 15 edges among the leaves
+        src = np.r_[np.zeros(30, dtype=np.int64), rng.integers(1, leaves + 1, 15)]
+        dst, ts = rng.integers(1, leaves + 1, 45), rng.integers(0, 30, 45)
+        keep = src != dst
+        g = build_graph(leaves + 1, src[keep], dst[keep], ts[keep])
+        tau = float(g.tau_max)
+        want = motif.build_index(g, np.full(g.n, tau), rooted, nodes=np.arange(g.n), cap=None)
+        monkeypatch.setattr(motif, "BATCH_ROWS", 8)
+        assert g.incident(0).size > motif.BATCH_ROWS
+        got = motif.build_index(g, np.full(g.n, tau), rooted, nodes=np.arange(g.n), cap=None)
+        assert index_as_sets(got) == brute_force_instances(g, rooted, {v: tau for v in range(g.n)})
+        assert len(index_as_sets(got)[0]) > motif.BATCH_ROWS
+        assert_same_columns(got, want)
+
+    def test_window_end_is_exact_above_2_pow_53(self, rooted):
+        # float(2**60 + 200) is 2**60 + 256: edges up to that tick are inside the
+        # window, 2**60 + 257 is not, though it rounds to the same float
+        base = 2 ** 60
+        edges = [(0, 1, 0), (0, 2, 10), (1, 2, 255), (0, 1, 256), (2, 0, 257), (1, 0, 300),
+                 (0, 3, 256), (3, 1, 257)]
+        src, dst, off = zip(*edges)
+        g = build_graph(4, src, dst, [base + t for t in off])
+        windows = {v: 200.0 for v in range(g.n)}
+        idx = motif.build_index(g, windows, rooted, nodes=np.arange(g.n), cap=None)
+        want = brute_force_instances(g, rooted, windows)
+        assert index_as_sets(idx) == want
+        assert len(want[0]) > 0
+        assert max(m.t_max for lst in idx.per_node[0].values() for m in lst) == base + 256
+        got = {(m.edges, m.type_id) for m in motif.enumerate_instances(g, 0, 200.0, rooted)}
+        assert got == want[0]
+
+    def test_node_ids_beyond_2_1_million(self, rooted):
+        # (v * n + a) * n + b overflows int64 for these node ids; no key may take that form
+        first = 2_100_000
+        edges = [(0, 1, 1), (0, 2, 2), (1, 2, 3), (2, 0, 4), (3, 0, 5), (1, 3, 6), (3, 2, 7)]
+        src, dst, ts = zip(*edges)
+        n = first + 4
+        assert n ** 3 >= 2 ** 63
+        g = build_graph(n, [first + s for s in src], [first + d for d in dst], ts)
+        windows = {v: float(g.tau_max) for v in [5, *range(first, n)]}  # node 5 is isolated
+        idx = motif.build_index(g, windows, rooted, nodes=list(windows), cap=None)
+        want = brute_force_instances(g, rooted, windows)
+        assert index_as_sets(idx) == want
+        assert want[5] == set() and sum(map(len, want.values())) > 0
+
+    def test_window_starts_match_oracle(self, rooted):
+        rng = np.random.default_rng(24)
+        for _ in range(10):
+            g = random_graph(rng, max_nodes=10, max_edges=40, max_ts=40)
+            tau = float(g.tau_max)
+            starts = {v: int(rng.integers(-10, 30)) for v in range(g.n)}
+            windows = dict(enumerate(rng.uniform(0.1, 1.0, g.n) * tau))
+            want = brute_force_instances(g, rooted, windows, window_starts=starts)
+            idx = motif.build_index(g, windows, rooted, nodes=np.arange(g.n),
+                                    window_starts=starts, cap=None)
+            assert index_as_sets(idx) == want
+            for v in range(g.n):
+                got = motif.enumerate_instances(g, v, windows[v], rooted, window_start=starts[v])
+                assert {(m.edges, m.type_id) for m in got} == want[v]
+                assert [m.edges for m in got] == sorted(m.edges for m in got)
+
+
 class TestIndex:
     def make_graph(self):
         rng = np.random.default_rng(21)
@@ -215,12 +282,20 @@ class TestIndex:
                                                 nodes=np.arange(g.n)), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_parallel_jobs_match_serial(self, rooted):
-        g = self.make_graph()
-        windows = np.full(g.n, float(g.tau_max))
-        serial = motif.build_index(g, windows, rooted, nodes=np.arange(g.n), jobs=1)
-        parallel = motif.build_index(g, windows, rooted, nodes=np.arange(g.n), jobs=2)
-        assert index_as_sets(serial) == index_as_sets(parallel)
+    def test_batching_does_not_change_columns(self, rooted, monkeypatch):
+        rng = np.random.default_rng(22)
+        g = with_isolated(random_graph(rng, max_nodes=12, max_edges=50, max_ts=40), 2)
+        tau = float(g.tau_max)
+        starts = {v: int(rng.integers(-5, 20)) for v in range(g.n)}
+        cases = [dict(windows=np.full(g.n, tau), cap=None),
+                 dict(windows=rng.uniform(0.2, 1.0, g.n) * tau, cap=2),
+                 dict(windows=np.full(g.n, tau), cap=3, window_starts=starts)]
+        whole = [motif.build_index(g, catalog=rooted, nodes=np.arange(g.n), **c) for c in cases]
+        monkeypatch.setattr(motif, "BATCH_ROWS", 1)  # one focal node, one triple per batch
+        for c, want in zip(cases, whole):
+            got = motif.build_index(g, catalog=rooted, nodes=np.arange(g.n), **c)
+            assert_same_columns(got, want)
+        assert sum(w.total_instances() for w in whole) > 0
 
     def test_cap_keeps_most_recent(self, rooted):
         # many parallel 0->1 edges plus one 1->2: one type, many instances
@@ -250,6 +325,13 @@ def with_isolated(g, extra):
 
 COLUMNS = ("node_ids", "node_windows", "node_starts", "offsets",
            "owner", "type_id", "nodes", "edges", "t_max")
+
+
+def assert_same_columns(got, want):
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 class TestRestrict:

@@ -219,6 +219,58 @@ class TestNormalizedAdjacency:
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
+class TestEdgeOrder:
+    """Both sort branches give the (timestamp, src, dst, input position) order."""
+
+    @staticmethod
+    def order(n, src, dst, ts):
+        src, dst, ts = (np.asarray(x, dtype=np.int64) for x in (src, dst, ts))
+        return tg._sort_edges(n, src, dst, ts)[3]
+
+    def test_combined_key_and_lexsort_agree(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            n, m = int(rng.integers(2, 9)), int(rng.integers(1, 60))
+            src, dst, ts = (rng.integers(0, n, m), rng.integers(0, n, m),
+                            rng.integers(0, 5, m))  # many full ties
+            want = np.lexsort((dst, src, ts))
+            np.testing.assert_array_equal(self.order(n, src, dst, ts), want)  # combined key
+            shifted = ts + 2 ** 62  # same order, key would overflow: lexsort
+            assert (int(shifted.max()) + 1) * n * n > 2 ** 63
+            np.testing.assert_array_equal(self.order(n, src, dst, shifted), want)
+
+    def test_largest_key_that_fits(self):
+        n = 2 ** 20
+        ts = [2 ** 23 - 1, 2 ** 23 - 1, 0, 2 ** 23 - 1]
+        src, dst = [n - 1, n - 1, n - 1, n - 2], [n - 2, n - 1, 0, n - 1]
+        np.testing.assert_array_equal(self.order(n, src, dst, ts), [2, 3, 0, 1])
+
+
+class TestIncidence:
+    def test_matches_edge_scan(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            g = random_graph(rng, max_nodes=10, max_edges=40, max_ts=20)
+            inc = g.incidence()
+            lo, hi = rng.integers(-2, 22, g.n), rng.integers(-2, 22, g.n)
+            start, stop = inc.window(np.arange(g.n), lo, hi)
+            for v in range(g.n):
+                touching = [i for i in range(g.num_edges) if v in (g.src[i], g.dst[i])]
+                edges, ts = g.incident_with_ts(v)
+                assert edges.tolist() == touching
+                assert ts.tolist() == g.timestamp[touching].tolist()
+                inside = [i for i in touching if lo[v] <= g.timestamp[i] <= hi[v]]
+                assert inc.edge[start[v]:stop[v]].tolist() == inside
+                other = g.src[inside] + g.dst[inside] - v
+                assert inc.other[start[v]:stop[v]].tolist() == other.tolist()
+
+    def test_refuses_graphs_whose_keys_could_overflow(self):
+        class Huge:
+            n, num_edges = 2 ** 32, 1
+        with pytest.raises(tg.ValidationError, match="too large to index"):
+            tg.Incidence.of(Huge)
+
+
 class TestEarliest:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(9)
