@@ -1,4 +1,4 @@
-"""Command-line entry point: ingest, motifs, train, eval, bench.
+"""Command-line entry point: ingest, motifs, train, eval.
 
 Runs are driven by a JSON config (sections: data, model, train, analysis,
 output); flags override config values for sweeps. All outputs land under the
@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -31,16 +30,38 @@ class ConfigError(Exception):
     pass
 
 
+_NULL = type(None)
+
+# section -> key -> accepted JSON type(s); float accepts integers too
 _SCHEMA = {
-    "data": {"edges", "features", "labels", "cache", "format", "time_unit"},
-    "model": {"layers", "hidden_dim", "out_dim", "dropout", "catalog_mode",
-              "window_hidden", "clf_hidden"},
-    "train": {"epochs", "learning_rate", "optimizer", "refresh_interval", "seed",
-              "ablation", "delta_fixed", "window_slack", "instance_cap",
-              "pos_weight", "splits", "train_fraction"},
-    "analysis": {"delta_grid"},
-    "output": {"directory"},
+    "data": {"edges": str, "features": str, "labels": str, "cache": str, "time_unit": int},
+    "model": {"layers": int, "hidden_dim": int, "out_dim": int, "dropout": float,
+              "catalog_mode": str},
+    "train": {"epochs": int, "learning_rate": float, "refresh_interval": (int, _NULL),
+              "seed": int, "ablation": str, "delta_fixed": (float, _NULL),
+              "instance_cap": (int, _NULL), "pos_weight": (float, _NULL), "splits": int,
+              "train_fraction": float},
+    "analysis": {"delta_grid": list},
+    "output": {"directory": str},
 }
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               list: "a list of numbers", _NULL: "null"}
+
+
+def _is_a(value, kinds: tuple) -> bool:
+    """isinstance, except that a bool is no number and an int is also a float."""
+    return not isinstance(value, bool) and isinstance(value, kinds + (int,) * (float in kinds))
+
+
+def _check_type(where: str, value, kinds) -> None:
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    ok = _is_a(value, kinds)
+    if ok and isinstance(value, list):
+        ok = all(_is_a(x, (float,)) for x in value)
+    if not ok:
+        expected = " or ".join(_TYPE_NAMES[k] for k in kinds)
+        raise ConfigError(f"{where} must be {expected}, got {json.dumps(value)}")
 
 
 def load_config(path) -> dict:
@@ -59,14 +80,19 @@ def load_config(path) -> dict:
             raise ConfigError(f"unknown config section {section!r}")
         if not isinstance(body, dict):
             raise ConfigError(f"config section {section!r} must be an object")
-        unknown = set(body) - _SCHEMA[section]
+        unknown = set(body) - set(_SCHEMA[section])
         if unknown:
             raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
+        for key, value in body.items():
+            _check_type(f"{section}.{key}", value, _SCHEMA[section][key])
     cfg.setdefault("data", {})
     cfg.setdefault("model", {})
     cfg.setdefault("train", {})
     cfg.setdefault("analysis", {})
     cfg.setdefault("output", {})
+    if cfg["data"].get("time_unit", 1) < 1:
+        raise ConfigError(f"data.time_unit must be a positive integer, "
+                          f"got {cfg['data']['time_unit']}")
     base = path.parent
     for key in ("edges", "features", "labels", "cache"):
         if key in cfg["data"]:
@@ -116,12 +142,11 @@ def _read_dataset(cfg) -> tuple[txgraph.TransactionGraph, dict | None]:
     for key in ("edges", "features", "labels"):
         if key in data and not Path(data[key]).exists():
             raise txgraph.ValidationError(f"missing {key} file: {data[key]}")
-    g, id_map = txgraph.read_edge_list(data["edges"], data.get("format", "csv"),
-                                        compact=True)
+    g, id_map = txgraph.read_edge_list(data["edges"], compact=True)
     unit = data.get("time_unit")
-    if unit:
+    if unit is not None:
         # rescale dataset-native time so the model sees a desk-scale horizon
-        ts = (g.timestamp - (g.timestamp.min() if g.num_edges else 0)) // int(unit)
+        ts = (g.timestamp - (g.timestamp.min() if g.num_edges else 0)) // unit
         g = txgraph.build_graph(g.n, g.src, g.dst, ts, g.amount)
     if "features" in data:
         g = txgraph.attach_features_labels(g, data["features"], data["labels"])
@@ -177,19 +202,10 @@ def cmd_motifs(cfg, args) -> int:
     tcfg = _train_config(cfg)
     catalog = motif_mod.build_catalog(tcfg.catalog_mode)
     labeled = g.labeled_nodes()
-    window_starts = None
-    if args.anchor_offset:
-        # experimentation hook: shift every window away from the node's
-        # earliest timestamp
-        from .txgraph import NO_TIMESTAMP
-        window_starts = {int(v): (int(g.t_earliest[v]) + args.anchor_offset
-                                  if g.t_earliest[v] != NO_TIMESTAMP else 0)
-                         for v in labeled}
     indexes = {}
     for d in clamped:
-        indexes[d] = motif_mod.build_index(
-            g, np.full(g.n, d), catalog, nodes=labeled,
-            window_starts=window_starts, cap=tcfg.instance_cap)
+        indexes[d] = motif_mod.build_index(g, np.full(g.n, d), catalog, nodes=labeled,
+                                           cap=tcfg.instance_cap)
         print(f"delta={d}: {indexes[d].total_instances()} instances")
     table = motif_mod.motif_histogram(indexes, g.labels)
     for i, d in enumerate(clamped):
@@ -219,7 +235,6 @@ def cmd_train(cfg, args) -> int:
             "catalog_mode": tcfg.catalog_mode,
             "catalog_size": report.config["catalog_size"],
             "refresh_interval": tcfg.refresh_interval,
-            "window_slack": tcfg.window_slack,
             "train_ids": split.train_ids.tolist(),
             "test_ids": split.test_ids.tolist(),
             "extraction_windows": None if report.extraction_windows is None
@@ -294,9 +309,7 @@ def cmd_eval(cfg, args) -> int:
             f"checkpoint catalog ({meta['catalog_mode']}, {meta['catalog_size']}) does not "
             f"match config ({tcfg.catalog_mode}, {catalog.size})")
     rng = np.random.default_rng(0)
-    state = model_mod.init_model(rng, g.num_features, gcn_cfg, catalog.size,
-                                 window_hidden=tcfg.window_hidden,
-                                 clf_hidden=tcfg.clf_hidden)
+    state = model_mod.init_model(rng, g.num_features, gcn_cfg, catalog.size)
     model_mod.load_checkpoint(ckpt, state)
     opts = model_mod.HeadOptions.from_ablation(tcfg.ablation, tcfg.delta_fixed)
     a_hat = txgraph.normalized_adjacency(g)
@@ -327,38 +340,6 @@ def cmd_eval(cfg, args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(cfg, args) -> int:
-    out = _out_dir(cfg, args)
-    sizes = [int(s) for s in (args.sizes or [1000, 2000, 4000])]
-    repeats = args.repeats
-    tcfg = _train_config(cfg)
-    catalog = motif_mod.build_catalog(tcfg.catalog_mode)
-    rows = []
-    for n in sizes:
-        g = train_mod.synth_burst_graph(n, 0.05, burst_len=10,
-                                        seed=tcfg.seed)
-        windows = np.full(g.n, float(g.tau_max) / 8.0)
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            idx = motif_mod.build_index(g, windows, catalog, nodes=np.arange(g.n), cap=512)
-            times.append(time.perf_counter() - t0)
-        rows.append((n, g.num_edges, idx.total_instances(),
-                     min(times), float(np.mean(times)), float(np.std(times))))
-        print(f"n={n}: edges={rows[-1][1]} instances={rows[-1][2]} "
-              f"best={rows[-1][3]:.3f}s mean={rows[-1][4]:.3f}s")
-    xs = np.log([r[0] for r in rows])
-    ys = np.log([r[3] for r in rows])
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    with open(out / "bench.csv", "w", encoding="utf-8") as f:
-        f.write("nodes,edges,instances,best_seconds,mean_seconds,std_seconds\n")
-        for r in rows:
-            f.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in r) + "\n")
-        f.write(f"# loglog_slope,{slope!r}\n")
-    print(f"log-log slope: {slope:.3f}")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -378,15 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("ingest", help="validate raw CSVs and write the graph cache")
     pm = sub.add_parser("motifs", help="motif histograms and anomaly correlation")
     pm.add_argument("--delta-grid", type=float, nargs="+", default=None)
-    pm.add_argument("--anchor-offset", type=int, default=0,
-                    help="shift window starts this far past each node's first activity")
     sub.add_parser("train", help="train over k stratified splits and report means")
     pe = sub.add_parser("eval", help="re-score a checkpoint on a named split")
     pe.add_argument("--checkpoint", required=True)
     pe.add_argument("--split", choices=["train", "test"], default="test")
-    pb = sub.add_parser("bench", help="enumeration wall-time scaling")
-    pb.add_argument("--sizes", type=int, nargs="+", default=None)
-    pb.add_argument("--repeats", type=int, default=3)
     return p
 
 
@@ -395,7 +371,6 @@ _COMMANDS = {
     "motifs": cmd_motifs,
     "train": cmd_train,
     "eval": cmd_eval,
-    "bench": cmd_bench,
 }
 
 

@@ -403,11 +403,6 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     return _make("clip", y, (x,), bwd)
 
 
-def clip_min(x: Tensor, floor: float) -> Tensor:
-    """Elementwise max(x, floor); gradient passes only where x >= floor."""
-    return clip(x, floor, math.inf)
-
-
 def _check_col(op: str, x: Tensor) -> None:
     _shape_check(op, x.shape[1] == 1 and x.shape[0] >= 1, f"need a column vector, got {x.shape}")
 
@@ -526,7 +521,7 @@ def bce_with_logits(logits: Tensor, targets, pos_weight: float | None = None) ->
                  f"logits {logits.shape} vs targets {y.shape}")
     z = logits.data
     w = 1.0 + (pos_weight - 1.0) * y if pos_weight is not None else np.ones_like(y)
-    per = (1.0 - y) * z + w_times_softplus(w, z)
+    per = (1.0 - y) * z + w * np.logaddexp(0.0, -z)  # log(1 + exp(-z)) without overflow
     n = z.shape[0]
     data = np.array([[per.sum() / n]])
 
@@ -537,11 +532,6 @@ def bce_with_logits(logits: Tensor, targets, pos_weight: float | None = None) ->
         return fn
 
     return _make("bce_with_logits", data, (logits,), bwd)
-
-
-def w_times_softplus(w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # log(1 + exp(-z)) without overflow
-    return w * np.logaddexp(0.0, -z)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ zero motif embedding, so absence itself is visible to the classifier.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,24 +103,25 @@ class ModelState:
 
 WINDOW_BIAS_INIT = -2.0  # start windows near 0.12 * tau: short windows are the
                          # motif-relevant regime and gradients can widen them
+WINDOW_HIDDEN = 8        # hidden width of the window learner
+CLF_HIDDEN = 16          # hidden width of the classifier
 
 
 def init_model(rng: np.random.Generator, in_dim: int, gcn_cfg: GCNConfig,
-               catalog_size: int, window_hidden: int = 8,
-               clf_hidden: int = 16) -> ModelState:
+               catalog_size: int) -> ModelState:
     d = gcn_cfg.out_dim
     return ModelState(
         gcn=init_gcn_weights(rng, in_dim, gcn_cfg),
-        win_w1=dc.parameter(glorot(rng, d, window_hidden)),
-        win_b1=dc.parameter(np.zeros((1, window_hidden))),
-        win_w2=dc.parameter(glorot(rng, window_hidden, 1)),
+        win_w1=dc.parameter(glorot(rng, d, WINDOW_HIDDEN)),
+        win_b1=dc.parameter(np.zeros((1, WINDOW_HIDDEN))),
+        win_w2=dc.parameter(glorot(rng, WINDOW_HIDDEN, 1)),
         win_b2=dc.parameter(np.full((1, 1), WINDOW_BIAS_INIT)),
         supernodes=dc.parameter(rng.normal(0.0, 0.1, size=(catalog_size, d))),
         w_intra=dc.parameter(glorot(rng, d, 1)),
         w_inter=dc.parameter(rng.normal(0.0, 0.1, size=(catalog_size, d))),
-        clf_w1=dc.parameter(glorot(rng, 2 * d, clf_hidden)),
-        clf_b1=dc.parameter(np.zeros((1, clf_hidden))),
-        clf_w2=dc.parameter(glorot(rng, clf_hidden, 1)),
+        clf_w1=dc.parameter(glorot(rng, 2 * d, CLF_HIDDEN)),
+        clf_b1=dc.parameter(np.zeros((1, CLF_HIDDEN))),
+        clf_w2=dc.parameter(glorot(rng, CLF_HIDDEN, 1)),
         clf_b2=dc.parameter(np.zeros((1, 1))),
     )
 
@@ -228,8 +230,8 @@ def motif_embeddings(h: dc.Tensor, deltas, state: ModelState, layout: HeadLayout
         inst_embs = dc.scale(dc.sum_blocks(members, 3), 1.0 / 3.0)
     if opts.adaptive:
         stretched = dc.select_rows(deltas, layout.owner)                    # m x 1
-        weights = dc.clip_min(dc.sigmoid(dc.add_const(stretched, -layout.gaps)),
-                              WEIGHT_FLOOR)
+        weights = dc.clip(dc.sigmoid(dc.add_const(stretched, -layout.gaps)),
+                          WEIGHT_FLOOR, math.inf)
     else:
         weights = dc.tensor(np.maximum(expit(opts.delta_fixed - layout.gaps), WEIGHT_FLOOR))
     type_embs = dc.div_col(

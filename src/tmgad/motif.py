@@ -442,8 +442,8 @@ class MotifIndex:
     Instance rows are sorted by (owner, type, edges); the rows of
     `node_ids[i]` are `offsets[i]:offsets[i + 1]`. Every array is read-only,
     so anything derived from the index stays valid for its lifetime; consumers
-    cache such arrays in `derived`. Construct through `build_index`,
-    `restrict` or `from_instances`.
+    cache such arrays in `derived`. Construct through `build_index` or
+    `restrict`.
     """
 
     catalog_mode: str
@@ -477,36 +477,6 @@ class MotifIndex:
                    edges=np.ascontiguousarray(rows[:, _E1:_E3 + 1]),
                    t_max=np.ascontiguousarray(rows[:, _TMAX]))
 
-    @classmethod
-    def from_instances(cls, catalog_mode: str, catalog_size: int, per_node: dict, *,
-                       windows=None, window_starts=None) -> "MotifIndex":
-        """Uncapped index holding given instances: node -> {type_id -> [MotifInstance]}.
-
-        The mapping keys give each instance's owner and type; instances are
-        stored in (type, edges) order. Nodes without windows or anchors get NaN
-        and NO_ANCHOR. The index records no horizon (tau_max 0), so `restrict`
-        rejects every window.
-        """
-        node_ids = np.array(sorted(int(v) for v in per_node), dtype=np.int64)
-        node_windows = np.array([np.nan if windows is None else float(windows[v])
-                                 for v in node_ids.tolist()])
-        node_starts = np.array(
-            [NO_ANCHOR if window_starts is None or window_starts[v] is None
-             else int(window_starts[v]) for v in node_ids.tolist()], dtype=np.int64)
-        counts = np.zeros(node_ids.size, dtype=np.int64)
-        flat = []
-        for i, v in enumerate(node_ids.tolist()):
-            for tid, lst in per_node[v].items():
-                counts[i] += len(lst)
-                for m in lst:
-                    flat += (m.nodes[1], m.nodes[2], *m.edges, tid, m.t_max)
-        rows = np.array(flat, dtype=np.int64).reshape(-1, _ROW)
-        owner = np.repeat(node_ids, counts)
-        rows = rows[np.lexsort((rows[:, _E3], rows[:, _E2], rows[:, _E1], rows[:, _TYPE],
-                                owner))]
-        return cls._from_rows(catalog_mode, catalog_size, 0, None, node_ids,
-                              node_windows, node_starts, counts, rows)
-
     # -- reads ---------------------------------------------------------------
 
     def _cached(self, key, build):
@@ -523,13 +493,6 @@ class MotifIndex:
         """Read-only node -> delta used at extraction."""
         return self._cached("windows", lambda: MappingProxyType(
             dict(zip(self.node_ids.tolist(), self.node_windows.tolist()))))
-
-    @property
-    def window_starts(self):
-        """Read-only node -> window anchor (None for nodes without one)."""
-        return self._cached("window_starts", lambda: MappingProxyType(
-            {v: None if s == NO_ANCHOR else s
-             for v, s in zip(self.node_ids.tolist(), self.node_starts.tolist())}))
 
     def locate(self, nodes) -> np.ndarray:
         """Position of each node in `node_ids`, or -1 for nodes not indexed."""
@@ -588,7 +551,7 @@ class MotifIndex:
             raise MotifError(f"window for node {self.node_ids[i]} exceeds the enumerated "
                              f"window: {deltas[i]} > {self.node_windows[i]}")
         counts = np.diff(self.offsets)
-        keep = self.t_max <= np.repeat(self.node_starts + deltas, counts)
+        keep = self.t_max <= np.repeat(_window_ends(self.node_starts, deltas), counts)
         if cap is not None:
             seg, order, n_seg = self._cached("recency", self._recency)
             keep = _latest(seg, order, np.bincount(seg[keep], minlength=n_seg), cap)

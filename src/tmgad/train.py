@@ -84,9 +84,9 @@ def auprc(scores, labels) -> float:
     return float(np.sum(np.diff(recall, prepend=0.0) * precision))
 
 
-def accuracy(scores, labels, threshold: float = 0.5) -> float:
+def accuracy(scores, labels) -> float:
     y = np.asarray(labels)
-    pred = (np.asarray(scores) >= threshold).astype(y.dtype)
+    pred = (np.asarray(scores) >= 0.5).astype(y.dtype)
     return float((pred == y).mean())
 
 
@@ -229,29 +229,30 @@ def synth_burst_graph(n_nodes: int, fraud_fraction: float, burst_len: int,
 # training
 
 
+WINDOW_SLACK = 1.5  # motifs are extracted at this multiple of the learned windows
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 150
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     refresh_interval: int | None = 5
     seed: int = 0
     ablation: str = "full"
     delta_fixed: float | None = None
     catalog_mode: str = FOCAL_ROOTED
-    window_slack: float = 1.5
     instance_cap: int | None = 512
     pos_weight: float | None = None
-    window_hidden: int = 8
-    clf_hidden: int = 16
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.optimizer != "adam":
-            raise ValueError(f"unsupported optimizer {self.optimizer!r}")
+        if self.refresh_interval is not None and self.refresh_interval < 1:
+            raise ValueError("refresh_interval must be >= 1, or None to extract once")
+        if self.instance_cap is not None and self.instance_cap < 1:
+            raise ValueError("instance_cap must be >= 1, or None for no cap")
 
 
 @dataclass
@@ -300,23 +301,19 @@ def _reuse_freed_memory() -> None:
         mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
 
 
-def _extraction_windows(g, state, a_hat, cfg: TrainConfig, opts: HeadOptions) -> np.ndarray:
+def _extraction_windows(g, state, a_hat, opts: HeadOptions) -> np.ndarray:
+    """Per-node windows to extract motifs at: the slack-widened learned windows,
+    capped at tau, or the fixed window for every node."""
     tau = float(g.tau_max)
     if opts.adaptive:
         deltas = delta_snapshot(g.features, a_hat, state, tau)
-        return np.minimum(tau, cfg.window_slack * deltas)
+        return np.minimum(tau, WINDOW_SLACK * deltas)
     fixed = min(float(opts.delta_fixed), tau)
     return np.full(g.n, fixed)
 
 
-def _enumeration_window(g, opts: HeadOptions) -> float:
-    """The largest window `_extraction_windows` can return in a run."""
-    tau = float(g.tau_max)
-    return tau if opts.adaptive else min(float(opts.delta_fixed), tau)
-
-
 def train(g: TransactionGraph, cfg: TrainConfig, gcn_cfg: GCNConfig | None = None,
-          split: SplitSpec | None = None, verbose: bool = False):
+          split: SplitSpec | None = None):
     """Full-batch training on one split; returns (ModelState, MetricsReport).
 
     Motifs are enumerated once, uncapped, at the largest window the run can
@@ -336,8 +333,7 @@ def train(g: TransactionGraph, cfg: TrainConfig, gcn_cfg: GCNConfig | None = Non
     opts = HeadOptions.from_ablation(cfg.ablation, cfg.delta_fixed)
     rng = np.random.default_rng(cfg.seed)
     catalog = build_catalog(cfg.catalog_mode)
-    state = init_model(rng, g.num_features, gcn_cfg, catalog.size,
-                       window_hidden=cfg.window_hidden, clf_hidden=cfg.clf_hidden)
+    state = init_model(rng, g.num_features, gcn_cfg, catalog.size)
     a_hat = normalized_adjacency(g)
     x = g.features
     tau = float(g.tau_max)
@@ -354,9 +350,9 @@ def train(g: TransactionGraph, cfg: TrainConfig, gcn_cfg: GCNConfig | None = Non
     for epoch in range(cfg.epochs):
         if opts.use_motifs and (index is None or (
                 cfg.refresh_interval is not None and epoch % cfg.refresh_interval == 0)):
-            windows = _extraction_windows(g, state, a_hat, cfg, opts)
-            if enumerated is None:
-                enumerated = build_index(g, np.full(g.n, _enumeration_window(g, opts)),
+            windows = _extraction_windows(g, state, a_hat, opts)
+            if enumerated is None:  # fixed windows never change; learned ones stay <= tau
+                enumerated = build_index(g, np.full(g.n, tau) if opts.adaptive else windows,
                                          catalog, nodes=labeled, cap=None)
             index = enumerated.restrict(windows, cfg.instance_cap)
         optim.zero_grad()
@@ -379,8 +375,6 @@ def train(g: TransactionGraph, cfg: TrainConfig, gcn_cfg: GCNConfig | None = Non
                 raise TrainError(
                     f"window bound violated at epoch {epoch}: [{lo}, {hi}] vs tau {tau}")
             delta_stats.append((lo, float(dvals.mean()), hi))
-        if verbose and (epoch % 10 == 0 or epoch == cfg.epochs - 1):
-            print(f"epoch {epoch:4d}  loss {loss_curve[-1]:.4f}")
 
     def score(ids):
         logits, _, _ = forward_nodes(x, a_hat, state, index, ids, opts, tau, training=False)
@@ -404,8 +398,7 @@ def train(g: TransactionGraph, cfg: TrainConfig, gcn_cfg: GCNConfig | None = Non
                 "learning_rate": cfg.learning_rate, "seed": cfg.seed,
                 "refresh_interval": cfg.refresh_interval,
                 "delta_fixed": cfg.delta_fixed, "catalog_mode": cfg.catalog_mode,
-                "catalog_size": catalog.size, "window_slack": cfg.window_slack,
-                "instance_cap": cfg.instance_cap,
+                "catalog_size": catalog.size, "instance_cap": cfg.instance_cap,
                 "gcn_layers": gcn_cfg.layers, "gcn_hidden": gcn_cfg.hidden_dim,
                 "gcn_out": gcn_cfg.out_dim, "dropout": gcn_cfg.dropout},
     )

@@ -89,9 +89,6 @@ class TransactionGraph:
         edges = inc.edge[inc.ptr[v]:inc.ptr[v + 1]]
         return edges, self.timestamp[edges]
 
-    def incident(self, v: int) -> np.ndarray:
-        return self.incident_with_ts(v)[0]
-
 
 @dataclass(frozen=True)
 class Incidence:
@@ -226,16 +223,13 @@ def read_records(path, ncols: tuple, where: str = "line"):
             yield lineno, fields
 
 
-def read_edge_list(path, fmt: str = "csv",
-                   compact: bool = False) -> tuple[TransactionGraph, dict | None]:
+def read_edge_list(path, compact: bool = False) -> tuple[TransactionGraph, dict | None]:
     """`load_edge_list`, and with `compact` also files whose ids are tokens.
 
     With `compact`, when some id does not parse as an integer, node ids become
     the positions of the sorted distinct id tokens, and the token -> node id
     map is returned with the graph. Otherwise the map is None.
     """
-    if fmt != "csv":
-        raise ValidationError(f"unsupported edge format {fmt!r}")
     src, dst, ts, lines = array("q"), array("q"), array("q"), array("q")
     amount = array("d")
     tokens = None  # (src, dst) id strings, once some id is not an integer
@@ -296,23 +290,14 @@ def read_edge_list(path, fmt: str = "csv",
     return build_graph(n, src, dst, ts, amount), id_map
 
 
-def load_edge_list(path, fmt: str = "csv") -> TransactionGraph:
+def load_edge_list(path) -> TransactionGraph:
     """Read a src,dst,timestamp[,amount] CSV into a graph skeleton.
 
     The file layout is the one `read_records` reads. Ids must be integers and
     the node count is max id + 1; self-loops and negative ids, timestamps and
     amounts are rejected.
     """
-    return read_edge_list(path, fmt)[0]
-
-
-def write_edge_csv(g: TransactionGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("src,dst,timestamp,amount\n")
-        for i in range(g.num_edges):
-            a = g.amount[i]
-            row = f"{g.src[i]},{g.dst[i]},{g.timestamp[i]}"
-            f.write(row + (f",{float(a)!r}\n" if not np.isnan(a) else "\n"))
+    return read_edge_list(path)[0]
 
 
 def attach_features_labels(g: TransactionGraph, features_path, labels_path) -> TransactionGraph:
@@ -365,17 +350,6 @@ def normalized_adjacency(g: TransactionGraph) -> sp.csr_matrix:
     return (dmat @ a_tilde @ dmat).tocsr()
 
 
-def temporal_subgraph(g: TransactionGraph, tau) -> TransactionGraph:
-    """Restrict to edges with timestamp <= tau; node set is unchanged."""
-    if tau < 0:
-        raise ValidationError(f"tau must be non-negative, got {tau}")
-    keep = g.timestamp <= tau
-    return TransactionGraph(
-        n=g.n, src=g.src[keep].copy(), dst=g.dst[keep].copy(),
-        timestamp=g.timestamp[keep].copy(), amount=g.amount[keep].copy(),
-        features=g.features, labels=g.labels)
-
-
 def make_splits(g: TransactionGraph, k: int, train_fraction: float,
                 seed: int) -> list[SplitSpec]:
     """k class-stratified train/test splits over labeled nodes, seeded."""
@@ -402,32 +376,6 @@ def make_splits(g: TransactionGraph, k: int, train_fraction: float,
             train_ids=np.sort(np.concatenate(train_parts)),
             test_ids=np.sort(np.concatenate(test_parts))))
     return splits
-
-
-def sample_seed_bfs(g: TransactionGraph, n_target: int, seed: int) -> np.ndarray:
-    """Generic BFS node sampler from a random labeled seed (utility, not a
-    reproduction of any published subsetting scheme)."""
-    rng = np.random.default_rng(seed)
-    labeled = g.labeled_nodes()
-    start = int(rng.choice(labeled if len(labeled) else np.arange(g.n)))
-    seen = {start}
-    frontier = [start]
-    while frontier and len(seen) < n_target:
-        nxt = []
-        for v in frontier:
-            for i in g.incident(v):
-                for u in (int(g.src[i]), int(g.dst[i])):
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-                        if len(seen) >= n_target:
-                            break
-                if len(seen) >= n_target:
-                    break
-            if len(seen) >= n_target:
-                break
-        frontier = nxt
-    return np.array(sorted(seen), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

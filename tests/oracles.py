@@ -1,13 +1,15 @@
-"""Brute-force reference implementations used only by the test suite."""
+"""Brute-force reference implementations and fixture helpers used only by the test suite."""
 
+import math
 from itertools import combinations, permutations
+from types import MappingProxyType
 
 import numpy as np
 from scipy.special import expit
 
 from tmgad import diffcore as dc
 from tmgad.model import WEIGHT_FLOOR, adaptive_windows, classifier_logits
-from tmgad.motif import spanning_sequences
+from tmgad.motif import NO_ANCHOR, MotifIndex, spanning_sequences
 
 
 def permute_sequence(seq, perm):
@@ -104,6 +106,55 @@ def pearson_two_pass(counts):
 
 
 # ---------------------------------------------------------------------------
+# fixture helpers
+
+
+def write_edge_csv(g, path) -> None:
+    """Write g's edges as a src,dst,timestamp,amount CSV (no amount where it is NaN)."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("src,dst,timestamp,amount\n")
+        for i in range(g.num_edges):
+            a = g.amount[i]
+            row = f"{g.src[i]},{g.dst[i]},{g.timestamp[i]}"
+            f.write(row + (f",{float(a)!r}\n" if not np.isnan(a) else "\n"))
+
+
+def index_from_instances(catalog_mode, catalog_size, per_node, *, windows=None,
+                         window_starts=None):
+    """Uncapped MotifIndex holding given instances: node -> {type_id -> [MotifInstance]}.
+
+    The mapping keys give each instance's owner and type; instances are stored
+    in (owner, type, edges) order. Nodes without windows or anchors get NaN and
+    NO_ANCHOR. The index records no horizon (tau_max 0), so `restrict` rejects
+    every window.
+    """
+    node_ids = np.array(sorted(int(v) for v in per_node), dtype=np.int64)
+    rows = sorted((v, tid, *m.edges, m.nodes[1], m.nodes[2], m.t_max)
+                  for v in node_ids.tolist() for tid, lst in per_node[v].items() for m in lst)
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 8)
+    owner = np.ascontiguousarray(cols[:, 0])
+    return MotifIndex(
+        catalog_mode=catalog_mode, catalog_size=catalog_size, tau_max=0, cap=None,
+        node_ids=node_ids,
+        node_windows=np.array([np.nan if windows is None else float(windows[v])
+                               for v in node_ids.tolist()]),
+        node_starts=np.array([NO_ANCHOR if window_starts is None or window_starts[v] is None
+                              else int(window_starts[v]) for v in node_ids.tolist()],
+                             dtype=np.int64),
+        offsets=np.append(np.searchsorted(owner, node_ids), owner.size).astype(np.int64),
+        owner=owner, type_id=np.ascontiguousarray(cols[:, 1]),
+        nodes=np.column_stack([owner, cols[:, 5:7]]),
+        edges=np.ascontiguousarray(cols[:, 2:5]), t_max=np.ascontiguousarray(cols[:, 7]))
+
+
+def window_starts(index):
+    """Read-only node -> window anchor of an index (None for nodes without one)."""
+    return MappingProxyType({v: None if s == NO_ANCHOR else s
+                             for v, s in zip(index.node_ids.tolist(),
+                                             index.node_starts.tolist())})
+
+
+# ---------------------------------------------------------------------------
 # tape primitives only the single-node head below uses
 
 
@@ -175,7 +226,7 @@ def intra_instance_embedding(instance, h, supernodes, w_intra):
 
 def type_embedding(instance_embs, weights):
     """Recency-weighted average of instance embeddings (normalized)."""
-    return weighted_sum(instance_embs, dc.clip_min(weights, WEIGHT_FLOOR))
+    return weighted_sum(instance_embs, dc.clip(weights, WEIGHT_FLOOR, math.inf))
 
 
 def inter_embedding(type_embs, type_ids, w_inter):
@@ -189,7 +240,7 @@ def inter_embedding(type_embs, type_ids, w_inter):
 def _recency_weights(m, gaps, delta_v, opts):
     if opts.adaptive:
         stretched = dc.matmul(dc.tensor(np.ones((m, 1))), delta_v)  # m x 1
-        return dc.clip_min(dc.sigmoid(dc.add_const(stretched, -gaps)), WEIGHT_FLOOR)
+        return dc.clip(dc.sigmoid(dc.add_const(stretched, -gaps)), WEIGHT_FLOOR, math.inf)
     return dc.tensor(np.maximum(expit(opts.delta_fixed - gaps), WEIGHT_FLOOR))
 
 
@@ -202,7 +253,7 @@ def motif_embedding_for_node(v, combined, n_nodes, index, state, opts, delta_v=N
     by_type = index.instances_at(v)
     if not by_type:
         return None
-    start = index.window_starts[v]
+    start = int(index.node_starts[index.locate([v])[0]])
     tids = sorted(by_type)
     sizes = [len(by_type[t]) for t in tids]
     insts = [inst for t in tids for inst in by_type[t]]

@@ -10,7 +10,7 @@ from tmgad import train as tr
 from tmgad import txgraph as tg
 from tmgad.motif import FOCAL_ROOTED, build_catalog
 
-from oracles import brute_force_instances
+from oracles import brute_force_instances, write_edge_csv
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -23,7 +23,7 @@ def small_dataset(tmp_path):
     """Edge/feature/label CSVs for a small planted graph."""
     g = tr.synth_burst_graph(40, 0.2, burst_len=8, seed=9, horizon=120)
     edges = tmp_path / "edges.csv"
-    tg.write_edge_csv(g, edges)
+    write_edge_csv(g, edges)
     feats = tmp_path / "features.csv"
     with open(feats, "w") as f:
         for row in g.features:
@@ -59,6 +59,62 @@ class TestConfig:
         assert err["code"] == cli.EXIT_INPUT
         assert "edgez" in err["message"]
         assert err["context"] == "ingest"
+
+    @pytest.mark.parametrize("section, key", [
+        ("data", "format"), ("model", "window_hidden"), ("model", "clf_hidden"),
+        ("train", "optimizer"), ("train", "window_slack")])
+    def test_removed_key_rejected_as_unknown(self, tmp_path, capsys, section, key):
+        cfg = write_config(tmp_path, {section: {key: 1}})
+        assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == f"unknown keys in section {section!r}: [{key!r}]"
+
+    @pytest.mark.parametrize("section, key, value, expected", [
+        ("train", "epochs", "5", "an integer"),
+        ("train", "splits", "2", "an integer"),
+        ("train", "train_fraction", "0.5", "a number"),
+        ("train", "refresh_interval", 2.5, "an integer or null"),
+        ("train", "seed", True, "an integer"),
+        ("model", "dropout", None, "a number"),
+        ("data", "edges", 3, "a string"),
+        ("analysis", "delta_grid", [5, "10"], "a list of numbers"),
+    ])
+    def test_value_of_wrong_type_exits_2_naming_key(self, tmp_path, capsys,
+                                                   section, key, value, expected):
+        small_dataset(tmp_path)
+        doc = {"data": dict(DATA), "output": {"directory": "out"}}
+        doc.setdefault(section, {})[key] = value
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["--config", cfg, "train"]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == f"{section}.{key} must be {expected}, got {json.dumps(value)}"
+
+    @pytest.mark.parametrize("unit", [0, -2, 2.5, "x"])
+    def test_time_unit_must_be_a_positive_integer(self, tmp_path, capsys, unit):
+        small_dataset(tmp_path)
+        cfg = write_config(tmp_path, {"data": dict(DATA, time_unit=unit),
+                                      "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"].startswith("data.time_unit must be ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("refresh_interval", 0), ("instance_cap", 0),
+                                            ("instance_cap", -1)])
+    def test_train_counts_below_one_exit_2(self, tmp_path, capsys, key, value):
+        small_dataset(tmp_path)
+        cfg = write_config(tmp_path, {"data": DATA, "train": {"epochs": 2, key: value},
+                                      "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, "train"]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"].startswith(f"{key} must be >= 1")
+
+    @pytest.mark.parametrize("argv", [["bench"], ["motifs", "--anchor-offset", "5"]])
+    def test_removed_subcommand_and_flag_rejected(self, tmp_path, argv):
+        cfg = write_config(tmp_path, {})
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--config", cfg, *argv])
+        assert exit_info.value.code == cli.EXIT_INPUT
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "nope.json"), "ingest"]) == cli.EXIT_INPUT
@@ -224,16 +280,6 @@ class TestMotifs:
         cfg = self.make_cfg(tmp_path, [])
         assert cli.main(["--config", cfg, "motifs"]) == cli.EXIT_INPUT
 
-    def test_anchor_offset_shifts_windows(self, tmp_path, capsys):
-        cfg = self.make_cfg(tmp_path, [10.0])
-        assert cli.main(["--config", cfg, "motifs"]) == cli.EXIT_OK
-        base = capsys.readouterr().out
-        assert cli.main(["--config", cfg, "motifs", "--anchor-offset", "100000"]) \
-            == cli.EXIT_OK
-        shifted = capsys.readouterr().out
-        assert "delta=10.0: 0 instances" in shifted
-        assert "delta=10.0: 0 instances" not in base
-
     def test_histogram_counts_match_oracle(self, tmp_path):
         rng = np.random.default_rng(12)
         src = rng.integers(0, 8, 30)
@@ -242,7 +288,7 @@ class TestMotifs:
         g = tg.build_graph(8, src[keep], dst[keep], rng.integers(0, 40, int(keep.sum())))
         labels = np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=np.int8)
         g = tg.set_features_labels(g, rng.normal(size=(8, 2)), labels)
-        tg.write_edge_csv(g, tmp_path / "edges.csv")
+        write_edge_csv(g, tmp_path / "edges.csv")
         with open(tmp_path / "features.csv", "w") as f:
             for row in g.features:
                 f.write(",".join(repr(float(x)) for x in row) + "\n")
@@ -395,13 +441,6 @@ class TestMoreSurfaces:
         want = (int(g.timestamp.max()) - int(g.timestamp.min())) // 10
         assert g2.tau_max == want
 
-    def test_seed_bfs_sampler(self):
-        g = tr.synth_burst_graph(80, 0.1, burst_len=8, seed=2, horizon=120)
-        a = tg.sample_seed_bfs(g, 25, seed=4)
-        b = tg.sample_seed_bfs(g, 25, seed=4)
-        np.testing.assert_array_equal(a, b)
-        assert len(a) >= 25
-
     def test_train_rerun_is_byte_identical(self, tmp_path):
         small_dataset(tmp_path)
         cfg = write_config(tmp_path, {
@@ -453,15 +492,3 @@ class TestMoreSurfaces:
         assert err == {"code": cli.EXIT_INTERNAL, "context": "ingest",
                        "message": "KeyError: 'boom'"}
 
-
-class TestBench:
-    def test_rows_and_slope(self, tmp_path, capsys):
-        small_dataset(tmp_path)
-        cfg = write_config(tmp_path, {"output": {"directory": "out"}})
-        assert cli.main(["--config", cfg, "bench", "--sizes", "60", "90",
-                         "--repeats", "2"]) == cli.EXIT_OK
-        lines = (tmp_path / "out" / "bench.csv").read_text().splitlines()
-        assert lines[0].startswith("nodes,")
-        assert len(lines) == 4  # header + 2 sizes + slope comment
-        assert lines[-1].startswith("# loglog_slope")
-        assert "log-log slope" in capsys.readouterr().out

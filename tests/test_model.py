@@ -1,5 +1,7 @@
 """Model head: window learner, dual attention, classifier, end-to-end gradients."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -7,7 +9,7 @@ from scipy.special import expit
 from tmgad import diffcore as dc
 from tmgad import model as md
 from tmgad.backbone import GCNConfig, gcn_forward
-from tmgad.motif import FOCAL_ROOTED, MotifIndex, MotifInstance, build_catalog, build_index
+from tmgad.motif import FOCAL_ROOTED, MotifInstance, build_catalog, build_index
 from tmgad.train import synth_burst_graph
 from tmgad.txgraph import normalized_adjacency
 
@@ -217,7 +219,7 @@ def scalar_head_oracle(g, state, a_hat, tau, index, v):
     hidden = np.tanh(h[v] @ state.win_w1.data + state.win_b1.data[0])
     delta = tau * expit(float(hidden @ state.win_w2.data[:, 0] + state.win_b2.data[0, 0]))
     by_type = index.instances_at(v)
-    start = index.window_starts[v]
+    start = int(index.node_starts[index.locate([v])[0]])
     if by_type:
         type_rows = []
         for tid in sorted(by_type):
@@ -247,10 +249,10 @@ def scalar_head_oracle(g, state, a_hat, tau, index, v):
 class TestNodeForward:
     def test_node_without_motifs_defined(self, fixture_graph, catalog):
         g, state, a_hat, tau, index = build_everything(fixture_graph, catalog)
-        index = MotifIndex.from_instances(
+        index = orc.index_from_instances(
             index.catalog_mode, index.catalog_size,
             {v: {} if v == 1 else types for v, types in index.per_node.items()},
-            windows=index.windows, window_starts=index.window_starts)
+            windows=index.windows, window_starts=orc.window_starts(index))
         h = gcn_forward(g.features, a_hat, state.gcn)
         opts = md.HeadOptions()
         z, y_hat = orc.node_forward(1, h, index, state, opts, tau)
@@ -290,6 +292,31 @@ class TestNodeForward:
         _, deltas, _ = md.forward_nodes(g.features, a_hat, state, index, [0],
                                         md.HeadOptions(), tau)
         assert (deltas.data > 0).all() and (deltas.data < tau).all()
+
+
+class TestHeadWeights:
+    def test_batched_weights_equal_instance_weight(self, fixture_graph, catalog, monkeypatch):
+        """The recency weights the batched head applies are `instance_weight` per instance."""
+        g, state, a_hat, tau, index = build_everything(fixture_graph, catalog, seed=41)
+        applied = []
+        clip = dc.clip
+
+        def recording_clip(x, lo, hi):
+            out = clip(x, lo, hi)
+            if hi == math.inf:  # the recency-weight floor; window clamps have a finite hi
+                applied.append(out.data[:, 0].copy())
+            return out
+
+        monkeypatch.setattr(dc, "clip", recording_clip)
+        nodes = list(range(g.n))
+        _, deltas, _ = md.forward_nodes(g.features, a_hat, state, index, nodes,
+                                        md.HeadOptions(), tau)
+        # the head lays instances out node by node in request order, each node's in index order
+        want = [md.instance_weight(deltas.data[v, 0], inst.t_max, g.t_earliest[v])
+                for v in nodes for tid in sorted(index.instances_at(v))
+                for inst in index.instances_at(v)[tid]]
+        assert len(applied) == 1 and len(want) == index.total_instances() > 0
+        np.testing.assert_allclose(applied[0], want, rtol=1e-15, atol=0)
 
 
 class TestGradientFlow:

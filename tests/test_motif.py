@@ -9,9 +9,9 @@ import pytest
 from tmgad import motif
 from tmgad.txgraph import build_graph
 
-from oracles import (brute_force_instances, index_as_sets, orbit_count_focal_rooted,
-                     orbit_count_unrooted, pearson_two_pass, permute_sequence,
-                     random_graph)
+from oracles import (brute_force_instances, index_as_sets, index_from_instances,
+                     orbit_count_focal_rooted, orbit_count_unrooted, pearson_two_pass,
+                     permute_sequence, random_graph, window_starts)
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +175,7 @@ class TestBatchedEnumeration:
         tau = float(g.tau_max)
         want = motif.build_index(g, np.full(g.n, tau), rooted, nodes=np.arange(g.n), cap=None)
         monkeypatch.setattr(motif, "BATCH_ROWS", 8)
-        assert g.incident(0).size > motif.BATCH_ROWS
+        assert g.incident_with_ts(0)[0].size > motif.BATCH_ROWS
         got = motif.build_index(g, np.full(g.n, tau), rooted, nodes=np.arange(g.n), cap=None)
         assert index_as_sets(got) == brute_force_instances(g, rooted, {v: tau for v in range(g.n)})
         assert len(index_as_sets(got)[0]) > motif.BATCH_ROWS
@@ -197,6 +197,9 @@ class TestBatchedEnumeration:
         assert max(m.t_max for lst in idx.per_node[0].values() for m in lst) == base + 256
         got = {(m.edges, m.type_id) for m in motif.enumerate_instances(g, 0, 200.0, rooted)}
         assert got == want[0]
+        full = motif.build_index(g, np.full(g.n, float(g.tau_max)), rooted,
+                                 nodes=np.arange(g.n), cap=None)
+        assert_same_columns(full.restrict(np.full(g.n, 200.0), None), idx)
 
     def test_node_ids_beyond_2_1_million(self, rooted):
         # (v * n + a) * n + b overflows int64 for these node ids; no key may take that form
@@ -429,7 +432,7 @@ class TestIndexColumns:
     def test_views_are_read_only(self, rooted):
         idx = self.make_index(rooted)
         v = int(idx.node_ids[0])
-        for view in (idx.per_node, idx.windows, idx.window_starts, idx.instances_at(v)):
+        for view in (idx.per_node, idx.windows, window_starts(idx), idx.instances_at(v)):
             with pytest.raises(TypeError):
                 view[v] = None
 
@@ -461,7 +464,7 @@ class TestAnalysis:
     def test_correlation_identical_vectors(self, rooted):
         insts = [motif.MotifInstance(0, (0, 1, 2), (0, 1, 2), 3, 5),
                  motif.MotifInstance(0, (0, 1, 2), (0, 1, 3), 7, 6)]
-        idx = motif.MotifIndex.from_instances(
+        idx = index_from_instances(
             rooted.mode, rooted.size,
             {0: {3: [insts[0]], 7: [insts[1]]},
              1: {3: [insts[0]], 7: [insts[1]]},
@@ -472,8 +475,8 @@ class TestAnalysis:
 
     def test_zero_variance_sentinel(self, rooted):
         i0 = motif.MotifInstance(0, (0, 1, 2), (0, 1, 2), 0, 5)
-        idx = motif.MotifIndex.from_instances(rooted.mode, rooted.size,
-                                              {0: {0: [i0]}, 1: {0: [i0, i0]}})
+        idx = index_from_instances(rooted.mode, rooted.size,
+                                   {0: {0: [i0]}, 1: {0: [i0, i0]}})
         corr = motif.motif_cross_correlation(idx, [0, 1])
         dead = 5  # type with zero counts everywhere
         assert corr[dead, dead] == 1.0
@@ -484,7 +487,7 @@ class TestAnalysis:
         rng = np.random.default_rng(3)
         counts = rng.integers(0, 6, size=(8, rooted.size))
         inst = motif.MotifInstance(0, (0, 1, 2), (0, 1, 2), 0, 5)
-        idx = motif.MotifIndex.from_instances(rooted.mode, rooted.size, {
+        idx = index_from_instances(rooted.mode, rooted.size, {
             v: {t: [inst] * int(counts[v, t]) for t in range(rooted.size) if counts[v, t]}
             for v in range(8)})
         got = motif.motif_cross_correlation(idx, list(range(8)))
@@ -492,6 +495,6 @@ class TestAnalysis:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_subset_too_small(self, rooted):
-        idx = motif.MotifIndex.from_instances(rooted.mode, rooted.size, {0: {}})
+        idx = index_from_instances(rooted.mode, rooted.size, {0: {}})
         with pytest.raises(motif.MotifError):
             motif.motif_cross_correlation(idx, [0])

@@ -297,5 +297,13 @@ class TestTrainLoop:
             tr.TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             tr.TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            tr.TrainConfig(optimizer="sgd")
+
+    @pytest.mark.parametrize("kw", [dict(refresh_interval=0), dict(refresh_interval=-3),
+                                    dict(instance_cap=0), dict(instance_cap=-1)])
+    def test_counts_below_one_rejected(self, kw):
+        with pytest.raises(ValueError, match=f"{next(iter(kw))} must be >= 1"):
+            tr.TrainConfig(**kw)
+
+    def test_none_refresh_and_cap_allowed(self):
+        cfg = tr.TrainConfig(refresh_interval=None, instance_cap=None)
+        assert cfg.refresh_interval is None and cfg.instance_cap is None

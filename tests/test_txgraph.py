@@ -1,11 +1,12 @@
-"""Graph ingest, adjacency normalization, temporal slicing, splits, cache."""
+"""Graph ingest, adjacency normalization, splits, cache."""
 
 import numpy as np
 import pytest
 
 from tmgad import txgraph as tg
 
-from oracles import earliest_loop, normalized_adjacency_from_pairs, random_graph
+from oracles import (earliest_loop, normalized_adjacency_from_pairs, random_graph,
+                     write_edge_csv)
 
 
 def write_edges(tmp_path, text, name="edges.csv"):
@@ -86,7 +87,7 @@ class TestLoadEdgeList:
         p = write_edges(tmp_path, "\n".join(rows) + "\n")
         g = tg.load_edge_list(p)
         out = tmp_path / "roundtrip.csv"
-        tg.write_edge_csv(g, out)
+        write_edge_csv(g, out)
         g2 = tg.load_edge_list(out)
         original = sorted(tuple(map(int, r.split(","))) for r in rows)
         reloaded = sorted(zip(g2.src.tolist(), g2.dst.tolist(), g2.timestamp.tolist()))
@@ -286,50 +287,6 @@ class TestEarliest:
         g = tg.build_graph(5, [1, 3], [3, 1], [7, 2])
         np.testing.assert_array_equal(g.t_earliest,
                                       [tg.NO_TIMESTAMP, 2, tg.NO_TIMESTAMP, 2, tg.NO_TIMESTAMP])
-
-
-class TestTemporalSubgraph:
-    def make(self):
-        rng = np.random.default_rng(3)
-        src = rng.integers(0, 9, 50)
-        dst = (src + 1 + rng.integers(0, 8, 50)) % 9
-        return tg.build_graph(9, src, dst, rng.integers(0, 100, 50))
-
-    def test_identity_at_tau_max(self):
-        g = self.make()
-        sub = tg.temporal_subgraph(g, g.tau_max)
-        assert sub.num_edges == g.num_edges
-
-    def test_zero_window(self):
-        g = tg.build_graph(3, [0, 1], [1, 2], [5, 9])
-        assert tg.temporal_subgraph(g, 0).num_edges == 0
-
-    def test_median_matches_filter_oracle(self):
-        g = self.make()
-        tau = int(np.median(g.timestamp))
-        sub = tg.temporal_subgraph(g, tau)
-        keep = g.timestamp <= tau
-        assert sorted(zip(sub.src, sub.dst, sub.timestamp)) == \
-            sorted(zip(g.src[keep], g.dst[keep], g.timestamp[keep]))
-        assert sub.n == g.n
-        assert sub.tau_max == int(g.timestamp[keep].max())
-
-    def test_negative_tau_rejected(self):
-        with pytest.raises(tg.ValidationError):
-            tg.temporal_subgraph(self.make(), -1)
-
-    def test_monotone_in_tau(self):
-        g = self.make()
-        for t1, t2 in [(10, 30), (30, 80), (0, 100)]:
-            e1 = set(zip(*map(lambda a: a.tolist(),
-                              (tg.temporal_subgraph(g, t1).src,
-                               tg.temporal_subgraph(g, t1).dst,
-                               tg.temporal_subgraph(g, t1).timestamp))))
-            e2 = set(zip(*map(lambda a: a.tolist(),
-                              (tg.temporal_subgraph(g, t2).src,
-                               tg.temporal_subgraph(g, t2).dst,
-                               tg.temporal_subgraph(g, t2).timestamp))))
-            assert e1 <= e2
 
 
 def labeled_graph(n=10, fraud=5):
