@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.special import expit
 
 from . import diffcore as dc
 from . import model as model_mod
@@ -308,22 +309,29 @@ def cmd_eval(cfg, args) -> int:
         raise txgraph.ValidationError(
             f"checkpoint catalog ({meta['catalog_mode']}, {meta['catalog_size']}) does not "
             f"match config ({tcfg.catalog_mode}, {catalog.size})")
-    rng = np.random.default_rng(0)
-    state = model_mod.init_model(rng, g.num_features, gcn_cfg, catalog.size)
-    model_mod.load_checkpoint(ckpt, state)
+    state = model_mod.init_model(np.random.default_rng(0), g.num_features, gcn_cfg, catalog.size)
+    try:
+        model_mod.load_checkpoint(ckpt, state)
+    except dc.DiffError as e:
+        raise txgraph.ValidationError(f"cannot load checkpoint {ckpt}: {e}") from e
     opts = model_mod.HeadOptions.from_ablation(tcfg.ablation, tcfg.delta_fixed)
     a_hat = txgraph.normalized_adjacency(g)
     index = None
     if opts.use_motifs:
-        windows = np.array(meta["extraction_windows"])
+        windows = np.asarray(meta["extraction_windows"] or [], dtype=np.float64)
+        if windows.shape != (g.n,):
+            raise txgraph.ValidationError(f"checkpoint {ckpt} holds {windows.size} "
+                                          f"extraction windows for the graph's {g.n} nodes")
         index = motif_mod.build_index(g, windows, catalog, nodes=g.labeled_nodes(),
                                       cap=tcfg.instance_cap)
     which = args.split or "test"
-    ids = np.array(meta["test_ids" if which == "test" else "train_ids"])
+    ids = np.asarray(meta["test_ids" if which == "test" else "train_ids"])
+    if not (ids.ndim == 1 and np.issubdtype(ids.dtype, np.integer)
+            and np.all((ids >= 0) & (ids < g.n))):
+        raise txgraph.ValidationError(
+            f"checkpoint {ckpt} {which} ids are not node ids for the graph's {g.n} nodes")
     logits, _, _ = model_mod.forward_nodes(
         g.features, a_hat, state, index, ids, opts, float(g.tau_max), training=False)
-    from scipy.special import expit
-
     scores = expit(logits.data[:, 0])
     y = g.labels[ids].astype(float)
     doc = {

@@ -15,6 +15,7 @@ import os
 import struct
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 
@@ -294,21 +295,37 @@ def concat_cols(parts) -> Tensor:
 
 
 def select_rows(x: Tensor, indices) -> Tensor:
-    idx = np.asarray(indices, dtype=np.intp)
-    _shape_check("select_rows", idx.ndim == 1 and idx.size > 0, "need a flat non-empty index list")
-    if idx.min() < 0 or idx.max() >= x.shape[0]:
-        raise ShapeMismatchError(f"select_rows: index out of range for {x.shape[0]} rows")
-    data = x.data[idx]
+    ones = np.ones(len(indices), dtype=np.intp)
+    return gather_sum(x, indices, ones, ones)
+
+
+def gather_sum(x: Tensor, idx, values, sizes) -> Tensor:
+    """Segment s of `sizes` gives row sum_j values[j] * x[idx[j]]; an empty one gives 0.
+
+    Forward is the k x rows(x) CSR matrix of `values` (m x 1 tensor or constant array)
+    times x; backward gives x its transpose times g, `values` the dot of g[segment], x[idx].
+    """
+    idx, sizes = np.asarray(idx, dtype=np.intp), np.asarray(sizes, dtype=np.intp)
+    if not isinstance(values, Tensor):
+        values = tensor(np.asarray(values, dtype=np.float64).reshape(-1, 1))
+    _shape_check("gather_sum", idx.ndim == 1 and values.shape == (idx.size, 1)
+                 and sizes.ndim == 1 and sizes.size > 0 and sizes.min() >= 0
+                 and sizes.sum() == idx.size,
+                 f"{idx.shape} indices, {values.shape} values, {sizes.size} segments")
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
+        raise ShapeMismatchError(f"gather_sum: index out of range for {x.shape[0]} rows")
+    mat = sp.csr_matrix((values.data[:, 0], idx, np.concatenate([[0], np.cumsum(sizes)])),
+                        shape=(sizes.size, x.shape[0]))
 
     def bwd(out):
         def fn(g):
-            if x.requires_grad:
-                if x.grad is None:
-                    x.grad = np.zeros_like(x.data)
-                np.add.at(x.grad, idx, g)
+            _accum(x, mat.T @ g)
+            if values.requires_grad:
+                rows = g[np.repeat(np.arange(sizes.size), sizes)]
+                _accum(values, np.einsum("ij,ij->i", rows, x.data[idx]).reshape(-1, 1))
         return fn
 
-    return _make("select_rows", data, (x,), bwd)
+    return _make("gather_sum", mat @ x.data, (x, values), bwd)
 
 
 def segment_sum_rows(x: Tensor, sizes) -> Tensor:
@@ -341,21 +358,6 @@ def div_col(x: Tensor, col: Tensor) -> Tensor:
         return fn
 
     return _make("div_col", data, (x, col), bwd)
-
-
-def sum_blocks(x: Tensor, block: int) -> Tensor:
-    """Sum consecutive groups of `block` rows: (b*m) x d -> m x d."""
-    n, d = x.shape
-    _shape_check("sum_blocks", block > 0 and n % block == 0, f"{n} rows not divisible by {block}")
-    m = n // block
-    data = x.data.reshape(m, block, d).sum(axis=1)
-
-    def bwd(out):
-        def fn(g):
-            _accum(x, np.repeat(g, block, axis=0))
-        return fn
-
-    return _make("sum_blocks", data, (x,), bwd)
 
 
 def tanh(x: Tensor) -> Tensor:

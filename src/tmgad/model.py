@@ -1,15 +1,14 @@
 """Model head: adaptive windows, dual motif attention, classifier.
 
 The head runs once per forward over all requested nodes, on top of the
-backbone embeddings. The motif instances of those nodes are laid out as
-columnar arrays (`HeadLayout`, built once per index and node list), so every
-stage is a single segment op. Each motif instance is augmented with a learned
-per-type supernode row and pooled by softmax attention over its four members;
-instances of a type are averaged under recency weights
-sigmoid(delta_v - (t_max^u - t_v)), which is the only path by which the
-window learner receives gradient; the types present at a node are then
-combined by sparsemax attention. Nodes without motif instances contribute a
-zero motif embedding, so absence itself is visible to the classifier.
+backbone embeddings, as two weighted row gathers (`diffcore.gather_sum`) over
+columnar motif instances (`HeadLayout`, built once per index and node list).
+The first pools instance members, a learned per-type supernode and three
+nodes, into type embeddings; each member row of [h; supernodes] weighs its
+intra softmax attention times its instance's recency weight sigmoid(delta_v -
+(t_max^u - t_v)), the only path by which the window learner receives gradient.
+The second combines the types present at a node by sparsemax attention; nodes
+without motif instances get a zero row, so absence is visible to the classifier.
 """
 
 from __future__ import annotations
@@ -78,11 +77,7 @@ class ModelState:
     clf_b2: dc.Tensor
 
     def parameters(self) -> list:
-        return list(self.gcn) + [
-            self.win_w1, self.win_b1, self.win_w2, self.win_b2,
-            self.supernodes, self.w_intra, self.w_inter,
-            self.clf_w1, self.clf_b1, self.clf_w2, self.clf_b2,
-        ]
+        return list(self.named().values())
 
     def named(self) -> dict:
         out = {f"gcn.{i}": w for i, w in enumerate(self.gcn)}
@@ -169,13 +164,14 @@ class HeadLayout:
     order, so each (node, type) pair and each node is a contiguous segment.
     """
 
-    members: np.ndarray      # m x 4 rows of [h; supernodes]: supernode, then the 3 nodes
+    members: np.ndarray      # m x 4 rows of [h; supernodes] the first gather reads:
+                             # the supernode, then the 3 nodes
     gaps: np.ndarray         # m x 1, t_max minus the owner's window start
     owner: np.ndarray        # m, owning node id
-    type_sizes: np.ndarray   # instances per (node, type) segment
+    type_sizes: np.ndarray   # instances per (node, type) segment, the first gather's rows
     type_ids: np.ndarray     # type id per (node, type) segment
-    node_sizes: np.ndarray   # (node, type) segments per node that has instances
-    slot: np.ndarray         # per requested node: its segment among those nodes, or -1
+    type_counts: np.ndarray  # (node, type) segments per requested node, the second
+                             # gather's rows; 0 for a node without instances
 
 
 def head_layout(index: MotifIndex, nodes, n_nodes: int) -> HeadLayout:
@@ -191,7 +187,6 @@ def head_layout(index: MotifIndex, nodes, n_nodes: int) -> HeadLayout:
 
 def _build_layout(index: MotifIndex, nodes: np.ndarray, n_nodes: int) -> HeadLayout:
     rows, counts = index.rows_of(nodes)      # index rows are (owner, type, edges) sorted
-    has = counts > 0
     request = np.repeat(np.arange(nodes.size), counts)
     tids = index.type_id[rows]
     first = np.ones(rows.size, dtype=bool)   # first row of each (request, type) segment
@@ -204,51 +199,45 @@ def _build_layout(index: MotifIndex, nodes: np.ndarray, n_nodes: int) -> HeadLay
         owner=index.owner[rows].astype(np.intp),
         type_sizes=np.diff(np.append(bounds, rows.size)).astype(np.intp),
         type_ids=tids[bounds].astype(np.intp),
-        node_sizes=np.bincount(request[bounds], minlength=nodes.size)[has].astype(np.intp),
-        slot=np.where(has, np.cumsum(has) - 1, -1).astype(np.intp))
+        type_counts=np.bincount(request[bounds], minlength=nodes.size).astype(np.intp))
 
 
 def motif_embeddings(h: dc.Tensor, deltas, state: ModelState, layout: HeadLayout,
                      opts: HeadOptions) -> dc.Tensor:
     """Motif half of the node embeddings, one row per requested node.
 
-    Intra attention pools each instance's four members with a softmax,
-    recency weights sigmoid(delta_v - gap) average the instances of a type,
-    and inter attention takes a sparsemax over the types present at a node;
-    every step is one segment op over all requested nodes at once.
+    Members pool into type embeddings, normalised by each type's total recency
+    weight; types pool into node rows under inter sparsemax (a mean without it).
     """
-    d = h.shape[1]
-    if layout.node_sizes.size == 0:
-        return dc.tensor(np.zeros((layout.slot.size, d)))
-    if opts.use_intra:
-        members = dc.select_rows(dc.concat_rows([h, state.supernodes]),
-                                 layout.members.reshape(-1))                # 4m x d
-        alpha = dc.softmax_blocks(dc.tanh(dc.matmul(members, state.w_intra)), 4)
-        inst_embs = dc.sum_blocks(dc.mul_col(members, alpha), 4)            # m x d
-    else:
-        members = dc.select_rows(h, layout.members[:, 1:].reshape(-1))      # 3m x d
-        inst_embs = dc.scale(dc.sum_blocks(members, 3), 1.0 / 3.0)
+    m = layout.owner.size
+    if m == 0:
+        return dc.tensor(np.zeros((layout.type_counts.size, h.shape[1])))
     if opts.adaptive:
         stretched = dc.select_rows(deltas, layout.owner)                    # m x 1
         weights = dc.clip(dc.sigmoid(dc.add_const(stretched, -layout.gaps)),
                           WEIGHT_FLOOR, math.inf)
     else:
         weights = dc.tensor(np.maximum(expit(opts.delta_fixed - layout.gaps), WEIGHT_FLOOR))
+    rows = dc.concat_rows([h, state.supernodes])
+    members = layout.members if opts.use_intra else layout.members[:, 1:]
+    width = members.shape[1]
+    member_weights = dc.select_rows(weights, np.repeat(np.arange(m), width))
+    if opts.use_intra:
+        scores = dc.tanh(dc.matmul(rows, state.w_intra))                    # (n + K) x 1
+        alpha = dc.softmax_blocks(dc.select_rows(scores, members.reshape(-1)), width)
+        values = dc.mul_col(member_weights, alpha)
+    else:
+        values = dc.scale(member_weights, 1.0 / width)
     type_embs = dc.div_col(
-        dc.segment_sum_rows(dc.mul_col(inst_embs, weights), layout.type_sizes),
-        dc.segment_sum_rows(weights, layout.type_sizes))                     # k x d
+        dc.gather_sum(rows, members.reshape(-1), values, width * layout.type_sizes),
+        dc.segment_sum_rows(weights, layout.type_sizes))                    # k x d
+    present = layout.type_counts[layout.type_counts > 0]
     if opts.use_inter:
         w_sel = dc.select_rows(state.w_inter, layout.type_ids)
-        beta = dc.segment_sparsemax(dc.tanh(dc.rowwise_dot(type_embs, w_sel)),
-                                    layout.node_sizes)
-        node_embs = dc.segment_sum_rows(dc.mul_col(type_embs, beta), layout.node_sizes)
+        beta = dc.segment_sparsemax(dc.tanh(dc.rowwise_dot(type_embs, w_sel)), present)
     else:
-        counts = dc.tensor(layout.node_sizes.astype(np.float64).reshape(-1, 1))
-        node_embs = dc.div_col(dc.segment_sum_rows(type_embs, layout.node_sizes), counts)
-    # nodes without instances read the appended zero row: absence is a signal
-    padded = dc.concat_rows([node_embs, dc.tensor(np.zeros((1, d)))])
-    return dc.select_rows(padded, np.where(layout.slot < 0, layout.node_sizes.size,
-                                           layout.slot))
+        beta = 1.0 / np.repeat(present, present).astype(np.float64)
+    return dc.gather_sum(type_embs, np.arange(layout.type_ids.size), beta, layout.type_counts)
 
 
 def forward_nodes(x, a_hat, state: ModelState, index: MotifIndex | None,
@@ -268,7 +257,7 @@ def forward_nodes(x, a_hat, state: ModelState, index: MotifIndex | None,
         ztilde = motif_embeddings(h, deltas, state, head_layout(index, nodes, n), opts)
     else:
         ztilde = dc.tensor(np.zeros((len(nodes), state.embed_dim)))
-    z = dc.concat_cols([dc.select_rows(h, list(nodes)), ztilde])
+    z = dc.concat_cols([dc.select_rows(h, nodes), ztilde])
     logits = classifier_logits(z, state)
     return logits, deltas, h
 

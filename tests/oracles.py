@@ -203,6 +203,21 @@ def mean_rows(x):
     return dc._make("mean_rows", data, (x,), bwd)
 
 
+def sum_blocks(x, block: int):
+    """Sum consecutive groups of `block` rows: (b*m) x d -> m x d."""
+    n, d = x.shape
+    dc._shape_check("sum_blocks", block > 0 and n % block == 0,
+                    f"{n} rows not divisible by {block}")
+    data = x.data.reshape(n // block, block, d).sum(axis=1)
+
+    def bwd(out):
+        def fn(g):
+            dc._accum(x, np.repeat(g, block, axis=0))
+        return fn
+
+    return dc._make("sum_blocks", data, (x,), bwd)
+
+
 # ---------------------------------------------------------------------------
 # single-node model head: the per-node reference for the batched head
 
@@ -265,10 +280,10 @@ def motif_embedding_for_node(v, combined, n_nodes, index, state, opts, delta_v=N
         members = dc.select_rows(combined, flat)                   # 4m x d
         scores = dc.tanh(dc.matmul(members, state.w_intra))
         alpha = dc.softmax_blocks(scores, 4)
-        inst_embs = dc.sum_blocks(dc.mul_col(members, alpha), 4)   # m x d
+        inst_embs = sum_blocks(dc.mul_col(members, alpha), 4)   # m x d
     else:
         flat = [x for inst in insts for x in inst.nodes]
-        inst_embs = dc.scale(dc.sum_blocks(dc.select_rows(combined, flat), 3), 1.0 / 3.0)
+        inst_embs = dc.scale(sum_blocks(dc.select_rows(combined, flat), 3), 1.0 / 3.0)
     gaps = np.array([[float(inst.t_max - start)] for inst in insts])
     weights = _recency_weights(len(insts), gaps, delta_v, opts)
     type_embs = dc.div_col(dc.segment_sum_rows(dc.mul_col(inst_embs, weights), sizes),

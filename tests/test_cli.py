@@ -414,6 +414,65 @@ class TestTrainEval:
         assert code == cli.EXIT_INPUT
 
 
+class TestEvalMismatch:
+    """A checkpoint that does not fit the graph or config exits 2 naming both."""
+
+    @staticmethod
+    def eval_error(trained, tmp_path, capsys, data=None, hidden_dim=16, ablation="full",
+                   ckpt=None):
+        _, run_path, _ = trained
+        data = data or {k: str(run_path / v) for k, v in DATA.items()}
+        cfg = write_config(tmp_path, {
+            "data": data,
+            "model": {"layers": 2, "hidden_dim": hidden_dim, "out_dim": 8, "dropout": 0.0},
+            "train": {"ablation": ablation},
+            "output": {"directory": str(tmp_path / "eval")},
+        }, name="eval.json")
+        ckpt = ckpt or run_path / "out" / "checkpoint_0.bin"
+        capsys.readouterr()
+        assert cli.main(["--config", cfg, "eval", "--checkpoint", str(ckpt)]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == cli.EXIT_INPUT and err["context"] == "eval"
+        assert str(ckpt) in err["message"]
+        return err["message"]
+
+    @pytest.mark.parametrize("ablation, mismatch", [
+        ("full", "holds 40 extraction windows"),      # windows are checked before ids
+        ("gcn_only", "test ids are not node ids")])   # gcn_only reads no windows
+    def test_smaller_graph(self, trained, tmp_path, capsys, ablation, mismatch):
+        g = tr.synth_burst_graph(25, 0.2, burst_len=8, seed=9, horizon=120)
+        write_edge_csv(g, tmp_path / "edges.csv")
+        np.savetxt(tmp_path / "features.csv", g.features, delimiter=",", fmt="%.17g")
+        np.savetxt(tmp_path / "labels.csv", np.column_stack([np.arange(g.n), g.labels]),
+                   delimiter=",", fmt="%d")
+        message = self.eval_error(trained, tmp_path, capsys, ablation=ablation,
+                                  data={k: str(tmp_path / v) for k, v in DATA.items()})
+        assert message.endswith(f"{mismatch} for the graph's 25 nodes")
+
+    def test_fewer_feature_columns(self, trained, tmp_path, capsys):
+        _, run_path, _ = trained
+        feats = np.loadtxt(run_path / "features.csv", delimiter=",")
+        np.savetxt(tmp_path / "features.csv", feats[:, :3], delimiter=",", fmt="%.17g")
+        data = {k: str(run_path / v) for k, v in DATA.items()}
+        data["features"] = str(tmp_path / "features.csv")
+        message = self.eval_error(trained, tmp_path, capsys, data=data)
+        assert message.endswith("checkpoint shape mismatch for 'gcn.0': (4, 16) vs (3, 16)")
+
+    def test_other_hidden_width(self, trained, tmp_path, capsys):
+        message = self.eval_error(trained, tmp_path, capsys, hidden_dim=32)
+        assert message.endswith("checkpoint shape mismatch for 'gcn.0': (4, 16) vs (4, 32)")
+
+    def test_truncated_checkpoint(self, trained, tmp_path, capsys):
+        _, run_path, _ = trained
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes((run_path / "out" / "checkpoint_0.bin").read_bytes()[:-5])
+        (tmp_path / "checkpoint.bin.json").write_bytes(
+            (run_path / "out" / "checkpoint_0.bin.json").read_bytes())
+        message = self.eval_error(trained, tmp_path, capsys, ckpt=ckpt)
+        assert message.startswith(f"cannot load checkpoint {ckpt}: ")
+        assert "is truncated" in message
+
+
 class TestMoreSurfaces:
     def test_tm_fixed_ablation_via_config(self, tmp_path):
         small_dataset(tmp_path)

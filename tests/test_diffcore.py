@@ -237,7 +237,7 @@ class TestPrimitiveGradients:
     def test_block_and_segment_ops(self):
         a = dc.parameter(self.rng.normal(size=(6, 3)))
         col = dc.parameter(self.rng.normal(size=(6, 1)))
-        _fd(lambda: dc.mean_all(dc.sum_blocks(a, 2)), [a], self.rng)
+        _fd(lambda: dc.mean_all(orc.sum_blocks(a, 2)), [a], self.rng)
         _fd(lambda: dc.mean_all(dc.segment_sum_rows(a, [1, 2, 3])), [a], self.rng)
         _fd(lambda: dc.mean_all(dc.softmax_blocks(col, 3)), [col], self.rng)
 
@@ -283,6 +283,44 @@ class TestPrimitiveGradients:
             return dc.bce_with_logits(orc.transpose(out), np.array([[1.0], [0.0], [1.0]]))
 
         _fd(build, [a, w, col], self.rng)
+
+
+class TestGatherSum:
+    # segment 0 reads row 2 twice, segment 1 is empty, segment 2 reads rows 0, 4 and 2
+    IDX = np.array([2, 2, 1, 0, 4, 2])
+    SIZES = np.array([3, 0, 3])
+
+    rng = np.random.default_rng(12)
+
+    def test_matches_dense_weighted_gather(self):
+        x = self.rng.normal(size=(5, 3))
+        values = self.rng.normal(size=(6, 1))
+        out = dc.gather_sum(dc.tensor(x), self.IDX, dc.tensor(values), self.SIZES)
+        dense = np.zeros((3, 5))
+        seg = np.repeat(np.arange(3), self.SIZES)
+        for s, j, v in zip(seg, self.IDX, values[:, 0]):
+            dense[s, j] += v
+        np.testing.assert_allclose(out.data, dense @ x, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(out.data[1], 0.0)
+
+    def test_gradients_for_x_and_values(self):
+        x = dc.parameter(self.rng.normal(size=(5, 3)))
+        values = dc.parameter(self.rng.normal(size=(6, 1)))
+        c = self.rng.normal(size=(3, 3))  # uneven upstream gradient per output entry
+        _fd(lambda: dc.mean_all(dc.mul_const(
+            dc.gather_sum(x, self.IDX, values, self.SIZES), c)), [x, values], self.rng)
+
+    def test_constant_values_get_no_gradient(self):
+        x = dc.parameter(self.rng.normal(size=(5, 3)))
+        values = dc.tensor(self.rng.normal(size=(6, 1)))
+        with dc.Tape() as t:
+            t.backward(dc.mean_all(dc.gather_sum(x, self.IDX, values, self.SIZES)))
+        assert values.grad is None
+        assert np.abs(x.grad).sum() > 0.0
+
+    def test_index_out_of_range_rejected(self):
+        with pytest.raises(dc.ShapeMismatchError, match="out of range for 5 rows"):
+            dc.gather_sum(dc.tensor(np.ones((5, 2))), [5], np.ones(1), [1])
 
 
 class TestGuards:

@@ -426,6 +426,21 @@ class TestTapeSize:
         assert few == ops(list(range(g.n)))
         assert few < 60
 
+    @pytest.mark.parametrize("ablation", ["full", "tm_ada"])
+    def test_no_member_matrix_on_the_tape(self, fixture_graph, catalog, ablation):
+        g, state, a_hat, tau, index = build_everything(fixture_graph, catalog)
+        nodes = list(range(g.n))
+        m = index.total_instances()
+        with dc.Tape() as tape:
+            logits, _, _ = md.forward_nodes(g.features, a_hat, state, index, nodes,
+                                            md.HeadOptions.from_ablation(ablation), tau)
+            dc.bce_with_logits(logits, g.labels[nodes].astype(float).reshape(-1, 1))
+        shapes = [out.shape for out, _, _ in tape._nodes]
+        table = (g.n + catalog.size, state.embed_dim)   # [h; supernodes], read by row
+        assert m > 0 and table[0] != 3 * m
+        assert [s for s in shapes if s[0] >= 3 * m and s[1] > 1 and s != table] == []
+        assert len(shapes) < 44
+
     def test_layout_built_once_per_index_and_nodes(self, fixture_graph, catalog):
         g, state, a_hat, tau, index = build_everything(fixture_graph, catalog)
         first = md.head_layout(index, [0, 5, 7], g.n)
