@@ -1,10 +1,19 @@
 """Minimal reverse-mode autodiff over dense float64 matrices.
 
-Everything is a 2-D tensor. Operations execute eagerly and, when a tape is
-active and an input requires gradients, record a backward closure. Calling
-``Tape.backward`` on a 1x1 loss walks the recorded ops in reverse and
-accumulates gradients additively into every reachable tensor that requires
-them. Exactly the operations the model needs are provided; there is no
+Everything is a 2-D tensor. Each op follows one protocol:
+
+- The forward pass runs eagerly in numpy and computes a fresh output array.
+- The op defines one closure, ``bwd(g)``, over its own forward locals (inputs,
+  output array, masks). Given the gradient ``g`` of the output, it adds each
+  input's gradient into that input with ``_accum``.
+- ``_make(name, array, parents, bwd)`` wraps the array in a Tensor. When a
+  tape is open and a parent requires gradients, it appends the record
+  ``(out, bwd)`` to the innermost open tape.
+
+``Tape.backward`` on a 1x1 loss walks the records in reverse and calls
+``bwd(out.grad)`` for every output that received a gradient, so gradients
+accumulate additively into every reachable tensor that requires them.
+Exactly the operations the model needs are provided; there is no
 broadcasting beyond row-vector bias addition and column-vector scaling.
 """
 
@@ -76,22 +85,26 @@ def zero_grads(tensors) -> None:
 
 
 class Tape:
-    """Records ops in execution order; backward replays them reversed once."""
+    """Records (out, bwd) in execution order; backward replays them reversed once.
+
+    Tapes nest: ops record on the innermost open tape only.
+    """
+
+    _stack: list["Tape"] = []  # open tapes, innermost last
 
     def __init__(self):
-        self._nodes = []  # (out, parents, backward_fn)
+        self._nodes = []  # (out, bwd)
         self._used = False
 
     def __enter__(self):
-        _push_tape(self)
+        Tape._stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _pop_tape(self)
+        if not Tape._stack or Tape._stack[-1] is not self:
+            raise DiffError("tape stack corrupted (exited out of order)")
+        Tape._stack.pop()
         return False
-
-    def record(self, out: Tensor, parents, backward_fn) -> None:
-        self._nodes.append((out, parents, backward_fn))
 
     def __len__(self):
         return len(self._nodes)
@@ -107,27 +120,10 @@ class Tape:
         if loss.grad is None:
             loss.grad = np.zeros_like(loss.data)
         loss.grad += 1.0
-        for out, parents, backward_fn in reversed(self._nodes):
+        for out, bwd in reversed(self._nodes):
             if out.grad is None:
                 continue  # no downstream contribution
-            backward_fn(out.grad)
-
-
-_tape_stack: list[Tape] = []
-
-
-def _push_tape(t: Tape) -> None:
-    _tape_stack.append(t)
-
-
-def _pop_tape(t: Tape) -> None:
-    if not _tape_stack or _tape_stack[-1] is not t:
-        raise DiffError("tape stack corrupted (exited out of order)")
-    _tape_stack.pop()
-
-
-def _active_tape():
-    return _tape_stack[-1] if _tape_stack else None
+            bwd(out.grad)
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -147,16 +143,15 @@ def _guard(name: str, arr: np.ndarray) -> None:
         raise NumericGuardError(f"non-finite output in op '{name}'")
 
 
-def _make(name: str, data: np.ndarray, parents, backward_fn) -> Tensor:
+def _make(name: str, data: np.ndarray, parents, bwd) -> Tensor:
     _guard(name, data)
-    tape = _active_tape()
-    needs = tape is not None and any(p.requires_grad for p in parents)
+    needs = bool(Tape._stack) and any(p.requires_grad for p in parents)
     out = object.__new__(Tensor)  # data is already a fresh 2-D float64 array
     out.data = data
     out.requires_grad = needs
     out.grad = None  # allocated lazily during backward
     if needs:
-        tape.record(out, parents, backward_fn(out))
+        Tape._stack[-1]._nodes.append((out, bwd))
     return out
 
 
@@ -173,11 +168,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _shape_check("matmul", a.shape[1] == b.shape[0], f"{a.shape} @ {b.shape}")
     data = a.data @ b.data
 
-    def bwd(out):
-        def fn(g):
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
-        return fn
+    def bwd(g):
+        _accum(a, g @ b.data.T)
+        _accum(b, a.data.T @ g)
 
     return _make("matmul", data, (a, b), bwd)
 
@@ -188,10 +181,8 @@ def spmm(a_const, x: Tensor) -> Tensor:
     data = a_const @ x.data
     at = a_const.T
 
-    def bwd(out):
-        def fn(g):
-            _accum(x, at @ g)
-        return fn
+    def bwd(g):
+        _accum(x, at @ g)
 
     return _make("spmm", np.asarray(data), (x,), bwd)
 
@@ -201,11 +192,9 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     _shape_check("add_bias", b.shape == (1, x.shape[1]), f"{x.shape} + bias {b.shape}")
     data = x.data + b.data
 
-    def bwd(out):
-        def fn(g):
-            _accum(x, g)
-            _accum(b, g.sum(axis=0, keepdims=True))
-        return fn
+    def bwd(g):
+        _accum(x, g)
+        _accum(b, g.sum(axis=0, keepdims=True))
 
     return _make("add_bias", data, (x, b), bwd)
 
@@ -213,33 +202,18 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 def add_const(x: Tensor, c) -> Tensor:
     data = x.data + c
 
-    def bwd(out):
-        def fn(g):
-            _accum(x, g)
-        return fn
+    def bwd(g):
+        _accum(x, g)
 
     return _make("add_const", data, (x,), bwd)
 
 
-def scale(x: Tensor, s: float) -> Tensor:
-    data = x.data * s
-
-    def bwd(out):
-        def fn(g):
-            _accum(x, g * s)
-        return fn
-
-    return _make("scale", data, (x,), bwd)
-
-
 def mul_const(x: Tensor, c) -> Tensor:
-    """Elementwise multiply by a constant array (dropout masks and the like)."""
+    """Elementwise multiply by a constant scalar or array (dropout masks and the like)."""
     data = x.data * c
 
-    def bwd(out):
-        def fn(g):
-            _accum(x, g * c)
-        return fn
+    def bwd(g):
+        _accum(x, g * c)
 
     return _make("mul_const", data, (x,), bwd)
 
@@ -249,11 +223,9 @@ def mul_col(x: Tensor, col: Tensor) -> Tensor:
     _shape_check("mul_col", col.shape == (x.shape[0], 1), f"{x.shape} * col {col.shape}")
     data = x.data * col.data
 
-    def bwd(out):
-        def fn(g):
-            _accum(x, g * col.data)
-            _accum(col, (g * x.data).sum(axis=1, keepdims=True))
-        return fn
+    def bwd(g):
+        _accum(x, g * col.data)
+        _accum(col, (g * x.data).sum(axis=1, keepdims=True))
 
     return _make("mul_col", data, (x, col), bwd)
 
@@ -267,11 +239,9 @@ def concat_rows(parts) -> Tensor:
     data = np.concatenate([p.data for p in parts], axis=0)
     offsets = np.cumsum([0] + [p.shape[0] for p in parts])
 
-    def bwd(out):
-        def fn(g):
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                _accum(p, g[lo:hi])
-        return fn
+    def bwd(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            _accum(p, g[lo:hi])
 
     return _make("concat_rows", data, tuple(parts), bwd)
 
@@ -285,11 +255,9 @@ def concat_cols(parts) -> Tensor:
     data = np.concatenate([p.data for p in parts], axis=1)
     offsets = np.cumsum([0] + [p.shape[1] for p in parts])
 
-    def bwd(out):
-        def fn(g):
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                _accum(p, g[:, lo:hi])
-        return fn
+    def bwd(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            _accum(p, g[:, lo:hi])
 
     return _make("concat_cols", data, tuple(parts), bwd)
 
@@ -317,13 +285,11 @@ def gather_sum(x: Tensor, idx, values, sizes) -> Tensor:
     mat = sp.csr_matrix((values.data[:, 0], idx, np.concatenate([[0], np.cumsum(sizes)])),
                         shape=(sizes.size, x.shape[0]))
 
-    def bwd(out):
-        def fn(g):
-            _accum(x, mat.T @ g)
-            if values.requires_grad:
-                rows = g[np.repeat(np.arange(sizes.size), sizes)]
-                _accum(values, np.einsum("ij,ij->i", rows, x.data[idx]).reshape(-1, 1))
-        return fn
+    def bwd(g):
+        _accum(x, mat.T @ g)
+        if values.requires_grad:
+            rows = g[np.repeat(np.arange(sizes.size), sizes)]
+            _accum(values, np.einsum("ij,ij->i", rows, x.data[idx]).reshape(-1, 1))
 
     return _make("gather_sum", mat @ x.data, (x, values), bwd)
 
@@ -338,10 +304,8 @@ def segment_sum_rows(x: Tensor, sizes) -> Tensor:
     bounds = np.cumsum(sizes)[:-1]
     data = np.add.reduceat(x.data, np.concatenate([[0], bounds]), axis=0)
 
-    def bwd(out):
-        def fn(g):
-            _accum(x, np.repeat(g, sizes, axis=0))
-        return fn
+    def bwd(g):
+        _accum(x, np.repeat(g, sizes, axis=0))
 
     return _make("segment_sum_rows", data, (x,), bwd)
 
@@ -351,11 +315,9 @@ def div_col(x: Tensor, col: Tensor) -> Tensor:
     _shape_check("div_col", col.shape == (x.shape[0], 1), f"{x.shape} / col {col.shape}")
     data = x.data / col.data
 
-    def bwd(out):
-        def fn(g):
-            _accum(x, g / col.data)
-            _accum(col, -(g * out.data).sum(axis=1, keepdims=True) / col.data)
-        return fn
+    def bwd(g):
+        _accum(x, g / col.data)
+        _accum(col, -(g * data).sum(axis=1, keepdims=True) / col.data)
 
     return _make("div_col", data, (x, col), bwd)
 
@@ -363,10 +325,8 @@ def div_col(x: Tensor, col: Tensor) -> Tensor:
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
 
-    def bwd(out):
-        def fn(g):
-            _accum(x, g * (1.0 - out.data * out.data))
-        return fn
+    def bwd(g):
+        _accum(x, g * (1.0 - y * y))
 
     return _make("tanh", y, (x,), bwd)
 
@@ -374,10 +334,8 @@ def tanh(x: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     y = expit(x.data)
 
-    def bwd(out):
-        def fn(g):
-            _accum(x, g * out.data * (1.0 - out.data))
-        return fn
+    def bwd(g):
+        _accum(x, g * y * (1.0 - y))
 
     return _make("sigmoid", y, (x,), bwd)
 
@@ -385,10 +343,8 @@ def sigmoid(x: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     y = np.maximum(x.data, 0.0)
 
-    def bwd(out):
-        def fn(g):
-            _accum(x, g * (x.data > 0.0))
-        return fn
+    def bwd(g):
+        _accum(x, g * (x.data > 0.0))
 
     return _make("relu", y, (x,), bwd)
 
@@ -397,10 +353,8 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Elementwise min(max(x, lo), hi); gradient passes only where lo <= x <= hi."""
     y = np.minimum(np.maximum(x.data, lo), hi)
 
-    def bwd(out):
-        def fn(g):
-            _accum(x, g * ((x.data >= lo) & (x.data <= hi)))
-        return fn
+    def bwd(g):
+        _accum(x, g * ((x.data >= lo) & (x.data <= hi)))
 
     return _make("clip", y, (x,), bwd)
 
@@ -419,13 +373,11 @@ def softmax_blocks(x: Tensor, block: int) -> Tensor:
     e = np.exp(z)
     y = (e / e.sum(axis=1, keepdims=True)).reshape(n, 1)
 
-    def bwd(out):
-        def fn(g):
-            yb = out.data.reshape(-1, block)
-            gb = g.reshape(-1, block)
-            dots = (yb * gb).sum(axis=1, keepdims=True)
-            _accum(x, (yb * (gb - dots)).reshape(n, 1))
-        return fn
+    def bwd(g):
+        yb = y.reshape(-1, block)
+        gb = g.reshape(-1, block)
+        dots = (yb * gb).sum(axis=1, keepdims=True)
+        _accum(x, (yb * (gb - dots)).reshape(n, 1))
 
     return _make("softmax_blocks", y, (x,), bwd)
 
@@ -439,11 +391,13 @@ def sparsemax_vec(x: Tensor) -> Tensor:
 def segment_sparsemax(x: Tensor, sizes) -> Tensor:
     """Sparsemax within consecutive segments of a column vector.
 
-    Each segment is projected onto its own simplex by the sort-and-threshold
-    steps of `sparsemax_project`, run for all segments at once on a
-    segments x longest grid. Backward uses the support-set Jacobian per
-    segment: identity minus uniform averaging over the support, zero
-    off-support.
+    Each segment z of length n is projected onto its own simplex by sort and
+    threshold: sort z descending into z_(1) >= ... >= z_(n), take the support
+    size k* = max{k : 1 + k * z_(k) > z_(1) + ... + z_(k)}, set the threshold
+    tau = (z_(1) + ... + z_(k*) - 1) / k*, and output max(z - tau, 0). All
+    segments run at once on a segments x longest grid, padded past each
+    segment's end. Backward uses the support-set Jacobian per segment:
+    identity minus uniform averaging over the support, zero off-support.
     """
     _check_col("segment_sparsemax", x)
     sizes = np.asarray(sizes, dtype=np.intp)
@@ -465,28 +419,20 @@ def segment_sparsemax(x: Tensor, sizes) -> Tensor:
     tau = (css[np.arange(k), k_star - 1] - 1.0) / k_star
     y = np.maximum(x.data[:, 0] - tau[seg], 0.0).reshape(-1, 1)
 
-    def bwd(out):
-        def fn(g):
-            support = out.data[:, 0] > 0.0
-            gv = np.where(support, g[:, 0], 0.0)
-            mean_supp = (np.bincount(seg, weights=gv, minlength=k)
-                         / np.bincount(seg, weights=support, minlength=k))
-            _accum(x, np.where(support, gv - mean_supp[seg], 0.0).reshape(-1, 1))
-        return fn
+    def bwd(g):
+        support = y[:, 0] > 0.0
+        gv = np.where(support, g[:, 0], 0.0)
+        mean_supp = (np.bincount(seg, weights=gv, minlength=k)
+                     / np.bincount(seg, weights=support, minlength=k))
+        _accum(x, np.where(support, gv - mean_supp[seg], 0.0).reshape(-1, 1))
 
     return _make("segment_sparsemax", y, (x,), bwd)
 
 
 def sparsemax_project(z: np.ndarray) -> np.ndarray:
-    """Sort-and-threshold simplex projection of a flat array (pure numpy, no tape)."""
-    z = np.asarray(z, dtype=np.float64)
-    zs = np.sort(z)[::-1]
-    css = np.cumsum(zs)
-    ks = np.arange(1, z.size + 1)
-    support = 1.0 + ks * zs > css
-    k_star = int(np.max(ks[support]))
-    tau = (css[k_star - 1] - 1.0) / k_star
-    return np.maximum(z - tau, 0.0)
+    """Simplex projection of a flat array: `segment_sparsemax` with one segment, no tape."""
+    z = np.asarray(z, dtype=np.float64).reshape(-1, 1)
+    return segment_sparsemax(tensor(z), [z.shape[0]]).data[:, 0]
 
 
 def rowwise_dot(a: Tensor, b: Tensor) -> Tensor:
@@ -494,11 +440,9 @@ def rowwise_dot(a: Tensor, b: Tensor) -> Tensor:
     _shape_check("rowwise_dot", a.shape == b.shape, f"{a.shape} vs {b.shape}")
     data = (a.data * b.data).sum(axis=1, keepdims=True)
 
-    def bwd(out):
-        def fn(g):
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
-        return fn
+    def bwd(g):
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
 
     return _make("rowwise_dot", data, (a, b), bwd)
 
@@ -507,10 +451,8 @@ def mean_all(x: Tensor) -> Tensor:
     n = x.data.size
     data = np.array([[x.data.sum() / n]])
 
-    def bwd(out):
-        def fn(g):
-            _accum(x, np.full_like(x.data, g[0, 0] / n))
-        return fn
+    def bwd(g):
+        _accum(x, np.full_like(x.data, g[0, 0] / n))
 
     return _make("mean_all", data, (x,), bwd)
 
@@ -527,11 +469,9 @@ def bce_with_logits(logits: Tensor, targets, pos_weight: float | None = None) ->
     n = z.shape[0]
     data = np.array([[per.sum() / n]])
 
-    def bwd(out):
-        def fn(g):
-            dz = ((1.0 - y) - w * expit(-z)) / n
-            _accum(logits, g[0, 0] * dz)
-        return fn
+    def bwd(g):
+        dz = ((1.0 - y) - w * expit(-z)) / n
+        _accum(logits, g[0, 0] * dz)
 
     return _make("bce_with_logits", data, (logits,), bwd)
 
@@ -624,7 +564,13 @@ def load_tensors(path) -> dict:
         out = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<H", read(2))
-            name = read(nlen).decode("utf-8")
+            raw = read(nlen)
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise DiffError(f"checkpoint {path} has a malformed tensor name {raw!r}") from None
+            if name in out:
+                raise DiffError(f"checkpoint {path} holds tensor '{name}' twice")
             rows, cols = struct.unpack("<II", read(8))
             buf = read(rows * cols * 8)
             out[name] = np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()

@@ -138,7 +138,7 @@ def adaptive_windows(h: dc.Tensor, state: ModelState, tau_max: float) -> dc.Tens
     """
     if tau_max <= 0:
         raise ValueError("tau_max must be positive")
-    return dc.clip(dc.scale(dc.sigmoid(window_logits(h, state)), tau_max),
+    return dc.clip(dc.mul_const(dc.sigmoid(window_logits(h, state)), tau_max),
                    np.nextafter(0.0, 1.0), np.nextafter(tau_max, 0.0))
 
 
@@ -227,7 +227,7 @@ def motif_embeddings(h: dc.Tensor, deltas, state: ModelState, layout: HeadLayout
         alpha = dc.softmax_blocks(dc.select_rows(scores, members.reshape(-1)), width)
         values = dc.mul_col(member_weights, alpha)
     else:
-        values = dc.scale(member_weights, 1.0 / width)
+        values = dc.mul_const(member_weights, 1.0 / width)
     type_embs = dc.div_col(
         dc.gather_sum(rows, members.reshape(-1), values, width * layout.type_sizes),
         dc.segment_sum_rows(weights, layout.type_sizes))                    # k x d

@@ -318,9 +318,7 @@ def attach_features_labels(g: TransactionGraph, features_path, labels_path) -> T
         if y not in (0, 1):
             raise ValidationError(f"labels line {lineno}: label must be 0 or 1, got {y}")
         labels[v] = y
-    return TransactionGraph(n=g.n, src=g.src.copy(), dst=g.dst.copy(),
-                            timestamp=g.timestamp.copy(), amount=g.amount.copy(),
-                            features=feats, labels=labels)
+    return set_features_labels(g, feats, labels)
 
 
 def set_features_labels(g: TransactionGraph, features: np.ndarray,
@@ -329,6 +327,10 @@ def set_features_labels(g: TransactionGraph, features: np.ndarray,
     labels = np.asarray(labels, dtype=np.int8)
     if features.shape[0] != g.n or labels.shape[0] != g.n:
         raise ValidationError("features/labels row count must equal node count")
+    if not np.isfinite(features).all():
+        row, col = np.argwhere(~np.isfinite(features))[0]
+        raise ValidationError(f"feature at node row {row}, column {col} is "
+                              f"{features[row, col]}; features must be finite")
     bad = (labels != UNLABELED) & (labels != 0) & (labels != 1)
     if bad.any():
         raise ValidationError("labels must be 0, 1 or the missing marker")

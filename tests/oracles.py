@@ -159,10 +159,8 @@ def window_starts(index):
 
 
 def transpose(x):
-    def bwd(out):
-        def fn(g):
-            dc._accum(x, g.T)
-        return fn
+    def bwd(g):
+        dc._accum(x, g.T)
 
     return dc._make("transpose", x.data.T.copy(), (x,), bwd)
 
@@ -181,11 +179,9 @@ def weighted_sum(values, weights):
         raise dc.NumericGuardError("weighted_sum: weights sum to zero")
     out_data = (weights.data.T @ values.data) / s
 
-    def bwd(out):
-        def fn(g):
-            dc._accum(values, (weights.data / s) @ g)
-            dc._accum(weights, (values.data @ g.T - out.data @ g.T) / s)
-        return fn
+    def bwd(g):
+        dc._accum(values, (weights.data / s) @ g)
+        dc._accum(weights, (values.data @ g.T - out_data @ g.T) / s)
 
     return dc._make("weighted_sum", out_data, (values, weights), bwd)
 
@@ -195,10 +191,8 @@ def mean_rows(x):
     m = x.shape[0]
     data = x.data.mean(axis=0, keepdims=True)
 
-    def bwd(out):
-        def fn(g):
-            dc._accum(x, np.repeat(g / m, m, axis=0))
-        return fn
+    def bwd(g):
+        dc._accum(x, np.repeat(g / m, m, axis=0))
 
     return dc._make("mean_rows", data, (x,), bwd)
 
@@ -210,10 +204,8 @@ def sum_blocks(x, block: int):
                     f"{n} rows not divisible by {block}")
     data = x.data.reshape(n // block, block, d).sum(axis=1)
 
-    def bwd(out):
-        def fn(g):
-            dc._accum(x, np.repeat(g, block, axis=0))
-        return fn
+    def bwd(g):
+        dc._accum(x, np.repeat(g, block, axis=0))
 
     return dc._make("sum_blocks", data, (x,), bwd)
 
@@ -283,7 +275,7 @@ def motif_embedding_for_node(v, combined, n_nodes, index, state, opts, delta_v=N
         inst_embs = sum_blocks(dc.mul_col(members, alpha), 4)   # m x d
     else:
         flat = [x for inst in insts for x in inst.nodes]
-        inst_embs = dc.scale(sum_blocks(dc.select_rows(combined, flat), 3), 1.0 / 3.0)
+        inst_embs = dc.mul_const(sum_blocks(dc.select_rows(combined, flat), 3), 1.0 / 3.0)
     gaps = np.array([[float(inst.t_max - start)] for inst in insts])
     weights = _recency_weights(len(insts), gaps, delta_v, opts)
     type_embs = dc.div_col(dc.segment_sum_rows(dc.mul_col(inst_embs, weights), sizes),

@@ -160,6 +160,26 @@ class TestIngest:
         err = json.loads(capsys.readouterr().err.strip())
         assert "labels.csv" in err["message"]
 
+    @pytest.mark.parametrize("command", ["ingest", "train"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_feature_exits_2_naming_row_and_column(self, tmp_path, capsys,
+                                                              command, value):
+        _, _, feats, _ = small_dataset(tmp_path)
+        rows = [line.split(",") for line in feats.read_text().splitlines()]
+        rows[5][1] = value
+        feats.write_text("".join(",".join(r) + "\n" for r in rows))
+        cfg = write_config(tmp_path, {
+            "data": {"edges": "edges.csv", "features": "features.csv",
+                     "labels": "labels.csv"},
+            "train": {"epochs": 2},
+            "output": {"directory": "out"},
+        })
+        assert cli.main(["--config", cfg, command]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == (f"feature at node row 5, column 1 is {value}; "
+                                  "features must be finite")
+        assert not (tmp_path / "out" / "graph.cache").exists()
+
     def test_reingest_is_byte_identical(self, tmp_path):
         small_dataset(tmp_path)
         cfg = write_config(tmp_path, {
@@ -471,6 +491,21 @@ class TestEvalMismatch:
         message = self.eval_error(trained, tmp_path, capsys, ckpt=ckpt)
         assert message.startswith(f"cannot load checkpoint {ckpt}: ")
         assert "is truncated" in message
+
+    @pytest.mark.parametrize("name, fault", [
+        (b"\xfflf.b1", "has a malformed tensor name b'\\xfflf.b1'"),
+        (b"clf.b1", "holds tensor 'clf.b1' twice")])
+    def test_damaged_tensor_name(self, trained, tmp_path, capsys, name, fault):
+        _, run_path, _ = trained
+        raw = (run_path / "out" / "checkpoint_0.bin").read_bytes()
+        old = b"clf.b1" if name.startswith(b"\xff") else b"clf.b2"
+        assert raw.count(old) == 1
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes(raw.replace(old, name))
+        (tmp_path / "checkpoint.bin.json").write_bytes(
+            (run_path / "out" / "checkpoint_0.bin.json").read_bytes())
+        message = self.eval_error(trained, tmp_path, capsys, ckpt=ckpt)
+        assert message == f"cannot load checkpoint {ckpt}: checkpoint {ckpt} {fault}"
 
 
 class TestMoreSurfaces:

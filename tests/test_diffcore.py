@@ -138,7 +138,7 @@ class TestSegmentSparsemax:
 
 def _total(x):
     """Sum of all entries, as a 1 x 1 tensor."""
-    return dc.scale(dc.mean_all(x), float(x.data.size))
+    return dc.mul_const(dc.mean_all(x), float(x.data.size))
 
 
 class TestBackward:
@@ -167,7 +167,7 @@ class TestBackward:
     def test_fanout_accumulates(self):
         x = dc.parameter(np.array([[2.0]]))
         with dc.Tape() as t:
-            a = dc.scale(x, 3.0)
+            a = dc.mul_const(x, 3.0)
             loss = _total(dc.concat_rows([a, a]))
             t.backward(loss)
         assert x.grad[0, 0] == pytest.approx(6.0)
@@ -188,6 +188,41 @@ class TestBackward:
             return dc.mean_all(dc.relu(x))
 
         assert dc.finite_difference_check(build, [x]) == 0.0
+
+
+class TestTapeNesting:
+    def test_ops_record_on_the_innermost_open_tape(self):
+        x = dc.parameter(np.ones((2, 2)))
+        with dc.Tape() as outer:
+            dc.tanh(x)
+            with dc.Tape() as inner:
+                dc.tanh(x)
+                dc.relu(x)
+            dc.sigmoid(x)
+        assert (len(outer), len(inner)) == (2, 2)
+
+    def test_exit_out_of_order_raises(self):
+        outer, inner = dc.Tape(), dc.Tape()
+        outer.__enter__()
+        try:
+            inner.__enter__()
+            try:
+                with pytest.raises(dc.DiffError, match="tape stack corrupted"):
+                    outer.__exit__(None, None, None)
+            finally:
+                inner.__exit__(None, None, None)
+        finally:
+            outer.__exit__(None, None, None)
+        with pytest.raises(dc.DiffError, match="tape stack corrupted"):
+            outer.__exit__(None, None, None)
+
+    def test_op_outside_every_tape_records_nothing(self):
+        x = dc.parameter(np.ones((2, 2)))
+        with dc.Tape() as t:
+            pass
+        y = dc.tanh(x)
+        assert len(t) == 0
+        assert not y.requires_grad and y.grad is None
 
 
 def _fd(build, params, rng, tol=1e-4):
@@ -220,7 +255,7 @@ class TestPrimitiveGradients:
     def test_scaling_ops(self):
         a = dc.parameter(self.rng.normal(size=(4, 3)))
         col = dc.parameter(self.rng.normal(size=(4, 1)) + 3.0)
-        _fd(lambda: dc.mean_all(dc.scale(a, -1.7)), [a], self.rng)
+        _fd(lambda: dc.mean_all(dc.mul_const(a, -1.7)), [a], self.rng)
         _fd(lambda: dc.mean_all(dc.mul_const(a, 0.4)), [a], self.rng)
         _fd(lambda: dc.mean_all(dc.mul_col(a, col)), [a, col], self.rng)
         _fd(lambda: dc.mean_all(dc.div_col(a, col)), [a, col], self.rng)
@@ -331,7 +366,7 @@ class TestGuards:
     def test_numeric_guard_trips(self):
         big = dc.tensor(np.full((1, 1), 1e308))
         with np.errstate(over="ignore"), pytest.raises(dc.NumericGuardError):
-            dc.scale(big, 1e10)
+            dc.mul_const(big, 1e10)
 
     def test_weighted_sum_zero_weights(self):
         with pytest.raises(dc.NumericGuardError, match="weights"):
@@ -340,7 +375,7 @@ class TestGuards:
     def test_loss_must_be_scalar(self):
         x = dc.parameter(np.ones((2, 2)))
         with dc.Tape() as t:
-            y = dc.scale(x, 2.0)
+            y = dc.mul_const(x, 2.0)
             with pytest.raises(dc.ShapeMismatchError):
                 t.backward(y)
 
@@ -403,6 +438,20 @@ class TestCheckpoints:
         assert sorted(loaded) == ["b", "w"]
         for name, t in named.items():
             np.testing.assert_array_equal(loaded[name], t.data)
+
+    def test_rejects_malformed_and_repeated_names(self, tmp_path):
+        p = tmp_path / "ckpt.bin"
+        dc.save_tensors(p, {"a": dc.parameter(np.ones((1, 1))),
+                            "b": dc.parameter(np.zeros((1, 1)))})
+        raw = p.read_bytes()
+        assert raw.count(b"a") == raw.count(b"b") == 1
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(raw.replace(b"a", b"\xff"))
+        with pytest.raises(dc.DiffError, match=r"bad\.bin has a malformed tensor name b'\\xff'$"):
+            dc.load_tensors(bad)
+        bad.write_bytes(raw.replace(b"b", b"a"))
+        with pytest.raises(dc.DiffError, match=r"bad\.bin holds tensor 'a' twice$"):
+            dc.load_tensors(bad)
 
     def test_rejects_name_and_shape_mismatch(self, tmp_path):
         p = tmp_path / "ckpt.bin"

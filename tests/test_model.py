@@ -435,7 +435,7 @@ class TestTapeSize:
             logits, _, _ = md.forward_nodes(g.features, a_hat, state, index, nodes,
                                             md.HeadOptions.from_ablation(ablation), tau)
             dc.bce_with_logits(logits, g.labels[nodes].astype(float).reshape(-1, 1))
-        shapes = [out.shape for out, _, _ in tape._nodes]
+        shapes = [out.shape for out, _ in tape._nodes]
         table = (g.n + catalog.size, state.embed_dim)   # [h; supernodes], read by row
         assert m > 0 and table[0] != 3 * m
         assert [s for s in shapes if s[0] >= 3 * m and s[1] > 1 and s != table] == []
