@@ -41,8 +41,11 @@ def gcn_forward(x, a_hat, weights, *, training: bool = False,
                 dropout: float = 0.0, rng: np.random.Generator | None = None) -> dc.Tensor:
     """Stacked propagation layers H <- ReLU(A_hat @ H @ W).
 
-    Dropout (inverted, on layer inputs) only runs in training mode and needs
-    an rng so runs stay reproducible per seed.
+    Each layer pushes the narrower of its two widths through A_hat: a layer
+    whose W is in x out with out < in computes ReLU(A_hat @ (H @ W)), any
+    other layer ReLU((A_hat @ H) @ W). The two differ only by float
+    reassociation. Dropout (inverted, on the layer input H) only runs in
+    training mode and needs an rng so runs stay reproducible per seed.
     """
     h = x if isinstance(x, dc.Tensor) else dc.tensor(x)
     if a_hat.shape != (h.shape[0], h.shape[0]):
@@ -54,5 +57,8 @@ def gcn_forward(x, a_hat, weights, *, training: bool = False,
                 raise ValueError("training-mode dropout needs an rng")
             mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
             h = dc.mul_const(h, mask)
-        h = dc.relu(dc.matmul(dc.spmm(a_hat, h), w))
+        if w.shape[1] < w.shape[0]:
+            h = dc.relu(dc.spmm(a_hat, dc.matmul(h, w)))
+        else:
+            h = dc.relu(dc.matmul(dc.spmm(a_hat, h), w))
     return h

@@ -288,7 +288,13 @@ def _checkpoint_meta(path: Path) -> dict:
     if not path.exists():
         raise txgraph.ValidationError(f"missing checkpoint metadata: {path}")
     with open(path, "r", encoding="utf-8") as f:
-        meta = json.load(f)
+        try:
+            meta = json.load(f)
+        except json.JSONDecodeError as e:
+            raise txgraph.ValidationError(
+                f"checkpoint metadata {path} is not valid JSON: {e}") from None
+    if not isinstance(meta, dict):
+        raise txgraph.ValidationError(f"checkpoint metadata {path} must be a JSON object")
     missing = [k for k in _META_KEYS if k not in meta]
     if missing:
         raise txgraph.ValidationError(f"checkpoint metadata {path} lacks key {missing[0]!r}")
@@ -318,7 +324,11 @@ def cmd_eval(cfg, args) -> int:
     a_hat = txgraph.normalized_adjacency(g)
     index = None
     if opts.use_motifs:
-        windows = np.asarray(meta["extraction_windows"] or [], dtype=np.float64)
+        raw = meta["extraction_windows"] or []
+        if not (isinstance(raw, list) and all(_is_a(x, (float,)) for x in raw)):
+            raise txgraph.ValidationError(f"checkpoint metadata {ckpt}.json: "
+                                          "extraction_windows must be a list of numbers")
+        windows = np.asarray(raw, dtype=np.float64)
         if windows.shape != (g.n,):
             raise txgraph.ValidationError(f"checkpoint {ckpt} holds {windows.size} "
                                           f"extraction windows for the graph's {g.n} nodes")
@@ -357,9 +367,21 @@ def _error_json(code: int, message: str, context: str) -> None:
                      sort_keys=True), file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors also print the JSON error line.
+
+    Subcommand parsers are made with the class of their parent, so they
+    report the same way.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _error_json(EXIT_INPUT, message, "arguments")
+        self.exit(EXIT_INPUT)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="tmgad",
-                                description="temporal-motif transaction-graph anomaly detection")
+    p = _Parser(prog="tmgad", description="temporal-motif transaction-graph anomaly detection")
     p.add_argument("--config", required=True, help="path to the run's JSON config")
     p.add_argument("--seed", type=int, default=None, help="override train.seed")
     p.add_argument("--output", default=None, help="override output.directory")

@@ -5,7 +5,13 @@ Everything is a 2-D tensor. Each op follows one protocol:
 - The forward pass runs eagerly in numpy and computes a fresh output array.
 - The op defines one closure, ``bwd(g)``, over its own forward locals (inputs,
   output array, masks). Given the gradient ``g`` of the output, it adds each
-  input's gradient into that input with ``_accum``.
+  input's gradient into that input with ``_accum``, and computes an input's
+  gradient only when that input requires one.
+- ``_accum`` adopts the first gradient array a tensor receives as its ``grad``
+  and adds later ones into it. So a closure hands ``_accum`` a fresh array
+  that nothing else holds: an op whose input gradient is ``g`` itself or a
+  view of it (``add_bias``, ``add_const``, ``concat_rows``, ``concat_cols``)
+  copies it first.
 - ``_make(name, array, parents, bwd)`` wraps the array in a Tensor. When a
   tape is open and a parent requires gradients, it appends the record
   ``(out, bwd)`` to the innermost open tape.
@@ -130,7 +136,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.copy()  # closures may hand the same buffer to several parents
+        t.grad = g  # closures hand fresh arrays (module docstring)
     else:
         t.grad += g
 
@@ -169,8 +175,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def bwd(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return _make("matmul", data, (a, b), bwd)
 
@@ -193,8 +201,10 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     data = x.data + b.data
 
     def bwd(g):
-        _accum(x, g)
-        _accum(b, g.sum(axis=0, keepdims=True))
+        if x.requires_grad:
+            _accum(x, g.copy())
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0, keepdims=True))
 
     return _make("add_bias", data, (x, b), bwd)
 
@@ -203,7 +213,7 @@ def add_const(x: Tensor, c) -> Tensor:
     data = x.data + c
 
     def bwd(g):
-        _accum(x, g)
+        _accum(x, g.copy())
 
     return _make("add_const", data, (x,), bwd)
 
@@ -224,8 +234,10 @@ def mul_col(x: Tensor, col: Tensor) -> Tensor:
     data = x.data * col.data
 
     def bwd(g):
-        _accum(x, g * col.data)
-        _accum(col, (g * x.data).sum(axis=1, keepdims=True))
+        if x.requires_grad:
+            _accum(x, g * col.data)
+        if col.requires_grad:
+            _accum(col, (g * x.data).sum(axis=1, keepdims=True))
 
     return _make("mul_col", data, (x, col), bwd)
 
@@ -241,7 +253,8 @@ def concat_rows(parts) -> Tensor:
 
     def bwd(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[lo:hi])
+            if p.requires_grad:
+                _accum(p, g[lo:hi].copy())
 
     return _make("concat_rows", data, tuple(parts), bwd)
 
@@ -257,7 +270,8 @@ def concat_cols(parts) -> Tensor:
 
     def bwd(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[:, lo:hi])
+            if p.requires_grad:
+                _accum(p, g[:, lo:hi].copy())
 
     return _make("concat_cols", data, tuple(parts), bwd)
 
@@ -286,7 +300,8 @@ def gather_sum(x: Tensor, idx, values, sizes) -> Tensor:
                         shape=(sizes.size, x.shape[0]))
 
     def bwd(g):
-        _accum(x, mat.T @ g)
+        if x.requires_grad:
+            _accum(x, mat.T @ g)
         if values.requires_grad:
             rows = g[np.repeat(np.arange(sizes.size), sizes)]
             _accum(values, np.einsum("ij,ij->i", rows, x.data[idx]).reshape(-1, 1))
@@ -316,8 +331,10 @@ def div_col(x: Tensor, col: Tensor) -> Tensor:
     data = x.data / col.data
 
     def bwd(g):
-        _accum(x, g / col.data)
-        _accum(col, -(g * data).sum(axis=1, keepdims=True) / col.data)
+        if x.requires_grad:
+            _accum(x, g / col.data)
+        if col.requires_grad:
+            _accum(col, -(g * data).sum(axis=1, keepdims=True) / col.data)
 
     return _make("div_col", data, (x, col), bwd)
 
@@ -441,8 +458,10 @@ def rowwise_dot(a: Tensor, b: Tensor) -> Tensor:
     data = (a.data * b.data).sum(axis=1, keepdims=True)
 
     def bwd(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        if a.requires_grad:
+            _accum(a, g * b.data)
+        if b.requires_grad:
+            _accum(b, g * a.data)
 
     return _make("rowwise_dot", data, (a, b), bwd)
 

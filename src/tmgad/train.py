@@ -253,6 +253,9 @@ class TrainConfig:
             raise ValueError("refresh_interval must be >= 1, or None to extract once")
         if self.instance_cap is not None and self.instance_cap < 1:
             raise ValueError("instance_cap must be >= 1, or None for no cap")
+        if self.pos_weight is not None and not 0.0 < self.pos_weight < np.inf:
+            raise ValueError(f"pos_weight must be a positive finite number, or None for "
+                             f"unweighted, got {self.pos_weight}")
 
 
 @dataclass

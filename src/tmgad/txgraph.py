@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import warnings
 from array import array
 from dataclasses import dataclass, field
 
@@ -300,13 +301,40 @@ def load_edge_list(path) -> TransactionGraph:
     return read_edge_list(path)[0]
 
 
+def _first_feature_fault(path) -> str | None:
+    """Where a features file first departs from loadtxt's format, in file line numbers."""
+    width = None
+    with open(path, "r", encoding="utf-8", errors="replace") as f:
+        for lineno, line in enumerate(f, start=1):
+            data = line.split("#", 1)[0].strip()
+            if not data:
+                continue
+            fields = data.split(",")
+            width = width or len(fields)
+            if len(fields) != width:
+                return (f"features file {path} line {lineno}: expected {width} columns, "
+                        f"got {len(fields)}")
+            for col, token in enumerate(fields, start=1):
+                if not _is_number(token):
+                    return (f"features file {path} line {lineno}: field {col} "
+                            f"{token.strip()!r} is not a number")
+    return None
+
+
 def attach_features_labels(g: TransactionGraph, features_path, labels_path) -> TransactionGraph:
     """Attach node features (headerless numeric rows, one per node in id order)
     and node_id,label rows with labels in {0,1} (empty or -1: unlabeled)."""
-    feats = np.loadtxt(features_path, delimiter=",", dtype=np.float64, ndmin=2)
+    with warnings.catch_warnings():
+        # an empty file warns and gives no rows; the row count check reports it
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            feats = np.loadtxt(features_path, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as e:
+            raise ParseError(_first_feature_fault(features_path)
+                             or f"features file {features_path}: {e}") from None
     if feats.shape[0] != g.n:
-        raise ValidationError(
-            f"feature row count mismatch: expected {g.n}, got {feats.shape[0]}")
+        raise ValidationError(f"feature row count mismatch in {features_path}: "
+                              f"expected {g.n}, got {feats.shape[0]}")
     labels = np.full(g.n, UNLABELED, dtype=np.int8)
     for lineno, (node, raw) in read_records(labels_path, (2,), "labels line"):
         v = _parse_int(node, "node_id", lineno)

@@ -160,7 +160,7 @@ def window_starts(index):
 
 def transpose(x):
     def bwd(g):
-        dc._accum(x, g.T)
+        dc._accum(x, g.T.copy())
 
     return dc._make("transpose", x.data.T.copy(), (x,), bwd)
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: configs, exit codes, artifacts, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,34 @@ class TestConfig:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["message"].startswith(f"{key} must be >= 1")
 
+    @pytest.mark.parametrize("weight", [-3.0, 0.0])
+    def test_pos_weight_at_most_zero_exits_2(self, tmp_path, capsys, weight):
+        small_dataset(tmp_path)
+        cfg = write_config(tmp_path, {"data": DATA,
+                                      "train": {"epochs": 2, "pos_weight": weight},
+                                      "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, "train"]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"code": cli.EXIT_INPUT, "context": "train",
+                       "message": "pos_weight must be a positive finite number, or None "
+                                  f"for unweighted, got {weight}"}
+        assert not (tmp_path / "out" / "checkpoint_0.bin").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--bogus"], "unrecognized arguments: --bogus"),
+        (["train", "--output", "x"], "unrecognized arguments: --output x"),  # global flag
+        (["eval"], "the following arguments are required: --checkpoint"),
+    ])
+    def test_usage_error_prints_usage_and_json(self, tmp_path, capsys, argv, message):
+        cfg = write_config(tmp_path, {})
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--config", cfg, *argv])
+        assert exit_info.value.code == cli.EXIT_INPUT
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines[0].startswith("usage: tmgad")
+        assert json.loads(lines[-1]) == {"code": cli.EXIT_INPUT, "context": "arguments",
+                                         "message": message}
+
     @pytest.mark.parametrize("argv", [["bench"], ["motifs", "--anchor-offset", "5"]])
     def test_removed_subcommand_and_flag_rejected(self, tmp_path, argv):
         cfg = write_config(tmp_path, {})
@@ -179,6 +208,28 @@ class TestIngest:
         assert err["message"] == (f"feature at node row 5, column 1 is {value}; "
                                   "features must be finite")
         assert not (tmp_path / "out" / "graph.cache").exists()
+
+    @pytest.mark.parametrize("fault", ["token", "ragged", "empty"])
+    def test_malformed_features_exit_2_naming_file(self, tmp_path, capsys, fault):
+        g, _, feats, _ = small_dataset(tmp_path)
+        lines = feats.read_text().splitlines(keepends=True)
+        if fault == "token":
+            lines[2] = "a," + lines[2].split(",", 1)[1]
+            want = f"features file {feats} line 3: field 1 'a' is not a number"
+        elif fault == "ragged":
+            lines[2] = lines[2].rsplit(",", 1)[0] + "\n"
+            want = (f"features file {feats} line 3: expected {g.num_features} columns, "
+                    f"got {g.num_features - 1}")
+        else:
+            lines = []
+            want = f"feature row count mismatch in {feats}: expected {g.n}, got 0"
+        feats.write_text("".join(lines))
+        cfg = write_config(tmp_path, {"data": DATA, "output": {"directory": "out"}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's empty-input warning must not escape
+            assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"code": cli.EXIT_INPUT, "context": "ingest", "message": want}
 
     def test_reingest_is_byte_identical(self, tmp_path):
         small_dataset(tmp_path)
@@ -406,6 +457,32 @@ class TestTrainEval:
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"code": cli.EXIT_INPUT, "context": "eval",
                        "message": f"checkpoint metadata {ckpt}.json lacks key {key!r}"}
+
+    @pytest.mark.parametrize("fault", ["not JSON", "list root", "windows not numbers"])
+    def test_damaged_meta_exits_2_naming_file(self, trained, tmp_path, capsys, fault):
+        _, run_path, cfg = trained
+        out = run_path / "out"
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes((out / "checkpoint_0.bin").read_bytes())
+        meta = json.loads((out / "checkpoint_0.bin.json").read_text())
+        if fault == "not JSON":
+            text = "{'catalog_mode': 1}"
+            want = f"checkpoint metadata {ckpt}.json is not valid JSON"
+        elif fault == "list root":
+            text = json.dumps(list(cli._META_KEYS))
+            want = f"checkpoint metadata {ckpt}.json must be a JSON object"
+        else:
+            meta["extraction_windows"] = ["a"] + meta["extraction_windows"][1:]
+            text = json.dumps(meta)
+            want = (f"checkpoint metadata {ckpt}.json: extraction_windows must be "
+                    "a list of numbers")
+        (tmp_path / "checkpoint.bin.json").write_text(text)
+        capsys.readouterr()
+        assert cli.main(["--config", cfg, "--output", str(tmp_path / "eval"), "eval",
+                         "--checkpoint", str(ckpt)]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == cli.EXIT_INPUT and err["context"] == "eval"
+        assert err["message"].startswith(want)
 
     def test_missing_meta_exits_2_with_json(self, trained, tmp_path, capsys):
         _, run_path, cfg = trained

@@ -358,6 +358,71 @@ class TestGatherSum:
             dc.gather_sum(dc.tensor(np.ones((5, 2))), [5], np.ones(1), [1])
 
 
+class TestGradientBuffers:
+    """Each tensor owns its grad array, and constant inputs are handed no gradient."""
+
+    rng = np.random.default_rng(13)
+
+    def test_no_two_tensors_share_a_grad_buffer(self):
+        x = dc.parameter(self.rng.normal(size=(3, 2)))
+        b = dc.parameter(self.rng.normal(size=(1, 2)))
+
+        def build():
+            x.grad = b.grad = None  # leaves adopt their first gradient too
+            s = dc.mul_const(x, 2.0)  # x is used twice; backward reaches add_bias first
+            y = dc.add_bias(x, b)
+            z = dc.add_const(y, 0.5)
+            r = dc.concat_rows([z, s])
+            t = orc.transpose(r)
+            c = dc.concat_cols([r, orc.transpose(t)])
+            build.tensors = [x, b, s, y, z, r, t, c]
+            return dc.mean_all(dc.tanh(c))
+
+        with dc.Tape() as tape:
+            tape.backward(build())
+        grads = [t.grad for t in build.tensors]
+        assert all(g is not None for g in grads)
+        for i, gi in enumerate(grads):
+            for gj in grads[i + 1:]:
+                assert not np.shares_memory(gi, gj)
+        _fd(build, [x, b], self.rng)
+
+    @staticmethod
+    def handed_a_gradient(monkeypatch, build):
+        """The tensors that backward of mean_all(build()) hands to `_accum`."""
+        handed, accum = [], dc._accum
+
+        def record(t, g):
+            handed.append(t)
+            accum(t, g)
+
+        monkeypatch.setattr(dc, "_accum", record)
+        with dc.Tape() as tape:
+            tape.backward(dc.mean_all(build()))
+        return handed
+
+    # op -> (constant shape, parameter shape, op applied to (constant, parameter))
+    CONSTANT_INPUT_CASES = {
+        "matmul": ((3, 4), (4, 2), lambda c, p: dc.matmul(c, p)),
+        "mul_col x": ((3, 2), (3, 1), lambda c, p: dc.mul_col(c, p)),
+        "mul_col col": ((3, 1), (3, 2), lambda c, p: dc.mul_col(p, c)),
+        "div_col x": ((3, 2), (3, 1), lambda c, p: dc.div_col(c, p)),
+        "div_col col": ((3, 1), (3, 2), lambda c, p: dc.div_col(p, c)),
+        "rowwise_dot": ((3, 2), (3, 2), lambda c, p: dc.rowwise_dot(c, p)),
+        "gather_sum": ((3, 2), (4, 1), lambda c, p: dc.gather_sum(c, [2, 0, 2, 1], p, [3, 1])),
+    }
+
+    @pytest.mark.parametrize("op", sorted(CONSTANT_INPUT_CASES))
+    def test_constant_input_gets_no_gradient(self, monkeypatch, op):
+        const_shape, param_shape, apply = self.CONSTANT_INPUT_CASES[op]
+        const = dc.tensor(self.rng.uniform(1.0, 2.0, size=const_shape))
+        param = dc.parameter(self.rng.uniform(1.0, 2.0, size=param_shape))
+        handed = self.handed_a_gradient(monkeypatch, lambda: apply(const, param))
+        assert not any(t is const for t in handed)
+        assert const.grad is None
+        assert any(t is param for t in handed) and np.abs(param.grad).sum() > 0.0
+
+
 class TestGuards:
     def test_shape_mismatch_names_op(self):
         with pytest.raises(dc.ShapeMismatchError, match="matmul"):

@@ -304,6 +304,11 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=f"{next(iter(kw))} must be >= 1"):
             tr.TrainConfig(**kw)
 
+    @pytest.mark.parametrize("weight", [0.0, -3.0, float("nan"), float("inf")])
+    def test_pos_weight_must_be_positive_and_finite(self, weight):
+        with pytest.raises(ValueError, match="pos_weight must be a positive finite number"):
+            tr.TrainConfig(pos_weight=weight)
+
     def test_none_refresh_and_cap_allowed(self):
         cfg = tr.TrainConfig(refresh_interval=None, instance_cap=None)
         assert cfg.refresh_interval is None and cfg.instance_cap is None

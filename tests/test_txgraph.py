@@ -143,6 +143,20 @@ class TestFeaturesLabels:
         with pytest.raises(tg.ValidationError, match="expected 3, got 2"):
             tg.attach_features_labels(g, fp, lp)
 
+    @pytest.mark.parametrize("text, fault", [
+        ("1.0,2.0\n\n3.0,x\n5.0,6.0\n", "line 3: field 2 'x' is not a number"),
+        ("# export\n1.0,2.0\n3.0\n5.0,6.0\n", "line 3: expected 2 columns, got 1"),
+    ])
+    def test_malformed_features_name_file_and_line(self, tmp_path, text, fault):
+        g = tg.load_edge_list(write_edges(tmp_path, "0,1,10\n1,2,20\n"))
+        fp = tmp_path / "f.csv"
+        fp.write_text(text)
+        lp = tmp_path / "l.csv"
+        lp.write_text("0,0\n")
+        with pytest.raises(tg.ParseError) as err:
+            tg.attach_features_labels(g, fp, lp)
+        assert str(err.value) == f"features file {fp} {fault}"
+
     def test_bad_label_value(self, tmp_path):
         g = tg.load_edge_list(write_edges(tmp_path, "0,1,10\n"))
         fp = tmp_path / "f.csv"
