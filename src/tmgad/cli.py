@@ -65,11 +65,16 @@ def _check_type(where: str, value, kinds) -> None:
         raise ConfigError(f"{where} must be {expected}, got {json.dumps(value)}")
 
 
+def _reject_constant(literal: str):
+    """json's hook for NaN, Infinity and -Infinity, which are not JSON numbers."""
+    raise ConfigError(f"config is not valid JSON: {literal} is not a finite number")
+
+
 def load_config(path) -> dict:
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as f:
-            cfg = json.load(f)
+            cfg = json.load(f, parse_constant=_reject_constant)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:

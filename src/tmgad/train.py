@@ -247,8 +247,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be a positive finite number, "
+                             f"got {self.learning_rate}")
+        if self.delta_fixed is not None and not 0.0 < self.delta_fixed < np.inf:
+            raise ValueError(f"delta_fixed must be a positive finite number, or None, "
+                             f"got {self.delta_fixed}")
         if self.refresh_interval is not None and self.refresh_interval < 1:
             raise ValueError("refresh_interval must be >= 1, or None to extract once")
         if self.instance_cap is not None and self.instance_cap < 1:

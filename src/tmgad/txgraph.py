@@ -14,6 +14,7 @@ import struct
 import warnings
 from array import array
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -224,13 +225,75 @@ def read_records(path, ncols: tuple, where: str = "line"):
             yield lineno, fields
 
 
+def _load_plain(path, dtypes: dict) -> np.ndarray | None:
+    """A plain file's rows in one `np.loadtxt` pass, as `dtypes[field count]`.
+
+    The first line is data or a header, by `read_records`' rule, and the first
+    data line follows at once. None when either is blank or a comment, when
+    `dtypes` has no entry for its field count, or when numpy cannot read every
+    row (a warning, such as "no data", counts too).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for skip in (0, 1):
+                line = f.readline().strip()
+                if not line or line.startswith("#"):
+                    return None
+                fields = line.split(",")
+                if skip or any(map(_is_number, fields)):
+                    break
+    except UnicodeDecodeError:
+        return None  # the line reader raises it where it occurs
+    if len(fields) not in dtypes:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(path, dtype=dtypes[len(fields)], delimiter=",", comments=None,
+                              skiprows=skip, encoding="utf-8", ndmin=1)
+        except (ValueError, OverflowError, Warning):
+            return None
+
+
+def _edge_graph(src, dst, ts, amount) -> TransactionGraph:
+    n = int(max(src.max(), dst.max())) + 1 if len(src) else 0
+    return build_graph(n, src, dst, ts, amount)
+
+
+_EDGE_FIELDS = [("src", "<i8"), ("dst", "<i8"), ("ts", "<i8"), ("amount", "<f8")]
+
+
+def _read_plain_edges(path) -> TransactionGraph | None:
+    """The graph of a plain edge file, or None when the file needs the line reader."""
+    rows = _load_plain(path, {3: _EDGE_FIELDS[:3], 4: _EDGE_FIELDS})
+    if rows is None:
+        return None
+    src, dst, ts = rows["src"], rows["dst"], rows["ts"]
+    amount = rows["amount"] if "amount" in rows.dtype.names else np.full(len(rows), np.nan)
+    if ((src < 0) | (dst < 0) | (src == dst) | (ts < 0) | (amount < 0)).any():
+        return None  # the line reader names the line
+    return _edge_graph(src, dst, ts, amount)
+
+
 def read_edge_list(path, compact: bool = False) -> tuple[TransactionGraph, dict | None]:
     """`load_edge_list`, and with `compact` also files whose ids are tokens.
 
     With `compact`, when some id does not parse as an integer, node ids become
     the positions of the sorted distinct id tokens, and the token -> node id
     map is returned with the graph. Otherwise the map is None.
+
+    A plain file is read in one `np.loadtxt` pass: its first line is data or a
+    header, and every row has the first data row's 3 or 4 fields, with integer
+    ids and timestamps and a valid edge. Any other file, and any file numpy
+    cannot read, goes through the line reader, which gives the same graph and
+    every error with its line number.
     """
+    g = _read_plain_edges(path)
+    return (g, None) if g is not None else _read_edge_lines(path, compact)
+
+
+def _read_edge_lines(path, compact: bool) -> tuple[TransactionGraph, dict | None]:
+    """`read_edge_list` one `read_records` line at a time."""
     src, dst, ts, lines = array("q"), array("q"), array("q"), array("q")
     amount = array("d")
     tokens = None  # (src, dst) id strings, once some id is not an integer
@@ -287,8 +350,7 @@ def read_edge_list(path, compact: bool = False) -> tuple[TransactionGraph, dict 
         fault = ("negative node id" if min(s, d) < 0 else f"self-loop {s}->{d}" if s == d
                  else f"negative timestamp {t}" if t < 0 else f"negative amount {a}")
         raise ValidationError(f"line {lines[i]}: {fault}")
-    n = int(max(src.max(), dst.max())) + 1 if len(src) else 0
-    return build_graph(n, src, dst, ts, amount), id_map
+    return _edge_graph(src, dst, ts, amount), id_map
 
 
 def load_edge_list(path) -> TransactionGraph:
@@ -323,7 +385,15 @@ def _first_feature_fault(path) -> str | None:
 
 def attach_features_labels(g: TransactionGraph, features_path, labels_path) -> TransactionGraph:
     """Attach node features (headerless numeric rows, one per node in id order)
-    and node_id,label rows with labels in {0,1} (empty or -1: unlabeled)."""
+    and node_id,label rows with labels in {0,1} (empty or -1: unlabeled), at
+    most one row per node.
+
+    A plain labels file is read in one `np.loadtxt` pass: its first line is
+    data or a header, every row has two integer fields, and every node is in
+    range, given once, with a label in {-1, 0, 1}. Any other file goes through
+    the line reader, which gives the same labels and every error with its line
+    number.
+    """
     with warnings.catch_warnings():
         # an empty file warns and gives no rows; the row count check reports it
         warnings.simplefilter("ignore", UserWarning)
@@ -335,18 +405,48 @@ def attach_features_labels(g: TransactionGraph, features_path, labels_path) -> T
     if feats.shape[0] != g.n:
         raise ValidationError(f"feature row count mismatch in {features_path}: "
                               f"expected {g.n}, got {feats.shape[0]}")
-    labels = np.full(g.n, UNLABELED, dtype=np.int8)
-    for lineno, (node, raw) in read_records(labels_path, (2,), "labels line"):
+    labels = _read_plain_labels(labels_path, g.n)
+    if labels is None:
+        labels = _read_label_lines(labels_path, g.n)
+    return set_features_labels(g, feats, labels)
+
+
+def _read_plain_labels(path, n: int) -> np.ndarray | None:
+    """The labels of a plain labels file, or None when it needs the line reader."""
+    rows = _load_plain(path, {2: [("node", "<i8"), ("label", "<i8")]})
+    if rows is None:
+        return None
+    v, y = rows["node"], rows["label"]
+    if (v.min() < 0 or v.max() >= n or np.bincount(v).max() > 1
+            or y.min() < UNLABELED or y.max() > 1):
+        return None  # the line reader names the line
+    missing = y == UNLABELED
+    if missing.any() and b"-0" in Path(path).read_bytes():
+        return None  # "-01" reads as -1, but only the text "-1" marks a missing label
+    labels = np.full(n, UNLABELED, dtype=np.int8)
+    labels[v[~missing]] = y[~missing]
+    return labels
+
+
+def _read_label_lines(path, n: int) -> np.ndarray:
+    """The labels of `attach_features_labels`, one `read_records` line at a time."""
+    labels = np.full(n, UNLABELED, dtype=np.int8)
+    given = {}  # node -> the line that gave it
+    for lineno, (node, raw) in read_records(path, (2,), "labels line"):
         v = _parse_int(node, "node_id", lineno)
-        if not (0 <= v < g.n):
+        if not (0 <= v < n):
             raise ValidationError(f"labels line {lineno}: node {v} out of range")
+        if v in given:
+            raise ValidationError(f"labels line {lineno}: node {v} already given "
+                                  f"on line {given[v]}")
+        given[v] = lineno
         if raw.strip() in ("", "-1"):
             continue  # missing marker
         y = _parse_int(raw, "label", lineno)
         if y not in (0, 1):
             raise ValidationError(f"labels line {lineno}: label must be 0 or 1, got {y}")
         labels[v] = y
-    return set_features_labels(g, feats, labels)
+    return labels
 
 
 def set_features_labels(g: TransactionGraph, features: np.ndarray,

@@ -123,6 +123,39 @@ class TestConfig:
                                   f"for unweighted, got {weight}"}
         assert not (tmp_path / "out" / "checkpoint_0.bin").exists()
 
+    @pytest.mark.parametrize("train, message", [
+        ({"learning_rate": -0.5}, "learning_rate must be a positive finite number, got -0.5"),
+        ({"ablation": "tm_fixed", "delta_fixed": -1.0},
+         "delta_fixed must be a positive finite number, or None, got -1.0"),
+        ({"ablation": "tm_fixed", "delta_fixed": 0.0},
+         "delta_fixed must be a positive finite number, or None, got 0.0"),
+    ])
+    def test_rate_and_fixed_window_out_of_range_exit_2(self, tmp_path, capsys, train, message):
+        small_dataset(tmp_path)
+        cfg = write_config(tmp_path, {"data": DATA, "train": dict(train, epochs=2),
+                                      "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, "train"]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"code": cli.EXIT_INPUT, "context": "train", "message": message}
+        assert not (tmp_path / "out" / "checkpoint_0.bin").exists()
+
+    @pytest.mark.parametrize("key", ["learning_rate", "delta_fixed"])
+    @pytest.mark.parametrize("value, literal", [(float("nan"), "NaN"),
+                                                (float("inf"), "Infinity"),
+                                                (float("-inf"), "-Infinity")])
+    def test_non_finite_json_literal_exits_2_naming_it(self, tmp_path, capsys,
+                                                       key, value, literal):
+        small_dataset(tmp_path)
+        cfg = write_config(tmp_path, {"data": DATA, "output": {"directory": "out"},
+                                      "train": {"ablation": "tm_fixed", "delta_fixed": 20.0,
+                                                "epochs": 2, key: value}})
+        assert literal in open(cfg).read()  # json.dumps writes the literal
+        assert cli.main(["--config", cfg, "train"]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"code": cli.EXIT_INPUT, "context": "train",
+                       "message": f"config is not valid JSON: {literal} is not a finite number"}
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["train", "--bogus"], "unrecognized arguments: --bogus"),
         (["train", "--output", "x"], "unrecognized arguments: --output x"),  # global flag
@@ -188,6 +221,17 @@ class TestIngest:
         assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_INPUT
         err = json.loads(capsys.readouterr().err.strip())
         assert "labels.csv" in err["message"]
+
+    def test_repeated_label_node_exits_2_naming_both_lines(self, tmp_path, capsys):
+        _, _, _, labels = small_dataset(tmp_path)
+        rows = labels.read_text().splitlines(keepends=True)
+        labels.write_text("".join(rows + [rows[3]]))
+        cfg = write_config(tmp_path, {"data": DATA, "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == (f"labels line {len(rows) + 1}: node 3 already given "
+                                  "on line 4")
+        assert not (tmp_path / "out" / "graph.cache").exists()
 
     @pytest.mark.parametrize("command", ["ingest", "train"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

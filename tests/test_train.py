@@ -309,6 +309,19 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="pos_weight must be a positive finite number"):
             tr.TrainConfig(pos_weight=weight)
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+    def test_learning_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError) as e:
+            tr.TrainConfig(learning_rate=rate)
+        assert str(e.value) == f"learning_rate must be a positive finite number, got {rate}"
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_delta_fixed_must_be_positive_and_finite(self, delta):
+        with pytest.raises(ValueError) as e:
+            tr.TrainConfig(ablation="tm_fixed", delta_fixed=delta)
+        assert str(e.value) == ("delta_fixed must be a positive finite number, or None, "
+                                f"got {delta}")
+
     def test_none_refresh_and_cap_allowed(self):
         cfg = tr.TrainConfig(refresh_interval=None, instance_cap=None)
         assert cfg.refresh_interval is None and cfg.instance_cap is None

@@ -183,6 +183,102 @@ class TestFeaturesLabels:
         g2 = tg.attach_features_labels(g, fp, lp)
         np.testing.assert_array_equal(g2.labeled_nodes(), [0])
 
+    def test_repeated_node_rejected_naming_both_lines(self, tmp_path):
+        g = tg.load_edge_list(write_edges(tmp_path, "0,1,10\n1,2,20\n"))
+        fp = tmp_path / "f.csv"
+        fp.write_text("1.0\n2.0\n3.0\n")
+        lp = tmp_path / "l.csv"
+        for text, fault in [("0,1\n0,0\n1,1\n1,-1\n", "line 2: node 0 already given on line 1"),
+                            ("node_id,label\n1,-1\n# c\n1,1\n",
+                             "line 4: node 1 already given on line 2")]:
+            lp.write_text(text)
+            with pytest.raises(tg.ValidationError) as err:
+                tg.attach_features_labels(g, fp, lp)
+            assert str(err.value) == f"labels {fault}"
+
+    def test_only_the_text_minus_one_marks_a_missing_label(self, tmp_path):
+        g = tg.load_edge_list(write_edges(tmp_path, "0,1,10\n"))
+        fp = tmp_path / "f.csv"
+        fp.write_text("1.0\n2.0\n")
+        lp = tmp_path / "l.csv"
+        lp.write_text("0,-01\n1,1\n")
+        with pytest.raises(tg.ValidationError) as err:
+            tg.attach_features_labels(g, fp, lp)
+        assert str(err.value) == "labels line 1: label must be 0 or 1, got -1"
+
+
+def plain_files(tmp_path, n=50, m=400, seed=0):
+    """Edge and labels files in the layout perfbench writes: a header, then one row per line."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n, m)
+    dst = (src + rng.integers(1, n, m)) % n
+    ts, amount = rng.integers(0, 1000, m), rng.exponential(5.0, m)
+    edges, labels, feats = tmp_path / "edges.csv", tmp_path / "labels.csv", tmp_path / "f.csv"
+    edges.write_text("src,dst,timestamp,amount\n" + "".join(
+        f"{s},{d},{t},{a!r}\n" for s, d, t, a in zip(src.tolist(), dst.tolist(),
+                                                    ts.tolist(), amount.tolist())))
+    y = rng.integers(-1, 2, n)
+    labels.write_text("node_id,label\n" + "".join(f"{v},{c}\n" for v, c in enumerate(y)))
+    np.savetxt(feats, rng.normal(size=(n, 2)), delimiter=",")
+    return edges, feats, labels
+
+
+def assert_same_graph(g, want):
+    assert g.n == want.n
+    for name in ("src", "dst", "timestamp", "amount", "labels"):
+        a, b = getattr(g, name), getattr(want, name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestPlainFiles:
+    def test_plain_files_skip_the_line_reader(self, tmp_path, monkeypatch):
+        edges, feats, labels = plain_files(tmp_path)
+        want, _ = tg._read_edge_lines(edges, compact=False)
+        want_labels = tg._read_label_lines(labels, want.n)
+
+        def no_line_reader(*args, **kwargs):
+            raise AssertionError("the line reader ran on a plain file")
+        monkeypatch.setattr(tg, "read_records", no_line_reader)
+        g = tg.load_edge_list(edges)
+        assert_same_graph(g, want)
+        g = tg.attach_features_labels(g, feats, labels)
+        assert g.labels.tobytes() == want_labels.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "# export\n0,1,5\n1,2,6\n",              # comment first
+        "\n0,1,5\n1,2,6\n",                       # blank first line
+        "0,1,5\n# note\n1,2,6\n",                 # comment mid-file
+        "0,1,5\n  \n1,2,6\n",                     # whitespace-only line
+        "src,dst,ts\n\n0,1,5\n1,2,6\n",           # blank line after the header
+        "0,1.0,5\n1,2,6\n",                        # integral float id
+        "0,1,5\n1_0,2,6\n",                        # underscore digit group
+        "0,\u0661,5\n1,2,6\n",                     # Unicode digit
+        "0,1,5.0\n1,2,6\n",                        # integral float timestamp
+        "0,1,5\n1,2,6,2.5\n",                      # 3 and 4 columns mixed
+        "0,1,5,2.5\n1,2,6\n",
+        "0,1,5,1_5\n1,2,6,2.5\n",                  # underscore in an amount
+    ])
+    def test_other_files_go_through_the_line_reader(self, tmp_path, monkeypatch, text):
+        p = write_edges(tmp_path, text)
+        want = tg._read_edge_lines(p, compact=False)
+        calls = []
+        line_reader = tg._read_edge_lines
+        monkeypatch.setattr(tg, "_read_edge_lines",
+                            lambda *a: calls.append(a) or line_reader(*a))
+        g, id_map = tg.read_edge_list(p)
+        assert calls and id_map is None and g.num_edges == 2
+        assert_same_graph(g, want[0])
+
+    def test_fault_in_a_plain_file_names_its_file_line(self, tmp_path):
+        rows = [f"{i % 97},{i % 97 + 1},{i}" for i in range(5000)]
+        rows[4319] = "7,7,4319"  # file line 4321, after the header
+        p = write_edges(tmp_path, "src,dst,timestamp\n" + "\n".join(rows) + "\n")
+        with pytest.raises(tg.ValidationError) as err:
+            tg.load_edge_list(p)
+        assert str(err.value) == "line 4321: self-loop 7->7"
+
 
 def dense_normalized(g):
     """Dense oracle: D^-1/2 (A+I) D^-1/2 on the collapsed simple graph."""
