@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -91,11 +93,8 @@ def load_config(path) -> dict:
             raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
         for key, value in body.items():
             _check_type(f"{section}.{key}", value, _SCHEMA[section][key])
-    cfg.setdefault("data", {})
-    cfg.setdefault("model", {})
-    cfg.setdefault("train", {})
-    cfg.setdefault("analysis", {})
-    cfg.setdefault("output", {})
+    for section in _SCHEMA:
+        cfg.setdefault(section, {})
     if cfg["data"].get("time_unit", 1) < 1:
         raise ConfigError(f"data.time_unit must be a positive integer, "
                           f"got {cfg['data']['time_unit']}")
@@ -122,6 +121,10 @@ def _out_dir(cfg, args) -> Path:
     return out
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def _fields(cls, *sections) -> dict:
     """The keys of the config sections that name fields of the dataclass `cls`."""
     names = {f.name for f in dataclasses.fields(cls)}
@@ -136,6 +139,22 @@ def _train_config(cfg) -> train_mod.TrainConfig:
     return train_mod.TrainConfig(**_fields(train_mod.TrainConfig, cfg["model"], cfg["train"]))
 
 
+def _source_files(data) -> dict:
+    """The CSV files the data section names, by key; each must exist."""
+    files = {k: data[k] for k in ("edges", "features", "labels") if k in data}
+    for key, path in files.items():
+        if not Path(path).exists():
+            raise txgraph.ValidationError(f"missing {key} file: {path}")
+    return files
+
+
+def _provenance(data) -> dict:
+    """What a cache records of its sources: each CSV's sha256, and time_unit."""
+    return {"time_unit": data.get("time_unit"),
+            **{k: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+               for k, p in _source_files(data).items()}}
+
+
 def _read_dataset(cfg) -> tuple[txgraph.TransactionGraph, dict | None]:
     """The graph the config's CSVs describe, and its id token map (None when
     the edge file's ids are integers): edges, id compaction, time_unit, then
@@ -145,9 +164,7 @@ def _read_dataset(cfg) -> tuple[txgraph.TransactionGraph, dict | None]:
         raise ConfigError("data section needs 'edges' (or, outside ingest, an existing 'cache')")
     if ("features" in data) != ("labels" in data):
         raise ConfigError("features and labels must be provided together")
-    for key in ("edges", "features", "labels"):
-        if key in data and not Path(data[key]).exists():
-            raise txgraph.ValidationError(f"missing {key} file: {data[key]}")
+    _source_files(data)
     g, id_map = txgraph.read_edge_list(data["edges"], compact=True)
     unit = data.get("time_unit")
     if unit is not None:
@@ -160,10 +177,20 @@ def _read_dataset(cfg) -> tuple[txgraph.TransactionGraph, dict | None]:
 
 
 def _load_graph(cfg) -> txgraph.TransactionGraph:
-    cache = cfg["data"].get("cache")
-    if cache and Path(cache).exists():
-        return txgraph.load_cache(cache)
-    return _read_dataset(cfg)[0]
+    """The config's cache when it exists and was built from the CSVs the config
+    names, if any; else the graph those CSVs describe."""
+    data, cache = cfg["data"], cfg["data"].get("cache")
+    if not (cache and Path(cache).exists()):
+        return _read_dataset(cfg)[0]
+    g, built = txgraph.read_cache(cache)
+    now, built = _provenance(data), built if isinstance(built, dict) else {}
+    stale = sorted(k for k in now.keys() | built.keys() if built.get(k) != now.get(k))
+    if stale and _source_files(data):  # a config that names no CSVs trusts its cache
+        source = (f"data.time_unit {now['time_unit']}" if stale[0] == "time_unit"
+                  else f"{stale[0]} file {data.get(stale[0], '(none)')}")
+        raise txgraph.ValidationError(f"graph cache {cache} is stale: it was not built from "
+                                      f"the config's {source}; re-run `tmgad ingest`")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +201,12 @@ def cmd_ingest(cfg, args) -> int:
     out = _out_dir(cfg, args)
     g, id_map = _read_dataset(cfg)
     cache_path = out / "graph.cache"
-    txgraph.save_cache(g, cache_path)
+    txgraph.save_cache(g, cache_path, _provenance(cfg["data"]))
     if id_map is None:
         id_map = {str(i): i for i in range(g.n)}
     txgraph.save_id_map(id_map, out / "id_map.json")
     summary = txgraph.graph_summary(g)
-    with open(out / "ingest_summary.json", "w", encoding="utf-8") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(out / "ingest_summary.json", summary)
     print(json.dumps(summary, sort_keys=True))
     print(f"cache written to {cache_path}")
     return EXIT_OK
@@ -198,13 +223,15 @@ def cmd_motifs(cfg, args) -> int:
     if not grid:
         raise ConfigError("empty delta grid: set analysis.delta_grid or --delta-grid")
     grid = [float(d) for d in grid]
+    bad = [d for d in grid if not 0 < d < math.inf]
+    if bad:
+        where = "--delta-grid" if args.delta_grid else "analysis.delta_grid"
+        raise ConfigError(f"{where} values must be positive and finite, got {bad[0]}")
     tau = float(g.tau_max)
-    clamped = []
     for d in grid:
         if d > tau:
             print(f"warning: delta {d} exceeds tau_max {tau}; clamping", file=sys.stderr)
-            d = tau
-        clamped.append(d)
+    clamped = [min(d, tau) for d in grid]
     tcfg = _train_config(cfg)
     catalog = motif_mod.build_catalog(tcfg.catalog_mode)
     labeled = g.labeled_nodes()
@@ -236,20 +263,18 @@ def cmd_train(cfg, args) -> int:
     for i, split in enumerate(splits):
         tcfg = dataclasses.replace(base, seed=seed + i)
         state, report = train_mod.train(g, tcfg, gcn_cfg, split)
+        arrays = {"train_ids": split.train_ids, "test_ids": split.test_ids}
+        for key in ("extraction_windows", "delta_final"):
+            value = getattr(report, key)
+            arrays[key] = np.empty(0) if value is None else value
         meta = {
             "split_index": i,
             "catalog_mode": tcfg.catalog_mode,
             "catalog_size": report.config["catalog_size"],
             "refresh_interval": tcfg.refresh_interval,
-            "train_ids": split.train_ids.tolist(),
-            "test_ids": split.test_ids.tolist(),
-            "extraction_windows": None if report.extraction_windows is None
-            else report.extraction_windows.tolist(),
-            "delta_final": None if report.delta_final is None
-            else report.delta_final.tolist(),
             "config": report.config,
         }
-        model_mod.save_checkpoint(out / f"checkpoint_{i}.bin", state, meta)
+        model_mod.save_checkpoint(out / f"checkpoint_{i}.bin", state, arrays, meta)
         with open(out / f"loss_curve_{i}.csv", "w", encoding="utf-8") as f:
             f.write("epoch,loss,delta_min,delta_mean,delta_max\n")
             for e, loss in enumerate(report.loss_curve):
@@ -266,44 +291,17 @@ def cmd_train(cfg, args) -> int:
         per_split.append(report)
         print(f"split {i}: auc={report.auc:.4f} auprc={report.auprc:.4f} "
               f"accuracy={report.accuracy:.4f}")
-    mean = {
-        "auc": float(np.mean([r.auc for r in per_split])),
-        "auprc": float(np.mean([r.auprc for r in per_split])),
-        "accuracy": float(np.mean([r.accuracy for r in per_split])),
-    }
-    report_doc = {
+    mean = {k: float(np.mean([getattr(r, k) for r in per_split]))
+            for k in ("auc", "auprc", "accuracy")}
+    _write_json(out / "train_report.json", {
         "mean": mean,
         "per_split": [r.to_dict() for r in per_split],
         "splits": len(splits),
         "seed": seed,
-    }
-    with open(out / "train_report.json", "w", encoding="utf-8") as f:
-        json.dump(report_doc, f, sort_keys=True, indent=2)
-        f.write("\n")
+    })
     print(f"mean over {len(splits)} splits: auc={mean['auc']:.4f} "
           f"auprc={mean['auprc']:.4f}")
     return EXIT_OK
-
-
-_META_KEYS = ("catalog_mode", "catalog_size", "extraction_windows", "train_ids", "test_ids")
-
-
-def _checkpoint_meta(path: Path) -> dict:
-    """A checkpoint's metadata, checked for every key `eval` reads."""
-    if not path.exists():
-        raise txgraph.ValidationError(f"missing checkpoint metadata: {path}")
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            meta = json.load(f)
-        except json.JSONDecodeError as e:
-            raise txgraph.ValidationError(
-                f"checkpoint metadata {path} is not valid JSON: {e}") from None
-    if not isinstance(meta, dict):
-        raise txgraph.ValidationError(f"checkpoint metadata {path} must be a JSON object")
-    missing = [k for k in _META_KEYS if k not in meta]
-    if missing:
-        raise txgraph.ValidationError(f"checkpoint metadata {path} lacks key {missing[0]!r}")
-    return meta
 
 
 def cmd_eval(cfg, args) -> int:
@@ -315,32 +313,32 @@ def cmd_eval(cfg, args) -> int:
         raise txgraph.ValidationError(f"missing checkpoint: {ckpt}")
     tcfg = _train_config(cfg)
     catalog = motif_mod.build_catalog(tcfg.catalog_mode)
-    meta = _checkpoint_meta(Path(str(ckpt) + ".json"))
+    tensors, arrays, meta = model_mod.load_checkpoint(ckpt)
+    missing = ([k for k in ("catalog_mode", "catalog_size") if k not in meta]
+               + [k for k in ("extraction_windows", "train_ids", "test_ids") if k not in arrays])
+    if missing:
+        raise txgraph.ValidationError(f"checkpoint {ckpt} lacks key {missing[0]!r}")
     if meta["catalog_mode"] != tcfg.catalog_mode or meta["catalog_size"] != catalog.size:
         raise txgraph.ValidationError(
             f"checkpoint catalog ({meta['catalog_mode']}, {meta['catalog_size']}) does not "
             f"match config ({tcfg.catalog_mode}, {catalog.size})")
     state = model_mod.init_model(np.random.default_rng(0), g.num_features, gcn_cfg, catalog.size)
     try:
-        model_mod.load_checkpoint(ckpt, state)
+        dc.restore_tensors(state.named(), tensors)
     except dc.DiffError as e:
         raise txgraph.ValidationError(f"cannot load checkpoint {ckpt}: {e}") from e
     opts = model_mod.HeadOptions.from_ablation(tcfg.ablation, tcfg.delta_fixed)
     a_hat = txgraph.normalized_adjacency(g)
     index = None
     if opts.use_motifs:
-        raw = meta["extraction_windows"] or []
-        if not (isinstance(raw, list) and all(_is_a(x, (float,)) for x in raw)):
-            raise txgraph.ValidationError(f"checkpoint metadata {ckpt}.json: "
-                                          "extraction_windows must be a list of numbers")
-        windows = np.asarray(raw, dtype=np.float64)
+        windows = np.asarray(arrays["extraction_windows"], dtype=np.float64)
         if windows.shape != (g.n,):
             raise txgraph.ValidationError(f"checkpoint {ckpt} holds {windows.size} "
                                           f"extraction windows for the graph's {g.n} nodes")
         index = motif_mod.build_index(g, windows, catalog, nodes=g.labeled_nodes(),
                                       cap=tcfg.instance_cap)
     which = args.split or "test"
-    ids = np.asarray(meta["test_ids" if which == "test" else "train_ids"])
+    ids = arrays["test_ids" if which == "test" else "train_ids"]
     if not (ids.ndim == 1 and np.issubdtype(ids.dtype, np.integer)
             and np.all((ids >= 0) & (ids < g.n))):
         raise txgraph.ValidationError(
@@ -356,9 +354,7 @@ def cmd_eval(cfg, args) -> int:
         "accuracy": train_mod.accuracy(scores, y),
         "checkpoint": str(ckpt),
     }
-    with open(out / "eval_report.json", "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(out / "eval_report.json", doc)
     print(json.dumps(doc, sort_keys=True))
     return EXIT_OK
 

@@ -26,8 +26,6 @@ broadcasting beyond row-vector bias addition and column-vector scaling.
 from __future__ import annotations
 
 import math
-import os
-import struct
 
 import numpy as np
 import scipy.sparse as sp
@@ -538,65 +536,6 @@ def finite_difference_check(build_loss, params, *, step: float = 1e-5,
             err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
             worst = max(worst, err)
     return worst
-
-
-# ---------------------------------------------------------------------------
-# checkpoints: versioned flat binary of named tensors
-
-_CKPT_MAGIC = b"TMGC"
-_CKPT_VERSION = 1
-
-
-def save_tensors(path, named: dict) -> None:
-    items = sorted(named.items())
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<B", _CKPT_VERSION))
-        f.write(struct.pack("<I", len(items)))
-        for name, t in items:
-            arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
-            raw = name.encode("utf-8")
-            f.write(struct.pack("<H", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_tensors(path) -> dict:
-    """Read a `save_tensors` file; it must hold exactly the bytes its header promises."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-
-        def read(k: int) -> bytes:
-            if f.tell() + k > size:
-                raise DiffError(f"checkpoint {path} is truncated: expected at least "
-                                f"{f.tell() + k} bytes, got {size}")
-            return f.read(k)
-
-        magic = read(4)
-        if magic != _CKPT_MAGIC:
-            raise DiffError(f"not a checkpoint file: bad magic {magic!r}")
-        (version,) = struct.unpack("<B", read(1))
-        if version != _CKPT_VERSION:
-            raise DiffError(f"unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", read(4))
-        out = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", read(2))
-            raw = read(nlen)
-            try:
-                name = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise DiffError(f"checkpoint {path} has a malformed tensor name {raw!r}") from None
-            if name in out:
-                raise DiffError(f"checkpoint {path} holds tensor '{name}' twice")
-            rows, cols = struct.unpack("<II", read(8))
-            buf = read(rows * cols * 8)
-            out[name] = np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()
-        if f.tell() != size:
-            raise DiffError(f"checkpoint {path} has trailing bytes: expected "
-                            f"{f.tell()} bytes, got {size}")
-        return out
 
 
 def restore_tensors(named: dict, loaded: dict) -> None:

@@ -13,7 +13,6 @@ without motif instances get a zero row, so absence is visible to the classifier.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -23,6 +22,7 @@ from scipy.special import expit
 from . import diffcore as dc
 from .backbone import GCNConfig, gcn_forward, glorot, init_gcn_weights
 from .motif import MotifIndex
+from .txgraph import load_arrays, save_arrays
 
 WEIGHT_FLOOR = 1e-300  # keeps the recency-weight denominator positive when
                        # every sigmoid underflows; gradients are unaffected
@@ -272,14 +272,17 @@ def delta_snapshot(x, a_hat, state: ModelState, tau_max: float) -> np.ndarray:
 # checkpoints
 
 
-def save_checkpoint(path, state: ModelState, meta: dict) -> None:
-    dc.save_tensors(path, state.named())
-    with open(str(path) + ".json", "w", encoding="utf-8") as f:
-        json.dump(meta, f, sort_keys=True, indent=2)
-        f.write("\n")
+_TENSORS = "tensors/"  # member name prefix of the model's tensors
 
 
-def load_checkpoint(path, state: ModelState) -> dict:
-    dc.restore_tensors(state.named(), dc.load_tensors(path))
-    with open(str(path) + ".json", "r", encoding="utf-8") as f:
-        return json.load(f)
+def save_checkpoint(path, state: ModelState, arrays: dict, meta: dict) -> None:
+    """The model's tensors, `arrays` and the JSON object `meta`, in one file."""
+    named = {_TENSORS + k: t.data for k, t in state.named().items()}
+    save_arrays(path, {**named, **arrays}, meta)
+
+
+def load_checkpoint(path) -> tuple[dict, dict, dict]:
+    """(tensors by name, other arrays, meta); `diffcore.restore_tensors` checks the tensors."""
+    arrays, meta = load_arrays(path, "checkpoint")
+    tensors = {k[len(_TENSORS):]: arrays.pop(k) for k in list(arrays) if k.startswith(_TENSORS)}
+    return tensors, arrays, meta

@@ -1,4 +1,5 @@
-"""Timestamped transaction graphs: ingest, validation, indexing, splits.
+"""Timestamped transaction graphs: ingest, validation, indexing, splits, and
+the on-disk container that graph caches and model checkpoints share.
 
 Edges are stored columnar (src/dst/timestamp/amount arrays) sorted by the
 total order (timestamp, src, dst, input position) and frozen after
@@ -9,9 +10,10 @@ GCN adjacency collapses it.
 from __future__ import annotations
 
 import json
+import math
 import os
-import struct
 import warnings
+import zipfile
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -143,8 +145,9 @@ def _earliest(n: int, src, dst, ts) -> np.ndarray:
 def _sort_edges(n: int, src, dst, ts):
     """Edges in (timestamp, src, dst, input position) order; timestamps are non-negative."""
     if len(ts) and (int(ts.max()) + 1) * n * n <= 2**63:
-        key = ts * n + src  # one stable sort of a combined key that cannot overflow,
-        key *= n            # built in place so that it costs one edge-sized array
+        key = ts * n  # one stable sort of a combined key that cannot overflow,
+        key += src    # built in place so that it costs one edge-sized array
+        key *= n
         key += dst
         order = np.argsort(key, kind="stable")
         del key
@@ -157,9 +160,12 @@ def build_graph(n: int, src, dst, ts, amount=None) -> TransactionGraph:
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     ts = np.asarray(ts, dtype=np.int64)
-    if amount is None:
-        amount = np.full(len(src), np.nan)
-    amount = np.asarray(amount, dtype=np.float64)
+    amount = np.full(src.shape, np.nan) if amount is None else np.asarray(amount, np.float64)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValidationError(f"node count must be a non-negative integer, got {n!r}")
+    if not (src.ndim == dst.ndim == ts.ndim == amount.ndim == 1
+            and len(src) == len(dst) == len(ts) == len(amount)):
+        raise ValidationError("src, dst, timestamp and amount must be vectors of one length")
     if len(src) and (src.min() < 0 or max(src.max(), dst.max()) >= n):
         raise ValidationError("edge endpoint out of range")
     if np.any(src == dst):
@@ -167,7 +173,7 @@ def build_graph(n: int, src, dst, ts, amount=None) -> TransactionGraph:
     if len(ts) and ts.min() < 0:
         raise ValidationError("negative timestamp")
     s, d, t, order = _sort_edges(n, src, dst, ts)
-    return TransactionGraph(n=n, src=s, dst=d, timestamp=t, amount=amount[order].copy())
+    return TransactionGraph(n=n, src=s, dst=d, timestamp=t, amount=amount[order])
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
@@ -180,6 +186,8 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
         f = float(token)
     except ValueError:
         raise ParseError(f"line {lineno}: cannot parse {what} from {token!r}") from None
+    if not math.isfinite(f):
+        raise ParseError(f"line {lineno}: {what} must be a finite integer, got {token!r}")
     if f != int(f):
         raise ParseError(f"line {lineno}: {what} must be an integer, got {token!r}")
     return int(f)
@@ -453,7 +461,7 @@ def set_features_labels(g: TransactionGraph, features: np.ndarray,
                         labels: np.ndarray) -> TransactionGraph:
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int8)
-    if features.shape[0] != g.n or labels.shape[0] != g.n:
+    if features.ndim != 2 or labels.ndim != 1 or features.shape[0] != g.n or len(labels) != g.n:
         raise ValidationError("features/labels row count must equal node count")
     if not np.isfinite(features).all():
         row, col = np.argwhere(~np.isfinite(features))[0]
@@ -462,9 +470,9 @@ def set_features_labels(g: TransactionGraph, features: np.ndarray,
     bad = (labels != UNLABELED) & (labels != 0) & (labels != 1)
     if bad.any():
         raise ValidationError("labels must be 0, 1 or the missing marker")
-    return TransactionGraph(n=g.n, src=g.src.copy(), dst=g.dst.copy(),
-                            timestamp=g.timestamp.copy(), amount=g.amount.copy(),
-                            features=features, labels=labels)
+    return TransactionGraph(n=g.n, src=g.src, dst=g.dst, timestamp=g.timestamp,
+                            amount=g.amount, features=features, labels=labels,
+                            t_earliest=g.t_earliest)  # edge columns are read-only
 
 
 def normalized_adjacency(g: TransactionGraph) -> sp.csr_matrix:
@@ -509,61 +517,114 @@ def make_splits(g: TransactionGraph, k: int, train_fraction: float,
 
 
 # ---------------------------------------------------------------------------
-# binary cache
+# on-disk container of graph caches and checkpoints: a stored zip of a
+# manifest.json member, {"arrays": {name: [dtype, shape]}, "meta": {...}}, and
+# one member of raw bytes per array
 
-_CACHE_MAGIC = b"TXGC"
-_CACHE_VERSION = 1
+_DTYPES = ("<i8", "<f8", "|i1")
+_EARLIER = {b"TXGC": "ingest", b"TMGC": "train"}  # magics of the struct formats before it
 
 
-def save_cache(g: TransactionGraph, path) -> None:
-    flags = (1 if g.features is not None else 0) | (2 if g.labels is not None else 0)
-    with open(path, "wb") as f:
-        f.write(_CACHE_MAGIC)
-        f.write(struct.pack("<B", _CACHE_VERSION))
-        f.write(struct.pack("<QQB", g.n, g.num_edges, flags))
-        for arr, dt in ((g.src, "<i8"), (g.dst, "<i8"), (g.timestamp, "<i8"),
-                        (g.amount, "<f8")):
-            f.write(np.ascontiguousarray(arr, dtype=dt).tobytes())
-        if g.features is not None:
-            f.write(struct.pack("<I", g.features.shape[1]))
-            f.write(np.ascontiguousarray(g.features, dtype="<f8").tobytes())
-        if g.labels is not None:
-            f.write(np.ascontiguousarray(g.labels, dtype="<i1").tobytes())
+def save_arrays(path, arrays: dict, meta: dict) -> None:
+    """Write int64, float64 or int8 `arrays` and the JSON object `meta`; equal
+    input gives equal bytes."""
+    arrays = {k: np.ascontiguousarray(a) for k, a in arrays.items()}
+    listed = {k: [a.dtype.str, a.shape] for k, a in arrays.items()}
+    assert "manifest.json" not in listed and all(d in _DTYPES for d, _ in listed.values())
+    members = {"manifest.json": json.dumps({"arrays": listed, "meta": meta}, sort_keys=True)}
+    members.update((k, a.reshape(-1).view(np.uint8)) for k, a in arrays.items())  # no copies
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():  # writestr alone would stamp the current time
+            zf.writestr(zipfile.ZipInfo(name, (1980, 1, 1, 0, 0, 0)), data)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """json's object hook: a key given twice is an error, not a silent overwrite."""
+    keys = [k for k, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"manifest lists {next(k for k in keys if keys.count(k) > 1)!r} twice")
+    return dict(pairs)
+
+
+def _array(raw: bytes, name: str, spec) -> np.ndarray:
+    dtype, shape = spec if isinstance(spec, list) and len(spec) == 2 else (None, None)
+    if not (dtype in _DTYPES and isinstance(shape, list)
+            and all(type(k) is int and k >= 0 for k in shape)
+            and math.prod(shape) * np.dtype(dtype).itemsize == len(raw)):
+        raise ValueError(f"array {name!r} is listed as {json.dumps(spec)}, which does not "
+                         f"describe its {len(raw)} bytes as int64, float64 or int8")
+    return np.frombuffer(raw, dtype).reshape(shape)
+
+
+def load_arrays(path, what: str) -> tuple[dict, dict]:
+    """The arrays and metadata of a `save_arrays` file. Beyond zipfile's checks,
+    CRC-32s among them, it must start with a member, end with an end record with
+    no comment, and hold the manifest and exactly the arrays it lists, each with a
+    dtype and shape that fit it. Faults raise ValidationError naming `what` and `path`."""
+    try:
+        with open(path, "rb") as f:
+            head = f.read(4)
+            if head in _EARLIER:
+                raise ValidationError(f"{what} {path} was written by an earlier tmgad in a "
+                                      f"format this one does not read; re-run "
+                                      f"`tmgad {_EARLIER[head]}`")
+            f.seek(max(f.seek(0, os.SEEK_END) - 22, 0))
+            tail = f.read()
+            if head != b"PK\x03\x04" or tail[:4] != b"PK\x05\x06" or tail[-2:] != b"\0\0":
+                raise ValueError("not a complete zip file: truncated, extended or of "
+                                 "another format")
+            with zipfile.ZipFile(f) as zf:
+                names = sorted(zf.namelist())
+                try:
+                    manifest = json.loads(zf.read("manifest.json"), object_pairs_hook=_unique_keys)
+                except json.JSONDecodeError as e:
+                    raise ValueError(f"manifest is not valid JSON: {e}") from None
+                if not (isinstance(manifest, dict) and set(manifest) == {"arrays", "meta"}
+                        and all(isinstance(v, dict) for v in manifest.values())):
+                    raise ValueError("manifest must be an object with the objects "
+                                     "'arrays' and 'meta'")
+                listed = manifest["arrays"]
+                if names != sorted(["manifest.json", *listed]):
+                    raise ValueError(f"members {names} are not the manifest and the arrays "
+                                     f"it lists, {sorted(listed)}")
+                arrays = {k: _array(zf.read(k), k, spec) for k, spec in listed.items()}
+    except (OSError, EOFError, ValueError, KeyError, NotImplementedError, RuntimeError,
+            zipfile.BadZipFile) as e:
+        raise ValidationError(f"cannot read {what} {path}: {str(e) or type(e).__name__}") from None
+    return arrays, manifest["meta"]
+
+
+_CACHE_DTYPES = {"src": "<i8", "dst": "<i8", "timestamp": "<i8", "amount": "<f8",
+                 "features": "<f8", "labels": "|i1"}
+
+
+def save_cache(g: TransactionGraph, path, provenance: dict | None = None) -> None:
+    """Write `g`, and `provenance`: what the caller records of its sources."""
+    arrays = {k: np.asarray(getattr(g, k), dtype=dt) for k, dt in _CACHE_DTYPES.items()
+              if getattr(g, k) is not None}
+    save_arrays(path, arrays, {"n": g.n, "provenance": provenance})
+
+
+def read_cache(path) -> tuple[TransactionGraph, dict | None]:
+    """The graph of a `save_cache` file, through the checks of ingest
+    (`build_graph`, then `set_features_labels`), and its provenance."""
+    arrays, meta = load_arrays(path, "graph cache")
+    try:
+        wrong = [k for k, a in arrays.items() if _CACHE_DTYPES.get(k) != a.dtype.str]
+        if wrong:
+            raise ValidationError(f"unexpected array {wrong[0]!r}")
+        g = build_graph(meta.get("n"), arrays["src"], arrays["dst"], arrays["timestamp"],
+                        arrays["amount"])
+        if "features" in arrays or "labels" in arrays:
+            g = set_features_labels(g, arrays["features"], arrays["labels"])
+    except (GraphError, KeyError) as e:
+        what = f"lacks array {e}" if isinstance(e, KeyError) else e
+        raise ValidationError(f"graph cache {path}: {what}") from None
+    return g, meta.get("provenance")
 
 
 def load_cache(path) -> TransactionGraph:
-    """Read a `save_cache` file; it must hold exactly the bytes its header promises."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-
-        def read(k: int) -> bytes:
-            if f.tell() + k > size:
-                raise ValidationError(f"graph cache {path} is truncated: expected at least "
-                                      f"{f.tell() + k} bytes, got {size}")
-            return f.read(k)
-
-        magic = read(4)
-        if magic != _CACHE_MAGIC:
-            raise ValidationError(f"not a graph cache: bad magic {magic!r}")
-        (version,) = struct.unpack("<B", read(1))
-        if version != _CACHE_VERSION:
-            raise ValidationError(f"unsupported graph cache version {version}")
-        n, m, flags = struct.unpack("<QQB", read(17))
-        src = np.frombuffer(read(8 * m), dtype="<i8").copy()
-        dst = np.frombuffer(read(8 * m), dtype="<i8").copy()
-        ts = np.frombuffer(read(8 * m), dtype="<i8").copy()
-        amount = np.frombuffer(read(8 * m), dtype="<f8").copy()
-        features = labels = None
-        if flags & 1:
-            (d,) = struct.unpack("<I", read(4))
-            features = np.frombuffer(read(8 * n * d), dtype="<f8").reshape(n, d).copy()
-        if flags & 2:
-            labels = np.frombuffer(read(n), dtype="<i1").copy()
-        if f.tell() != size:
-            raise ValidationError(f"graph cache {path} has trailing bytes: expected "
-                                  f"{f.tell()} bytes, got {size}")
-        return TransactionGraph(n=n, src=src, dst=dst, timestamp=ts, amount=amount,
-                                features=features, labels=labels)
+    return read_cache(path)[0]
 
 
 def save_id_map(id_map: dict, path) -> None:

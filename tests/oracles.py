@@ -1,6 +1,8 @@
 """Brute-force reference implementations and fixture helpers used only by the test suite."""
 
+import json
 import math
+import zipfile
 from itertools import combinations, permutations
 from types import MappingProxyType
 
@@ -380,3 +382,31 @@ def auprc_tie_loop(scores, labels):
         prev_recall = recall
         i = j + 1
     return float(area)
+
+
+def write_zip(path, members, manifest=None) -> None:
+    """A stored zip of `members` (name -> bytes), after a `manifest.json` member
+    holding `manifest` (JSON text as is, other values JSON-encoded), if given;
+    for forging `txgraph.save_arrays` files."""
+    if manifest is not None:
+        text = manifest if isinstance(manifest, str) else json.dumps(manifest)
+        members = {"manifest.json": text.encode("utf-8"), **members}
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+
+
+def zip_members(path) -> tuple[dict, dict]:
+    """(manifest, other members as name -> bytes) of a `txgraph.save_arrays` file."""
+    with zipfile.ZipFile(path) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    return json.loads(members.pop("manifest.json")), members
+
+
+def byte_flips(raw: bytes):
+    """`raw` with each byte in turn XOR-ed with 0x01, 0x80 and 0xFF."""
+    for i in range(len(raw)):
+        for mask in (0x01, 0x80, 0xFF):
+            b = bytearray(raw)
+            b[i] ^= mask
+            yield bytes(b)

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from tmgad import cli
+from tmgad import model as md
 from tmgad import train as tr
 from tmgad import txgraph as tg
 from tmgad.motif import FOCAL_ROOTED, build_catalog
 
-from oracles import brute_force_instances, write_edge_csv
+from oracles import brute_force_instances, write_edge_csv, write_zip, zip_members
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -326,6 +327,16 @@ class TestIngest:
         assert err == {"code": cli.EXIT_INPUT, "context": "ingest",
                        "message": f"line 3: {fault} does not fit in a 64-bit integer"}
 
+    @pytest.mark.parametrize("token", ["inf", "nan"])
+    def test_non_finite_timestamp_exits_2_naming_line_and_field(self, tmp_path, capsys, token):
+        (tmp_path / "edges.csv").write_text(f"src,dst,timestamp\n1,2,3\n1,2,{token}\n")
+        cfg = write_config(tmp_path, {"data": {"edges": "edges.csv"},
+                                      "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"code": cli.EXIT_INPUT, "context": "ingest",
+                       "message": f"line 3: timestamp must be a finite integer, got {token!r}"}
+
     def test_error_lines_count_comments_and_blank_lines(self, tmp_path, capsys):
         (tmp_path / "edges.csv").write_text(
             "src,dst,timestamp\n# exported by a wallet\n\n0xa,0xb,1\n0xb,0xc,soon\n")
@@ -368,6 +379,88 @@ class TestOneLoader:
         assert err["message"] == f"missing edges file: {tmp_path / 'nowhere.csv'}"
 
 
+class TestCacheUse:
+    """Commands use data.cache only when it was built from the config's CSVs."""
+
+    @staticmethod
+    def ingested(tmp_path, **data):
+        small_dataset(tmp_path)
+        cfg = write_config(tmp_path, {"data": dict(DATA, cache="out/graph.cache", **data),
+                                      "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_OK
+        return tmp_path / "out" / "graph.cache"
+
+    @staticmethod
+    def motifs_error(tmp_path, capsys, data) -> str:
+        cfg = write_config(tmp_path, {"data": data, "output": {"directory": "out"}},
+                           name="motifs.json")
+        capsys.readouterr()
+        assert cli.main(["--config", cfg, "motifs", "--delta-grid", "30"]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == cli.EXIT_INPUT and err["context"] == "motifs"
+        return err["message"]
+
+    def test_unchanged_sources_use_the_cache(self, tmp_path, monkeypatch):
+        self.ingested(tmp_path)
+        monkeypatch.setattr(cli, "_read_dataset", None)  # any CSV read would fail
+        cfg = write_config(tmp_path, {"data": dict(DATA, cache="out/graph.cache"),
+                                      "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, "motifs", "--delta-grid", "30"]) == cli.EXIT_OK
+
+    def test_cache_only_config_trusts_the_cache(self, tmp_path):
+        self.ingested(tmp_path)
+        (tmp_path / "edges.csv").write_text("0,1,5\n1,2,7\n")
+        cfg = write_config(tmp_path, {"data": {"cache": "out/graph.cache"},
+                                      "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, "motifs", "--delta-grid", "30"]) == cli.EXIT_OK
+
+    def test_changed_edges_exit_2_naming_the_file(self, tmp_path, capsys):
+        cache = self.ingested(tmp_path)
+        (tmp_path / "edges.csv").write_text("0,1,5\n1,2,7\n")
+        message = self.motifs_error(tmp_path, capsys, dict(DATA, cache=str(cache)))
+        assert message == (f"graph cache {cache} is stale: it was not built from the config's "
+                           f"edges file {tmp_path / 'edges.csv'}; re-run `tmgad ingest`")
+
+    @pytest.mark.parametrize("data, source", [
+        ({"time_unit": 5}, "data.time_unit 5"),
+        ({"labels": "labels2.csv"}, "labels file {}"),
+        ({"features": None, "labels": None}, "features file (none)")])
+    def test_other_sources_exit_2_naming_them(self, tmp_path, capsys, data, source):
+        cache = self.ingested(tmp_path, time_unit=1)
+        (tmp_path / "labels2.csv").write_text((tmp_path / "labels.csv").read_text() + "\n")
+        config = {**DATA, "cache": str(cache), "time_unit": 1, **data}
+        config = {k: v for k, v in config.items() if v is not None}
+        message = self.motifs_error(tmp_path, capsys, config)
+        source = source.format(tmp_path / "labels2.csv")
+        assert message == (f"graph cache {cache} is stale: it was not built from the config's "
+                           f"{source}; re-run `tmgad ingest`")
+
+    def test_cache_without_provenance_is_stale(self, tmp_path, capsys):
+        cache = self.ingested(tmp_path)
+        tg.save_cache(tg.load_cache(cache), cache)
+        message = self.motifs_error(tmp_path, capsys, dict(DATA, cache=str(cache)))
+        assert message.startswith(f"graph cache {cache} is stale: it was not built from the "
+                                  f"config's edges file")
+
+    @pytest.mark.parametrize("fault", ["earlier format", "truncated", "endpoint beyond n"])
+    def test_damaged_cache_exits_2_naming_it(self, tmp_path, capsys, fault):
+        cache = self.ingested(tmp_path)
+        if fault == "earlier format":
+            cache.write_bytes(b"TXGC\x01" + bytes(40))
+            want = (f"graph cache {cache} was written by an earlier tmgad in a format this "
+                    "one does not read; re-run `tmgad ingest`")
+        elif fault == "truncated":
+            cache.write_bytes(cache.read_bytes()[:-1])
+            want = (f"cannot read graph cache {cache}: not a complete zip file: truncated, "
+                    "extended or of another format")
+        else:
+            arrays, meta = tg.load_arrays(cache, "graph cache")
+            meta["n"] = 20  # the graph has 40 nodes
+            tg.save_arrays(cache, arrays, meta)
+            want = f"graph cache {cache}: edge endpoint out of range"
+        assert self.motifs_error(tmp_path, capsys, {"cache": str(cache)}) == want
+
+
 class TestMotifs:
     def make_cfg(self, tmp_path, grid):
         small_dataset(tmp_path)
@@ -394,6 +487,29 @@ class TestMotifs:
     def test_empty_grid_rejected(self, tmp_path):
         cfg = self.make_cfg(tmp_path, [])
         assert cli.main(["--config", cfg, "motifs"]) == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
+    def test_flag_value_not_positive_and_finite_exits_2_naming_flag(self, tmp_path, capsys,
+                                                                   value):
+        cfg = self.make_cfg(tmp_path, [5.0])
+        assert cli.main(["--config", cfg, "motifs",
+                         "--delta-grid", "10", value]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"code": cli.EXIT_INPUT, "context": "motifs",
+                       "message": "--delta-grid values must be positive and finite, "
+                                  f"got {float(value)}"}
+        assert not (tmp_path / "out" / "histogram_delta_0.csv").exists()
+
+    @pytest.mark.parametrize("value", [0, -5, "1e999"])
+    def test_config_value_not_positive_and_finite_exits_2_naming_key(self, tmp_path, capsys,
+                                                                    value):
+        cfg = self.make_cfg(tmp_path, [5.0, value])
+        path = tmp_path / "run.json"
+        path.write_text(path.read_text().replace('"1e999"', "1e999"))  # JSON reads it as inf
+        assert cli.main(["--config", cfg, "motifs"]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == ("analysis.delta_grid values must be positive and finite, "
+                                  f"got {float(value)}")
 
     def test_histogram_counts_match_oracle(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -458,8 +574,11 @@ class TestTrainEval:
         assert report["splits"] == 2
         assert set(report["mean"]) == {"auc", "auprc", "accuracy"}
         for i in range(2):
-            assert (out / f"checkpoint_{i}.bin").exists()
-            assert (out / f"checkpoint_{i}.bin.json").exists()
+            tensors, arrays, meta = md.load_checkpoint(out / f"checkpoint_{i}.bin")
+            assert sorted(arrays) == ["delta_final", "extraction_windows", "test_ids",
+                                      "train_ids"]
+            assert meta["split_index"] == i and meta["catalog_mode"] == "focal_rooted"
+            assert not (out / f"checkpoint_{i}.bin.json").exists()
             assert (out / f"loss_curve_{i}.csv").exists()
             assert (out / f"delta_by_class_{i}.csv").exists()
 
@@ -489,54 +608,61 @@ class TestTrainEval:
     @staticmethod
     def check_meta_without(trained, tmp_path, capsys, key):
         _, run_path, cfg = trained
-        out = run_path / "out"
+        arrays, meta = tg.load_arrays(run_path / "out" / "checkpoint_0.bin", "checkpoint")
+        del (meta if key in meta else arrays)[key]
         ckpt = tmp_path / "checkpoint.bin"
-        ckpt.write_bytes((out / "checkpoint_0.bin").read_bytes())
-        meta = json.loads((out / "checkpoint_0.bin.json").read_text())
-        del meta[key]
-        (tmp_path / "checkpoint.bin.json").write_text(json.dumps(meta))
+        tg.save_arrays(ckpt, arrays, meta)
         capsys.readouterr()
         assert cli.main(["--config", cfg, "--output", str(tmp_path / "eval"), "eval",
                          "--checkpoint", str(ckpt)]) == cli.EXIT_INPUT
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"code": cli.EXIT_INPUT, "context": "eval",
-                       "message": f"checkpoint metadata {ckpt}.json lacks key {key!r}"}
+                       "message": f"checkpoint {ckpt} lacks key {key!r}"}
 
     @pytest.mark.parametrize("fault", ["not JSON", "list root", "windows not numbers"])
     def test_damaged_meta_exits_2_naming_file(self, trained, tmp_path, capsys, fault):
         _, run_path, cfg = trained
-        out = run_path / "out"
-        ckpt = tmp_path / "checkpoint.bin"
-        ckpt.write_bytes((out / "checkpoint_0.bin").read_bytes())
-        meta = json.loads((out / "checkpoint_0.bin.json").read_text())
+        manifest, members = zip_members(run_path / "out" / "checkpoint_0.bin")
         if fault == "not JSON":
-            text = "{'catalog_mode': 1}"
-            want = f"checkpoint metadata {ckpt}.json is not valid JSON"
+            manifest = "{'catalog_mode': 1}"
+            want = "manifest is not valid JSON"
         elif fault == "list root":
-            text = json.dumps(list(cli._META_KEYS))
-            want = f"checkpoint metadata {ckpt}.json must be a JSON object"
+            manifest = [manifest]
+            want = "manifest must be an object with the objects 'arrays' and 'meta'"
         else:
-            meta["extraction_windows"] = ["a"] + meta["extraction_windows"][1:]
-            text = json.dumps(meta)
-            want = (f"checkpoint metadata {ckpt}.json: extraction_windows must be "
-                    "a list of numbers")
-        (tmp_path / "checkpoint.bin.json").write_text(text)
+            manifest["arrays"]["extraction_windows"][0] = "<U2"
+            want = "array 'extraction_windows' is listed as [\"<U2\", [40]]"
+        ckpt = tmp_path / "checkpoint.bin"
+        write_zip(ckpt, members, manifest)
         capsys.readouterr()
         assert cli.main(["--config", cfg, "--output", str(tmp_path / "eval"), "eval",
                          "--checkpoint", str(ckpt)]) == cli.EXIT_INPUT
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == cli.EXIT_INPUT and err["context"] == "eval"
-        assert err["message"].startswith(want)
+        assert err["message"].startswith(f"cannot read checkpoint {ckpt}: {want}")
 
     def test_missing_meta_exits_2_with_json(self, trained, tmp_path, capsys):
         _, run_path, cfg = trained
+        _, members = zip_members(run_path / "out" / "checkpoint_0.bin")
         ckpt = tmp_path / "checkpoint.bin"
-        ckpt.write_bytes((run_path / "out" / "checkpoint_0.bin").read_bytes())
+        write_zip(ckpt, members)
         capsys.readouterr()
         assert cli.main(["--config", cfg, "--output", str(tmp_path / "eval"), "eval",
                          "--checkpoint", str(ckpt)]) == cli.EXIT_INPUT
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["message"] == f"missing checkpoint metadata: {ckpt}.json"
+        assert err["message"] == (f"cannot read checkpoint {ckpt}: \"There is no item named "
+                                  "'manifest.json' in the archive\"")
+
+    def test_earlier_format_exits_2_naming_train(self, trained, tmp_path, capsys):
+        _, _, cfg = trained
+        ckpt = tmp_path / "checkpoint_0.bin"
+        ckpt.write_bytes(b"TMGC\x01" + bytes(40))
+        capsys.readouterr()
+        assert cli.main(["--config", cfg, "--output", str(tmp_path / "eval"), "eval",
+                         "--checkpoint", str(ckpt)]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == (f"checkpoint {ckpt} was written by an earlier tmgad in a "
+                                  "format this one does not read; re-run `tmgad train`")
 
     def test_eval_catalog_mismatch(self, trained, tmp_path):
         code, run_path, _ = trained
@@ -607,26 +733,37 @@ class TestEvalMismatch:
         _, run_path, _ = trained
         ckpt = tmp_path / "checkpoint.bin"
         ckpt.write_bytes((run_path / "out" / "checkpoint_0.bin").read_bytes()[:-5])
-        (tmp_path / "checkpoint.bin.json").write_bytes(
-            (run_path / "out" / "checkpoint_0.bin.json").read_bytes())
         message = self.eval_error(trained, tmp_path, capsys, ckpt=ckpt)
-        assert message.startswith(f"cannot load checkpoint {ckpt}: ")
-        assert "is truncated" in message
+        assert message.startswith(f"cannot read checkpoint {ckpt}: not a complete zip file")
 
-    @pytest.mark.parametrize("name, fault", [
-        (b"\xfflf.b1", "has a malformed tensor name b'\\xfflf.b1'"),
-        (b"clf.b1", "holds tensor 'clf.b1' twice")])
-    def test_damaged_tensor_name(self, trained, tmp_path, capsys, name, fault):
+    @pytest.mark.parametrize("fault", ["tensor listed twice", "unlisted tensor",
+                                       "renamed tensor", "unknown dtype", "bad shape"])
+    def test_damaged_checkpoint_exits_2(self, trained, tmp_path, capsys, fault):
         _, run_path, _ = trained
-        raw = (run_path / "out" / "checkpoint_0.bin").read_bytes()
-        old = b"clf.b1" if name.startswith(b"\xff") else b"clf.b2"
-        assert raw.count(old) == 1
+        manifest, members = zip_members(run_path / "out" / "checkpoint_0.bin")
+        listed = manifest["arrays"]
+        if fault == "tensor listed twice":
+            manifest = json.dumps(manifest).replace(
+                '"arrays": {', '"arrays": {"tensors/clf.b1": ["<f8", [1, 8]], ', 1)
+            want = "cannot read checkpoint {}: manifest lists 'tensors/clf.b1' twice"
+        elif fault == "unlisted tensor":
+            del listed["tensors/clf.b1"]
+            want = "cannot read checkpoint {}: members ["
+        elif fault == "renamed tensor":
+            listed["tensors/clf.bx"] = listed.pop("tensors/clf.b1")
+            members["tensors/clf.bx"] = members.pop("tensors/clf.b1")
+            want = ("cannot load checkpoint {}: checkpoint name mismatch: "
+                    "missing=['clf.b1'] extra=['clf.bx']")
+        elif fault == "unknown dtype":
+            listed["tensors/clf.b1"][0] = "<f4"
+            want = "cannot read checkpoint {}: array 'tensors/clf.b1' is listed as"
+        else:
+            listed["tensors/clf.b1"][1] = [2, -4]
+            want = "cannot read checkpoint {}: array 'tensors/clf.b1' is listed as"
         ckpt = tmp_path / "checkpoint.bin"
-        ckpt.write_bytes(raw.replace(old, name))
-        (tmp_path / "checkpoint.bin.json").write_bytes(
-            (run_path / "out" / "checkpoint_0.bin.json").read_bytes())
+        write_zip(ckpt, members, manifest)
         message = self.eval_error(trained, tmp_path, capsys, ckpt=ckpt)
-        assert message == f"cannot load checkpoint {ckpt}: checkpoint {ckpt} {fault}"
+        assert message.startswith(want.format(ckpt))
 
 
 class TestMoreSurfaces:

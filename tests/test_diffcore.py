@@ -1,13 +1,16 @@
 """Tape engine: primitive gradients, sparsemax exactness, checkpoint format."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from tmgad import diffcore as dc
+from tmgad import txgraph as tg
 
 import oracles as orc
+from oracles import write_zip, zip_members
 
 
 def simplex_projection_bisect(z, iters=200):
@@ -457,13 +460,16 @@ class TestGuards:
 
 
 class TestCheckpoints:
+    """Named tensors written by `txgraph.save_arrays` and put back by `restore_tensors`."""
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         named = {"w": dc.parameter(rng.normal(size=(3, 2))),
                  "b": dc.parameter(np.zeros((1, 2)))}
         path = tmp_path / "ckpt.bin"
-        dc.save_tensors(path, named)
-        loaded = dc.load_tensors(path)
+        tg.save_arrays(path, {k: t.data for k, t in named.items()}, {})
+        loaded, meta = tg.load_arrays(path, "checkpoint")
+        assert meta == {}
         np.testing.assert_array_equal(loaded["w"], named["w"].data)
         fresh = {"w": dc.parameter(np.ones((3, 2))), "b": dc.parameter(np.ones((1, 2)))}
         dc.restore_tensors(fresh, loaded)
@@ -471,57 +477,44 @@ class TestCheckpoints:
 
     def test_rejects_bad_magic_and_version(self, tmp_path):
         p = tmp_path / "junk.bin"
-        p.write_bytes(b"NOPE" + bytes(10))
-        with pytest.raises(dc.DiffError, match="magic"):
-            dc.load_tensors(p)
-        good = tmp_path / "ok.bin"
-        dc.save_tensors(good, {"w": dc.parameter(np.ones((1, 1)))})
-        raw = bytearray(good.read_bytes())
-        raw[4] = 99  # version byte
-        bad = tmp_path / "badver.bin"
-        bad.write_bytes(bytes(raw))
-        with pytest.raises(dc.DiffError, match="version"):
-            dc.load_tensors(bad)
+        p.write_bytes(b"NOPE" + bytes(30))
+        with pytest.raises(tg.ValidationError, match="not a complete zip file"):
+            tg.load_arrays(p, "checkpoint")
+        p.write_bytes(b"TMGC\x01" + bytes(30))  # the earlier struct format
+        with pytest.raises(tg.ValidationError, match=r"earlier tmgad .* re-run `tmgad train`$"):
+            tg.load_arrays(p, "checkpoint")
 
     def test_every_truncation_and_trailing_byte_rejected(self, tmp_path):
-        named = {"w": dc.parameter(np.arange(6.0).reshape(3, 2)),
-                 "b": dc.parameter(np.ones((1, 2)))}
+        arrays = {"w": np.arange(6.0).reshape(3, 2), "b": np.ones((1, 2))}
         full = tmp_path / "ckpt.bin"
-        dc.save_tensors(full, named)
+        tg.save_arrays(full, arrays, {"epochs": 3})
         raw = full.read_bytes()
         cut = tmp_path / "cut.bin"
-        for k in range(len(raw)):
-            cut.write_bytes(raw[:k])
-            with pytest.raises(dc.DiffError,
-                               match=rf"cut\.bin is truncated: expected at least \d+ bytes, got {k}$"):
-                dc.load_tensors(cut)
-        cut.write_bytes(raw + b"\0")
-        with pytest.raises(dc.DiffError,
-                           match=f"trailing bytes: expected {len(raw)} bytes, got {len(raw) + 1}"):
-            dc.load_tensors(cut)
-        loaded = dc.load_tensors(full)
-        assert sorted(loaded) == ["b", "w"]
-        for name, t in named.items():
-            np.testing.assert_array_equal(loaded[name], t.data)
+        for data in [raw[:k] for k in range(len(raw))] + [raw + b"\0"]:
+            cut.write_bytes(data)
+            with pytest.raises(tg.ValidationError, match=f"^cannot read checkpoint {cut}: "):
+                tg.load_arrays(cut, "checkpoint")
+        loaded, meta = tg.load_arrays(full, "checkpoint")
+        assert sorted(loaded) == ["b", "w"] and meta == {"epochs": 3}
+        for name, arr in arrays.items():
+            np.testing.assert_array_equal(loaded[name], arr)
 
     def test_rejects_malformed_and_repeated_names(self, tmp_path):
         p = tmp_path / "ckpt.bin"
-        dc.save_tensors(p, {"a": dc.parameter(np.ones((1, 1))),
-                            "b": dc.parameter(np.zeros((1, 1)))})
-        raw = p.read_bytes()
-        assert raw.count(b"a") == raw.count(b"b") == 1
+        tg.save_arrays(p, {"a": np.ones((1, 1)), "b": np.zeros((1, 1))}, {})
+        manifest, members = zip_members(p)
         bad = tmp_path / "bad.bin"
-        bad.write_bytes(raw.replace(b"a", b"\xff"))
-        with pytest.raises(dc.DiffError, match=r"bad\.bin has a malformed tensor name b'\\xff'$"):
-            dc.load_tensors(bad)
-        bad.write_bytes(raw.replace(b"b", b"a"))
-        with pytest.raises(dc.DiffError, match=r"bad\.bin holds tensor 'a' twice$"):
-            dc.load_tensors(bad)
+        write_zip(bad, {"a": members["a"], "\xff": members["b"]}, manifest)
+        with pytest.raises(tg.ValidationError,
+                           match=r"members \['a', 'manifest.json', '\xff'\] are not the "
+                                 r"manifest and the arrays it lists, \['a', 'b'\]$"):
+            tg.load_arrays(bad, "checkpoint")
+        write_zip(bad, members, json.dumps(manifest).replace('"b": [', '"a": [', 1))
+        with pytest.raises(tg.ValidationError, match=r"bad\.bin: manifest lists 'a' twice$"):
+            tg.load_arrays(bad, "checkpoint")
 
     def test_rejects_name_and_shape_mismatch(self, tmp_path):
-        p = tmp_path / "ckpt.bin"
-        dc.save_tensors(p, {"w": dc.parameter(np.ones((2, 2)))})
-        loaded = dc.load_tensors(p)
+        loaded = {"w": np.ones((2, 2))}
         with pytest.raises(dc.DiffError, match="name mismatch"):
             dc.restore_tensors({"other": dc.parameter(np.ones((2, 2)))}, loaded)
         with pytest.raises(dc.DiffError, match="shape mismatch"):

@@ -11,7 +11,7 @@ from tmgad import model as md
 from tmgad.backbone import GCNConfig, gcn_forward
 from tmgad.motif import FOCAL_ROOTED, MotifInstance, build_catalog, build_index
 from tmgad.train import synth_burst_graph
-from tmgad.txgraph import normalized_adjacency
+from tmgad.txgraph import ValidationError, normalized_adjacency
 
 import oracles as orc
 
@@ -453,8 +453,39 @@ class TestCheckpointMeta:
         g, state, a_hat, tau, index = build_everything(fixture_graph, catalog)
         meta = {"catalog_mode": catalog.mode, "catalog_size": catalog.size,
                 "refresh_interval": 5}
-        md.save_checkpoint(tmp_path / "m.bin", state, meta)
+        arrays = {"test_ids": np.array([0, 5]), "extraction_windows": np.full(g.n, tau)}
+        md.save_checkpoint(tmp_path / "m.bin", state, arrays, meta)
+        tensors, loaded_arrays, loaded_meta = md.load_checkpoint(tmp_path / "m.bin")
+        assert loaded_meta == meta
+        assert sorted(loaded_arrays) == sorted(arrays)
+        for k, a in arrays.items():
+            np.testing.assert_array_equal(loaded_arrays[k], a)
         state2 = fresh_state(catalog, in_dim=g.num_features, seed=123)
-        loaded = md.load_checkpoint(tmp_path / "m.bin", state2)
-        assert loaded == meta
-        np.testing.assert_array_equal(state2.w_inter.data, state.w_inter.data)
+        dc.restore_tensors(state2.named(), tensors)
+        for name, t in state.named().items():
+            np.testing.assert_array_equal(state2.named()[name].data, t.data)
+
+    def test_every_byte_flip_loads_the_same_checkpoint_or_is_rejected(self, tmp_path):
+        one = dict.fromkeys(["win_w1", "win_b1", "win_w2", "win_b2", "supernodes", "w_intra",
+                             "w_inter", "clf_w1", "clf_b1", "clf_w2", "clf_b2"])
+        state = md.ModelState(gcn=[dc.parameter(np.ones((1, 1)))],
+                              **{k: dc.parameter(np.full((1, 1), i)) for i, k in enumerate(one)})
+        full = tmp_path / "m.bin"
+        md.save_checkpoint(full, state, {"test_ids": np.array([3, 4])}, {"catalog_size": 1})
+        want = md.load_checkpoint(full)
+        bad = tmp_path / "bad.bin"
+        rejected = 0
+        for data in orc.byte_flips(full.read_bytes()):
+            bad.write_bytes(data)
+            try:
+                got = md.load_checkpoint(bad)
+            except ValidationError as e:
+                assert str(bad) in str(e)
+                rejected += 1
+                continue
+            assert got[2] == want[2]
+            for have, expect in zip(got[:2], want[:2]):
+                assert sorted(have) == sorted(expect)
+                assert all(np.array_equal(have[k], a) and have[k].dtype == a.dtype
+                           for k, a in expect.items())
+        assert rejected

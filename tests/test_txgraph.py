@@ -1,12 +1,16 @@
 """Graph ingest, adjacency normalization, splits, cache."""
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
 from tmgad import txgraph as tg
+from tmgad.train import synth_burst_graph
 
 from oracles import (earliest_loop, normalized_adjacency_from_pairs, random_graph,
-                     write_edge_csv)
+                     byte_flips, write_edge_csv, write_zip, zip_members)
 
 
 def write_edges(tmp_path, text, name="edges.csv"):
@@ -42,6 +46,14 @@ class TestLoadEdgeList:
         p = write_edges(tmp_path, "0xa,0xb,1\n")
         with pytest.raises(tg.ParseError, match="line 1: cannot parse src from '0xa'"):
             tg.load_edge_list(p)
+
+    @pytest.mark.parametrize("row, field, token", [
+        ("1,2,inf", "timestamp", "inf"), ("1,2,nan", "timestamp", "nan"),
+        ("1,-inf,3", "dst", "-inf"), ("NaN,2,3", "src", "NaN")])
+    def test_non_finite_field_rejected_naming_line_and_field(self, tmp_path, row, field, token):
+        with pytest.raises(tg.ParseError) as e:
+            tg.load_edge_list(write_edges(tmp_path, f"src,dst,timestamp\n0,1,2\n{row}\n"))
+        assert str(e.value) == f"line 3: {field} must be a finite integer, got {token!r}"
 
     def test_five_columns_rejected(self, tmp_path):
         with pytest.raises(tg.ParseError, match="line 2: expected 3 or 4 columns, got 5"):
@@ -441,6 +453,18 @@ class TestSplits:
                 assert set(np.unique(g.labels[ids])) == {0, 1}
 
 
+def small_cached_graph():
+    g = tg.build_graph(3, [0, 1], [1, 2], [4, 6], [1.5, np.nan])
+    return tg.set_features_labels(g, np.arange(6.0).reshape(3, 2),
+                                  np.array([0, 1, -1], dtype=np.int8))
+
+
+def assert_same_graph(a, b):
+    assert a.n == b.n and a.tau_max == b.tau_max
+    for name in ("src", "dst", "timestamp", "amount", "features", "labels", "t_earliest"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
 class TestCache:
     def test_round_trip_and_determinism(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -453,45 +477,197 @@ class TestCache:
         tg.save_cache(g, p1)
         tg.save_cache(g, p2)
         assert p1.read_bytes() == p2.read_bytes()
-        g2 = tg.load_cache(p1)
-        np.testing.assert_array_equal(g2.src, g.src)
-        np.testing.assert_array_equal(g2.timestamp, g.timestamp)
-        np.testing.assert_array_equal(g2.labels, g.labels)
-        np.testing.assert_allclose(g2.features, g.features)
+        with zipfile.ZipFile(p1) as zf:  # a stamped time would differ once saves straddle 2 s
+            assert {i.date_time for i in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+        assert_same_graph(tg.load_cache(p1), g)
+
+    def test_graph_without_features_labels_or_edges(self, tmp_path):
+        p = tmp_path / "c.bin"
+        for g in (tg.build_graph(3, [0, 1], [1, 2], [5, 5]), tg.build_graph(4, [], [], [])):
+            tg.save_cache(g, p)
+            g2 = tg.load_cache(p)
+            assert g2.features is None and g2.labels is None
+            assert g2.n == g.n and g2.tau_max == g.tau_max
+            np.testing.assert_array_equal(g2.src, g.src)
+
+    def test_provenance_round_trips(self, tmp_path):
+        p = tmp_path / "c.bin"
+        prov = {"edges": "ab12", "time_unit": 10}
+        tg.save_cache(small_cached_graph(), p, prov)
+        assert tg.read_cache(p)[1] == prov
+        tg.save_cache(small_cached_graph(), p)
+        assert tg.read_cache(p)[1] is None
+
+    def test_synthetic_graph_round_trips_every_column(self, tmp_path):
+        g = synth_burst_graph(300, 0.1, burst_len=10, seed=42)
+        tg.save_cache(g, tmp_path / "g.bin")
+        assert_same_graph(tg.load_cache(tmp_path / "g.bin"), g)
 
     def test_unknown_version_rejected(self, tmp_path):
-        g = tg.build_graph(2, [0], [1], [3])
+        """Files of the earlier struct formats name the command that rewrites them."""
         p = tmp_path / "c.bin"
-        tg.save_cache(g, p)
-        raw = bytearray(p.read_bytes())
-        raw[4] = 77
-        p.write_bytes(bytes(raw))
-        with pytest.raises(tg.ValidationError, match="version"):
-            tg.load_cache(p)
+        for magic, command in ((b"TXGC", "ingest"), (b"TMGC", "train")):
+            p.write_bytes(magic + bytes(30))
+            with pytest.raises(tg.ValidationError) as e:
+                tg.load_cache(p)
+            assert str(e.value) == (f"graph cache {p} was written by an earlier tmgad in a "
+                                    f"format this one does not read; re-run `tmgad {command}`")
 
     def test_every_truncation_and_trailing_byte_rejected(self, tmp_path):
-        g = tg.build_graph(3, [0, 1], [1, 2], [4, 6], [1.5, np.nan])
-        g = tg.set_features_labels(g, np.arange(6.0).reshape(3, 2),
-                                   np.array([0, 1, -1], dtype=np.int8))
         full = tmp_path / "full.bin"
-        tg.save_cache(g, full)
+        tg.save_cache(small_cached_graph(), full)
         raw = full.read_bytes()
         cut = tmp_path / "cut.bin"
-        for k in range(len(raw)):
-            cut.write_bytes(raw[:k])
-            with pytest.raises(tg.ValidationError,
-                               match=rf"cut\.bin is truncated: expected at least \d+ bytes, got {k}$"):
+        for data in [raw[:k] for k in range(len(raw))] + [raw + b"\0"]:
+            cut.write_bytes(data)
+            with pytest.raises(tg.ValidationError, match=f"^cannot read graph cache {cut}: "):
                 tg.load_cache(cut)
-        cut.write_bytes(raw + b"\0")
-        with pytest.raises(tg.ValidationError,
-                           match=f"trailing bytes: expected {len(raw)} bytes, got {len(raw) + 1}"):
-            tg.load_cache(cut)
-        g2 = tg.load_cache(full)
-        for name in ("src", "dst", "timestamp", "amount", "features", "labels"):
-            np.testing.assert_array_equal(getattr(g2, name), getattr(g, name))
+        assert_same_graph(tg.load_cache(full), small_cached_graph())
+
+    def test_every_byte_flip_loads_the_same_graph_or_is_rejected(self, tmp_path):
+        full = tmp_path / "full.bin"
+        g = small_cached_graph()
+        tg.save_cache(g, full)
+        bad = tmp_path / "bad.bin"
+        outcomes = {"same": 0, "rejected": 0}
+        for data in byte_flips(full.read_bytes()):
+            bad.write_bytes(data)
+            try:
+                g2 = tg.load_cache(bad)
+            except tg.ValidationError as e:
+                assert str(bad) in str(e)
+                outcomes["rejected"] += 1
+            else:
+                assert_same_graph(g2, g)
+                outcomes["same"] += 1
+        assert outcomes["same"] and outcomes["rejected"]
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "d.bin"
         p.write_bytes(b"WHAT" + bytes(20))
-        with pytest.raises(tg.ValidationError, match="magic"):
+        with pytest.raises(tg.ValidationError, match="not a complete zip file"):
             tg.load_cache(p)
+
+
+def cache_parts(g):
+    """The manifest and members `save_cache` writes for `g`."""
+    arrays = {"src": g.src, "dst": g.dst, "timestamp": g.timestamp, "amount": g.amount,
+              "features": g.features, "labels": g.labels}
+    manifest = {"meta": {"n": g.n, "provenance": None},
+                "arrays": {k: [a.dtype.str, list(a.shape)] for k, a in arrays.items()}}
+    return manifest, {k: a.tobytes() for k, a in arrays.items()}
+
+
+class TestForgedCache:
+    """Container faults, and graphs that only the ingest checks can refuse."""
+
+    def test_parts_match_save_cache(self, tmp_path):
+        g = small_cached_graph()
+        tg.save_cache(g, tmp_path / "real.bin")
+        manifest, members = cache_parts(g)
+        assert zip_members(tmp_path / "real.bin") == (manifest, members)
+        write_zip(tmp_path / "forged.bin", members, manifest)
+        assert_same_graph(tg.load_cache(tmp_path / "forged.bin"), g)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("unknown dtype", "array 'src' is listed as [\"<i4\", [4]], which does not describe "
+                          "its 16 bytes as int64, float64 or int8"),
+        ("negative shape", "array 'features' is listed as [\"<f8\", [-1, 2]]"),
+        ("float shape", "array 'features' is listed as [\"<f8\", [3.0, 2]]"),
+        ("shape too large", "array 'labels' is listed as [\"|i1\", [4]]"),
+        ("listed twice", "manifest lists 'src' twice"),
+        ("missing member", "members ['amount', 'dst', 'features', 'labels', 'manifest.json', "
+                           "'timestamp'] are not the manifest and the arrays it lists"),
+        ("unlisted member", "are not the manifest and the arrays it lists, ['amount', 'dst', "
+                            "'features', 'labels', 'src', 'timestamp']"),
+        ("no manifest", "There is no item named 'manifest.json' in the archive"),
+        ("manifest not JSON", "manifest is not valid JSON: "),
+        ("manifest a list", "manifest must be an object with the objects 'arrays' and 'meta'"),
+    ])
+    def test_container_fault(self, tmp_path, fault, message):
+        manifest, members = cache_parts(small_cached_graph())
+        listed = manifest["arrays"]
+        if fault == "unknown dtype":
+            listed["src"] = ["<i4", [4]]  # the same 16 bytes as four int32
+        elif fault == "negative shape":
+            listed["features"][1] = [-1, 2]
+        elif fault == "float shape":
+            listed["features"][1] = [3.0, 2]
+        elif fault == "shape too large":
+            listed["labels"][1] = [4]
+        elif fault == "listed twice":
+            manifest = json.dumps(manifest).replace('"arrays": {', '"arrays": {"src": 0, ', 1)
+        elif fault == "missing member":
+            del members["src"]
+        elif fault == "unlisted member":
+            members["extra"] = b""
+        elif fault == "no manifest":
+            manifest = None
+        elif fault == "manifest not JSON":
+            manifest = "{'meta': 1}"
+        else:
+            manifest = [manifest]
+        p = tmp_path / "forged.bin"
+        write_zip(p, members, manifest)
+        with pytest.raises(tg.ValidationError) as e:
+            tg.load_cache(p)
+        assert str(e.value).startswith(f"cannot read graph cache {p}: ")
+        assert message in str(e.value)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("endpoint beyond n", "edge endpoint out of range"),
+        ("self-loop", "self-loops are not allowed"),
+        ("negative timestamp", "negative timestamp"),
+        ("columns of two lengths", "src, dst, timestamp and amount must be vectors of one length"),
+        ("n negative", "node count must be a non-negative integer, got -1"),
+        ("n a float", "node count must be a non-negative integer, got 3.0"),
+        ("n missing", "node count must be a non-negative integer, got None"),
+        ("non-finite feature", "feature at node row 1, column 0 is inf; features must be finite"),
+        ("label 2", "labels must be 0, 1 or the missing marker"),
+        ("features without labels", "lacks array 'labels'"),
+        ("float ids", "unexpected array 'src'"),
+        ("unknown array", "unexpected array 'extra'"),
+    ])
+    def test_ingest_check(self, tmp_path, fault, message):
+        g = small_cached_graph()
+        arrays = {"src": g.src, "dst": g.dst, "timestamp": g.timestamp, "amount": g.amount,
+                  "features": g.features, "labels": g.labels}
+        meta = {"n": g.n, "provenance": None}
+        if fault == "endpoint beyond n":
+            arrays["dst"] = np.array([1, 3])
+        elif fault == "self-loop":
+            arrays["dst"] = np.array([0, 2])
+        elif fault == "negative timestamp":
+            arrays["timestamp"] = np.array([-4, 6])
+        elif fault == "columns of two lengths":
+            arrays["amount"] = np.ones(3)
+        elif fault == "n negative":
+            meta["n"] = -1
+        elif fault == "n a float":
+            meta["n"] = 3.0
+        elif fault == "n missing":
+            del meta["n"]
+        elif fault == "non-finite feature":
+            arrays["features"] = np.where(np.arange(6).reshape(3, 2) == 2, np.inf, 0.0)
+        elif fault == "label 2":
+            arrays["labels"] = np.array([0, 2, 1], dtype=np.int8)
+        elif fault == "features without labels":
+            del arrays["labels"]
+        elif fault == "float ids":
+            arrays["src"] = arrays["src"].astype(np.float64)
+        else:
+            arrays["extra"] = np.zeros(1)
+        p = tmp_path / "forged.bin"
+        tg.save_arrays(p, arrays, meta)
+        with pytest.raises(tg.ValidationError) as e:
+            tg.load_cache(p)
+        assert str(e.value) == f"graph cache {p}: {message}"
+
+    def test_unsorted_edges_load_in_edge_order(self, tmp_path):
+        g = small_cached_graph()
+        p = tmp_path / "forged.bin"
+        tg.save_arrays(p, {"src": g.src[::-1], "dst": g.dst[::-1],
+                           "timestamp": g.timestamp[::-1], "amount": g.amount[::-1],
+                           "features": g.features, "labels": g.labels},
+                       {"n": g.n, "provenance": None})
+        assert_same_graph(tg.load_cache(p), g)
