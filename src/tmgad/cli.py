@@ -1,9 +1,10 @@
 """Command-line entry point: ingest, motifs, train, eval.
 
 Runs are driven by a JSON config (sections: data, model, train, analysis,
-output); flags override config values for sweeps. All outputs land under the
-output directory. Exit codes: 0 success, 1 internal error, 2 input or
-validation error.
+output); flags override config values for sweeps. `eval` reads only the data
+and output sections: it rebuilds the model its checkpoint records. All outputs
+land under the output directory. Exit codes: 0 success, 1 internal error, 2
+input or validation error.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ _NULL = type(None)
 # section -> key -> accepted JSON type(s); float accepts integers too
 _SCHEMA = {
     "data": {"edges": str, "features": str, "labels": str, "cache": str, "time_unit": int},
-    "model": {"layers": int, "hidden_dim": int, "out_dim": int, "dropout": float,
-              "catalog_mode": str},
+    "model": {"layers": int, "hidden_dim": int, "out_dim": int, "dropout": float},
     "train": {"epochs": int, "learning_rate": float, "refresh_interval": (int, _NULL),
               "seed": int, "ablation": str, "delta_fixed": (float, _NULL),
               "instance_cap": (int, _NULL), "pos_weight": (float, _NULL), "splits": int,
@@ -67,6 +67,17 @@ def _check_type(where: str, value, kinds) -> None:
         raise ConfigError(f"{where} must be {expected}, got {json.dumps(value)}")
 
 
+def _check_section(section: str, body, schema: dict) -> None:
+    """Reject a section that is not an object, keys `schema` lacks and values of another type."""
+    if not isinstance(body, dict):
+        raise ConfigError(f"config section {section!r} must be an object")
+    unknown = set(body) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
+    for key, value in body.items():
+        _check_type(f"{section}.{key}", value, schema[key])
+
+
 def _reject_constant(literal: str):
     """json's hook for NaN, Infinity and -Infinity, which are not JSON numbers."""
     raise ConfigError(f"config is not valid JSON: {literal} is not a finite number")
@@ -86,13 +97,7 @@ def load_config(path) -> dict:
     for section, body in cfg.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section {section!r}")
-        if not isinstance(body, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        unknown = set(body) - set(_SCHEMA[section])
-        if unknown:
-            raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
-        for key, value in body.items():
-            _check_type(f"{section}.{key}", value, _SCHEMA[section][key])
+        _check_section(section, body, _SCHEMA[section])
     for section in _SCHEMA:
         cfg.setdefault(section, {})
     if cfg["data"].get("time_unit", 1) < 1:
@@ -125,18 +130,26 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _fields(cls, *sections) -> dict:
-    """The keys of the config sections that name fields of the dataclass `cls`."""
+def _build(cls, body: dict):
+    """The dataclass `cls` from the keys of `body` that name its fields."""
     names = {f.name for f in dataclasses.fields(cls)}
-    return {k: v for body in sections for k, v in body.items() if k in names}
+    return cls(**{k: v for k, v in body.items() if k in names})
 
 
-def _gcn_config(cfg) -> GCNConfig:
-    return GCNConfig(**_fields(GCNConfig, cfg["model"]))
-
-
-def _train_config(cfg) -> train_mod.TrainConfig:
-    return train_mod.TrainConfig(**_fields(train_mod.TrainConfig, cfg["model"], cfg["train"]))
+def _recorded_model(ckpt, record):
+    """(GCNConfig, TrainConfig, HeadOptions) of the model a checkpoint records, checked
+    as `load_config` and the dataclasses check a config; no field may be missing."""
+    try:
+        _check_section("config", record, {**_SCHEMA["model"], **_SCHEMA["train"]})
+        missing = [f.name for cls in (GCNConfig, train_mod.TrainConfig)
+                   for f in dataclasses.fields(cls) if f.name not in record]
+        if missing:
+            raise ConfigError(f"config lacks key {missing[0]!r}")
+        gcn_cfg, tcfg = _build(GCNConfig, record), _build(train_mod.TrainConfig, record)
+        opts = model_mod.HeadOptions.from_ablation(tcfg.ablation, tcfg.delta_fixed)
+    except (ConfigError, ValueError) as e:
+        raise txgraph.ValidationError(f"checkpoint {ckpt} records an invalid model: {e}") from None
+    return gcn_cfg, tcfg, opts
 
 
 def _source_files(data) -> dict:
@@ -232,8 +245,8 @@ def cmd_motifs(cfg, args) -> int:
         if d > tau:
             print(f"warning: delta {d} exceeds tau_max {tau}; clamping", file=sys.stderr)
     clamped = [min(d, tau) for d in grid]
-    tcfg = _train_config(cfg)
-    catalog = motif_mod.build_catalog(tcfg.catalog_mode)
+    tcfg = _build(train_mod.TrainConfig, cfg["train"])
+    catalog = motif_mod.build_catalog()
     labeled = g.labeled_nodes()
     indexes = {}
     for d in clamped:
@@ -254,8 +267,8 @@ def cmd_motifs(cfg, args) -> int:
 def cmd_train(cfg, args) -> int:
     out = _out_dir(cfg, args)
     g = _load_graph(cfg)
-    gcn_cfg = _gcn_config(cfg)
-    base = _train_config(cfg)
+    gcn_cfg = _build(GCNConfig, cfg["model"])
+    base = _build(train_mod.TrainConfig, cfg["train"])
     seed = args.seed if args.seed is not None else base.seed
     splits = txgraph.make_splits(g, cfg["train"].get("splits", 3),
                                  cfg["train"].get("train_fraction", 0.8), seed)
@@ -267,14 +280,8 @@ def cmd_train(cfg, args) -> int:
         for key in ("extraction_windows", "delta_final"):
             value = getattr(report, key)
             arrays[key] = np.empty(0) if value is None else value
-        meta = {
-            "split_index": i,
-            "catalog_mode": tcfg.catalog_mode,
-            "catalog_size": report.config["catalog_size"],
-            "refresh_interval": tcfg.refresh_interval,
-            "config": report.config,
-        }
-        model_mod.save_checkpoint(out / f"checkpoint_{i}.bin", state, arrays, meta)
+        model_mod.save_checkpoint(out / f"checkpoint_{i}.bin", state, arrays,
+                                  {"split_index": i, "config": report.config})
         with open(out / f"loss_curve_{i}.csv", "w", encoding="utf-8") as f:
             f.write("epoch,loss,delta_min,delta_mean,delta_max\n")
             for e, loss in enumerate(report.loss_curve):
@@ -307,27 +314,21 @@ def cmd_train(cfg, args) -> int:
 def cmd_eval(cfg, args) -> int:
     out = _out_dir(cfg, args)
     g = _load_graph(cfg)
-    gcn_cfg = _gcn_config(cfg)
     ckpt = Path(args.checkpoint)
     if not ckpt.exists():
         raise txgraph.ValidationError(f"missing checkpoint: {ckpt}")
-    tcfg = _train_config(cfg)
-    catalog = motif_mod.build_catalog(tcfg.catalog_mode)
     tensors, arrays, meta = model_mod.load_checkpoint(ckpt)
-    missing = ([k for k in ("catalog_mode", "catalog_size") if k not in meta]
+    missing = ([k for k in ("config",) if k not in meta]
                + [k for k in ("extraction_windows", "train_ids", "test_ids") if k not in arrays])
     if missing:
         raise txgraph.ValidationError(f"checkpoint {ckpt} lacks key {missing[0]!r}")
-    if meta["catalog_mode"] != tcfg.catalog_mode or meta["catalog_size"] != catalog.size:
-        raise txgraph.ValidationError(
-            f"checkpoint catalog ({meta['catalog_mode']}, {meta['catalog_size']}) does not "
-            f"match config ({tcfg.catalog_mode}, {catalog.size})")
+    gcn_cfg, tcfg, opts = _recorded_model(ckpt, meta["config"])
+    catalog = motif_mod.build_catalog()
     state = model_mod.init_model(np.random.default_rng(0), g.num_features, gcn_cfg, catalog.size)
     try:
         dc.restore_tensors(state.named(), tensors)
     except dc.DiffError as e:
         raise txgraph.ValidationError(f"cannot load checkpoint {ckpt}: {e}") from e
-    opts = model_mod.HeadOptions.from_ablation(tcfg.ablation, tcfg.delta_fixed)
     a_hat = txgraph.normalized_adjacency(g)
     index = None
     if opts.use_motifs:

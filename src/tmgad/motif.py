@@ -446,7 +446,6 @@ class MotifIndex:
     `restrict`.
     """
 
-    catalog_mode: str
     catalog_size: int
     tau_max: int | float       # windows were checked against (0, tau_max]
     cap: int | None            # most recent instances kept per (node, type)
@@ -464,18 +463,6 @@ class MotifIndex:
     def __post_init__(self):
         for name in _COLUMNS:
             getattr(self, name).setflags(write=False)
-
-    @classmethod
-    def _from_rows(cls, mode, size, tau, cap, node_ids, node_windows, node_starts,
-                   counts, rows) -> "MotifIndex":
-        owner = np.repeat(node_ids, counts)
-        return cls(catalog_mode=mode, catalog_size=size, tau_max=tau, cap=cap,
-                   node_ids=node_ids, node_windows=node_windows, node_starts=node_starts,
-                   offsets=_offsets(counts),
-                   owner=owner, type_id=np.ascontiguousarray(rows[:, _TYPE]),
-                   nodes=np.column_stack([owner, rows[:, _A], rows[:, _B]]),
-                   edges=np.ascontiguousarray(rows[:, _E1:_E3 + 1]),
-                   t_max=np.ascontiguousarray(rows[:, _TMAX]))
 
     # -- reads ---------------------------------------------------------------
 
@@ -557,9 +544,8 @@ class MotifIndex:
             keep = _latest(seg, order, np.bincount(seg[keep], minlength=n_seg), cap)
         node_of_row = np.repeat(np.arange(self.node_ids.size), counts)
         return MotifIndex(
-            catalog_mode=self.catalog_mode, catalog_size=self.catalog_size,
-            tau_max=self.tau_max, cap=cap, node_ids=self.node_ids, node_windows=deltas,
-            node_starts=self.node_starts,
+            catalog_size=self.catalog_size, tau_max=self.tau_max, cap=cap,
+            node_ids=self.node_ids, node_windows=deltas, node_starts=self.node_starts,
             offsets=_offsets(np.bincount(node_of_row[keep], minlength=self.node_ids.size)),
             owner=self.owner[keep], type_id=self.type_id[keep], nodes=self.nodes[keep],
             edges=self.edges[keep], t_max=self.t_max[keep])
@@ -594,8 +580,13 @@ def build_index(g: TransactionGraph, windows, catalog: MotifCatalog,
     counts[anchored], rows = _enumerate(
         g, catalog, node_ids[anchored], starts[anchored],
         _window_ends(starts[anchored], deltas[anchored]), cap)
-    return MotifIndex._from_rows(catalog.mode, catalog.size, tau, cap, node_ids, deltas,
-                                 starts, counts, rows)
+    owner = np.repeat(node_ids, counts)
+    return MotifIndex(catalog_size=catalog.size, tau_max=tau, cap=cap, node_ids=node_ids,
+                      node_windows=deltas, node_starts=starts, offsets=_offsets(counts),
+                      owner=owner, type_id=np.ascontiguousarray(rows[:, _TYPE]),
+                      nodes=np.column_stack([owner, rows[:, _A], rows[:, _B]]),
+                      edges=np.ascontiguousarray(rows[:, _E1:_E3 + 1]),
+                      t_max=np.ascontiguousarray(rows[:, _TMAX]))
 
 
 # ---------------------------------------------------------------------------

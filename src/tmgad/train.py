@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -11,8 +11,9 @@ from scipy.special import expit
 from . import diffcore as dc
 from .backbone import GCNConfig
 from .model import HeadOptions, ModelState, delta_snapshot, forward_nodes, init_model
-from .motif import FOCAL_ROOTED, build_catalog, build_index
-from .txgraph import SplitSpec, TransactionGraph, make_splits, normalized_adjacency
+from .motif import build_catalog, build_index
+from .txgraph import (SplitSpec, TransactionGraph, build_graph, make_splits,
+                      normalized_adjacency, set_features_labels)
 
 
 class TrainError(Exception):
@@ -94,12 +95,13 @@ def accuracy(scores, labels) -> float:
 # optimizer
 
 
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params, lr: float = 1e-3):
         self.params = [p for p in params if p.requires_grad]
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -109,24 +111,28 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1t = 1.0 - self.b1 ** self.t
-        b2t = 1.0 - self.b2 ** self.t
+        b1t = 1.0 - ADAM_B1 ** self.t
+        b2t = 1.0 - ADAM_B2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= ADAM_B1
+            m += (1.0 - ADAM_B1) * g
+            v *= ADAM_B2
+            v += (1.0 - ADAM_B2) * g * g
+            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
 # synthetic burst-fraud fixture
 
 
+FEATURE_NOISE = 1.5     # std of the Gaussian noise on the degree/volume features
+CHAIN_RANGE = (2, 5)    # triads per normal node, drawn from [low, high); fraud: (low, high]
+BACKGROUND_RATE = 2.0   # mean background edges per normal node
+
+
 def synth_burst_graph(n_nodes: int, fraud_fraction: float, burst_len: int,
-                      seed: int, horizon: int = 200, feature_noise: float = 1.5,
-                      chain_range=(2, 5), background_rate: float = 2.0) -> TransactionGraph:
+                      seed: int, horizon: int = 200) -> TransactionGraph:
     """Planted-signal transaction graph for desk-scale validation.
 
     Both classes take part in payer-mule-beneficiary triads of identical
@@ -172,11 +178,11 @@ def synth_burst_graph(n_nodes: int, fraud_fraction: float, burst_len: int,
 
     for v in normal_ids:
         # background traffic, uniform over the horizon
-        for _ in range(rng.poisson(background_rate)):
+        for _ in range(rng.poisson(BACKGROUND_RATE)):
             (u,) = pick_normal({int(v)}, 1)
             emit(v, u, rng.integers(0, horizon + 1), amount())
         # spread-out triads: same shape as fraud chains, wide temporal span
-        for _ in range(rng.integers(*chain_range)):
+        for _ in range(rng.integers(*CHAIN_RANGE)):
             m, b = pick_normal({int(v)}, 2)
             t1 = int(rng.integers(0, max(1, horizon // 3)))
             t2 = t1 + int(rng.integers(horizon // 4, horizon // 2))
@@ -189,7 +195,7 @@ def synth_burst_graph(n_nodes: int, fraud_fraction: float, burst_len: int,
 
     for v in fraud_ids:
         t0 = int(rng.integers(0, horizon - 3 * burst_len))
-        for _ in range(rng.integers(chain_range[0] + 1, chain_range[1] + 1)):
+        for _ in range(rng.integers(CHAIN_RANGE[0] + 1, CHAIN_RANGE[1] + 1)):
             m, b = pick_normal({int(v)}, 2)
             offs = np.sort(rng.integers(0, burst_len + 1, size=3))
             emit(v, m, t0 + offs[0], amount())
@@ -216,11 +222,8 @@ def synth_burst_graph(n_nodes: int, fraud_fraction: float, burst_len: int,
     in_vol = np.bincount(dst, weights=amt, minlength=n_nodes)
     feats = np.stack([np.log1p(out_deg), np.log1p(in_deg),
                       np.log1p(out_vol), np.log1p(in_vol)], axis=1)
-    feats += rng.normal(0.0, feature_noise, size=feats.shape)
+    feats += rng.normal(0.0, FEATURE_NOISE, size=feats.shape)
     labels = is_fraud.astype(np.int8)
-
-    from .txgraph import build_graph, set_features_labels
-
     g = build_graph(n_nodes, src, dst, ts, amt)
     return set_features_labels(g, feats, labels)
 
@@ -240,7 +243,6 @@ class TrainConfig:
     seed: int = 0
     ablation: str = "full"
     delta_fixed: float | None = None
-    catalog_mode: str = FOCAL_ROOTED
     instance_cap: int | None = 512
     pos_weight: float | None = None
 
@@ -274,7 +276,7 @@ class MetricsReport:
     delta_final: np.ndarray | None = None
     extraction_windows: np.ndarray | None = None
     total_instances: int = 0
-    config: dict = field(default_factory=dict)
+    config: dict = field(default_factory=dict)       # the TrainConfig and GCNConfig fields
 
     def to_dict(self) -> dict:
         return {
@@ -339,7 +341,7 @@ def train(g: TransactionGraph, cfg: TrainConfig, gcn_cfg: GCNConfig | None = Non
         split = make_splits(g, 1, 0.8, cfg.seed)[0]
     opts = HeadOptions.from_ablation(cfg.ablation, cfg.delta_fixed)
     rng = np.random.default_rng(cfg.seed)
-    catalog = build_catalog(cfg.catalog_mode)
+    catalog = build_catalog()
     state = init_model(rng, g.num_features, gcn_cfg, catalog.size)
     a_hat = normalized_adjacency(g)
     x = g.features
@@ -401,12 +403,6 @@ def train(g: TransactionGraph, cfg: TrainConfig, gcn_cfg: GCNConfig | None = Non
         delta_final=delta_final,
         extraction_windows=windows,
         total_instances=index.total_instances() if index is not None else 0,
-        config={"ablation": cfg.ablation, "epochs": cfg.epochs,
-                "learning_rate": cfg.learning_rate, "seed": cfg.seed,
-                "refresh_interval": cfg.refresh_interval,
-                "delta_fixed": cfg.delta_fixed, "catalog_mode": cfg.catalog_mode,
-                "catalog_size": catalog.size, "instance_cap": cfg.instance_cap,
-                "gcn_layers": gcn_cfg.layers, "gcn_hidden": gcn_cfg.hidden_dim,
-                "gcn_out": gcn_cfg.out_dim, "dropout": gcn_cfg.dropout},
+        config={**asdict(cfg), **asdict(gcn_cfg)},
     )
     return state, report

@@ -286,9 +286,10 @@ def _read_plain_edges(path) -> TransactionGraph | None:
 def read_edge_list(path, compact: bool = False) -> tuple[TransactionGraph, dict | None]:
     """`load_edge_list`, and with `compact` also files whose ids are tokens.
 
-    With `compact`, when some id does not parse as an integer, node ids become
-    the positions of the sorted distinct id tokens, and the token -> node id
-    map is returned with the graph. Otherwise the map is None.
+    With `compact`, when some id of the file does not parse as an integer,
+    every id is a token as spelled ("007" and "7" differ), node ids become the
+    positions of the sorted distinct tokens, and the token -> node id map is
+    returned with the graph. Otherwise the map is None.
 
     A plain file is read in one `np.loadtxt` pass: its first line is data or a
     header, and every row has the first data row's 3 or 4 fields, with integer
@@ -300,37 +301,41 @@ def read_edge_list(path, compact: bool = False) -> tuple[TransactionGraph, dict 
     return (g, None) if g is not None else _read_edge_lines(path, compact)
 
 
-def _read_edge_lines(path, compact: bool) -> tuple[TransactionGraph, dict | None]:
-    """`read_edge_list` one `read_records` line at a time."""
+def _has_token_id(path) -> bool:
+    """Whether an id before the file's first malformed line is not an integer."""
+    try:
+        for lineno, fields in read_records(path, (3, 4)):
+            for token in fields[:2]:
+                try:
+                    _parse_int(token, "id", lineno)
+                except ParseError:
+                    return True
+    except (ParseError, UnicodeDecodeError):
+        pass
+    return False
+
+
+def _read_edge_lines(path, compact: bool, as_tokens: bool = False):
+    """`read_edge_list` one `read_records` line at a time (again `as_tokens` for token ids)."""
     src, dst, ts, lines = array("q"), array("q"), array("q"), array("q")
     amount = array("d")
-    tokens = None  # (src, dst) id strings, once some id is not an integer
+    tokens = ([], []) if as_tokens else None  # (src, dst) id strings
     for lineno, fields in read_records(path, (3, 4)):
-        if tokens is None:
-            try:
-                s, d = int(fields[0]), int(fields[1])
-            except ValueError:  # name the bad id, read 1.0 as 1, or switch to id tokens
-                try:
-                    s = _parse_int(fields[0], "src", lineno)
-                    d = _parse_int(fields[1], "dst", lineno)
-                except ParseError:
-                    if not compact:
-                        raise
-                    # ids read so far were integers; they keep their decimal spelling
-                    tokens = ([str(v) for v in src], [str(v) for v in dst])
-            if tokens is None:
-                try:
-                    src.append(s)
-                    dst.append(d)
-                except OverflowError:
-                    raise _out_of_range(lineno, src=s, dst=d) from None
         if tokens is not None:
             tokens[0].append(fields[0].strip())
             tokens[1].append(fields[1].strip())
-        try:
-            t = int(fields[2])
-        except ValueError:
-            t = _parse_int(fields[2], "timestamp", lineno)
+        else:
+            try:
+                s, d = _parse_int(fields[0], "src", lineno), _parse_int(fields[1], "dst", lineno)
+                src.append(s)
+                dst.append(d)
+            except (ParseError, OverflowError) as e:
+                if compact and _has_token_id(path):
+                    return _read_edge_lines(path, compact, as_tokens=True)
+                if isinstance(e, ParseError):
+                    raise
+                raise _out_of_range(lineno, src=s, dst=d) from None
+        t = _parse_int(fields[2], "timestamp", lineno)
         try:
             ts.append(t)
         except OverflowError:
@@ -595,7 +600,7 @@ def load_arrays(path, what: str) -> tuple[dict, dict]:
 
 
 _CACHE_DTYPES = {"src": "<i8", "dst": "<i8", "timestamp": "<i8", "amount": "<f8",
-                 "features": "<f8", "labels": "|i1"}
+                 "t_earliest": "<i8", "features": "<f8", "labels": "|i1"}
 
 
 def save_cache(g: TransactionGraph, path, provenance: dict | None = None) -> None:
@@ -607,14 +612,20 @@ def save_cache(g: TransactionGraph, path, provenance: dict | None = None) -> Non
 
 def read_cache(path) -> tuple[TransactionGraph, dict | None]:
     """The graph of a `save_cache` file, through the checks of ingest
-    (`build_graph`, then `set_features_labels`), and its provenance."""
+    (`build_graph`, then `set_features_labels`), and its provenance. The node
+    count must be the length of the stored `t_earliest`, which the file's size
+    bounds, and that column the one the edges give."""
     arrays, meta = load_arrays(path, "graph cache")
     try:
         wrong = [k for k, a in arrays.items() if _CACHE_DTYPES.get(k) != a.dtype.str]
         if wrong:
             raise ValidationError(f"unexpected array {wrong[0]!r}")
-        g = build_graph(meta.get("n"), arrays["src"], arrays["dst"], arrays["timestamp"],
-                        arrays["amount"])
+        n, earliest = meta.get("n"), arrays["t_earliest"]
+        if type(n) is int and n >= 0 and earliest.shape != (n,):  # before allocating n
+            raise ValidationError(f"node count {n} does not fit t_earliest {earliest.shape}")
+        g = build_graph(n, arrays["src"], arrays["dst"], arrays["timestamp"], arrays["amount"])
+        if not np.array_equal(g.t_earliest, earliest):
+            raise ValidationError("t_earliest is not the earliest timestamp of each node's edges")
         if "features" in arrays or "labels" in arrays:
             g = set_features_labels(g, arrays["features"], arrays["labels"])
     except (GraphError, KeyError) as e:

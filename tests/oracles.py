@@ -121,8 +121,7 @@ def write_edge_csv(g, path) -> None:
             f.write(row + (f",{float(a)!r}\n" if not np.isnan(a) else "\n"))
 
 
-def index_from_instances(catalog_mode, catalog_size, per_node, *, windows=None,
-                         window_starts=None):
+def index_from_instances(catalog_size, per_node, *, windows=None, window_starts=None):
     """Uncapped MotifIndex holding given instances: node -> {type_id -> [MotifInstance]}.
 
     The mapping keys give each instance's owner and type; instances are stored
@@ -136,7 +135,7 @@ def index_from_instances(catalog_mode, catalog_size, per_node, *, windows=None,
     cols = np.array(rows, dtype=np.int64).reshape(-1, 8)
     owner = np.ascontiguousarray(cols[:, 0])
     return MotifIndex(
-        catalog_mode=catalog_mode, catalog_size=catalog_size, tau_max=0, cap=None,
+        catalog_size=catalog_size, tau_max=0, cap=None,
         node_ids=node_ids,
         node_windows=np.array([np.nan if windows is None else float(windows[v])
                                for v in node_ids.tolist()]),

@@ -10,7 +10,7 @@ from tmgad import cli
 from tmgad import model as md
 from tmgad import train as tr
 from tmgad import txgraph as tg
-from tmgad.motif import FOCAL_ROOTED, build_catalog
+from tmgad.motif import FOCAL_ROOTED, UNROOTED, build_catalog
 
 from oracles import brute_force_instances, write_edge_csv, write_zip, zip_members
 
@@ -64,6 +64,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("section, key", [
         ("data", "format"), ("model", "window_hidden"), ("model", "clf_hidden"),
+        ("model", "catalog_mode"),
         ("train", "optimizer"), ("train", "window_slack")])
     def test_removed_key_rejected_as_unknown(self, tmp_path, capsys, section, key):
         cfg = write_config(tmp_path, {section: {key: 1}})
@@ -442,7 +443,8 @@ class TestCacheUse:
         assert message.startswith(f"graph cache {cache} is stale: it was not built from the "
                                   f"config's edges file")
 
-    @pytest.mark.parametrize("fault", ["earlier format", "truncated", "endpoint beyond n"])
+    @pytest.mark.parametrize("fault", ["earlier format", "truncated", "endpoint beyond n",
+                                       "node count beyond the file"])
     def test_damaged_cache_exits_2_naming_it(self, tmp_path, capsys, fault):
         cache = self.ingested(tmp_path)
         if fault == "earlier format":
@@ -453,11 +455,18 @@ class TestCacheUse:
             cache.write_bytes(cache.read_bytes()[:-1])
             want = (f"cannot read graph cache {cache}: not a complete zip file: truncated, "
                     "extended or of another format")
-        else:
+        elif fault == "endpoint beyond n":
             arrays, meta = tg.load_arrays(cache, "graph cache")
             meta["n"] = 20  # the graph has 40 nodes
+            arrays["t_earliest"] = arrays["t_earliest"][:20]
             tg.save_arrays(cache, arrays, meta)
             want = f"graph cache {cache}: edge endpoint out of range"
+        else:  # would allocate petabytes if the count were trusted
+            arrays, meta = tg.load_arrays(cache, "graph cache")
+            meta["n"] = 10**15
+            tg.save_arrays(cache, arrays, meta)
+            want = (f"graph cache {cache}: node count 1000000000000000 does not fit "
+                    "t_earliest (40,)")
         assert self.motifs_error(tmp_path, capsys, {"cache": str(cache)}) == want
 
 
@@ -577,7 +586,7 @@ class TestTrainEval:
             tensors, arrays, meta = md.load_checkpoint(out / f"checkpoint_{i}.bin")
             assert sorted(arrays) == ["delta_final", "extraction_windows", "test_ids",
                                       "train_ids"]
-            assert meta["split_index"] == i and meta["catalog_mode"] == "focal_rooted"
+            assert meta == {"split_index": i, "config": report["per_split"][i]["config"]}
             assert not (out / f"checkpoint_{i}.bin.json").exists()
             assert (out / f"loss_curve_{i}.csv").exists()
             assert (out / f"delta_by_class_{i}.csv").exists()
@@ -598,10 +607,7 @@ class TestTrainEval:
         assert cli.main(["--config", cfg, "eval",
                          "--checkpoint", str(tmp_path / "ghost.bin")]) == cli.EXIT_INPUT
 
-    def test_meta_without_catalog_mode_exits_2_with_json(self, trained, tmp_path, capsys):
-        self.check_meta_without(trained, tmp_path, capsys, "catalog_mode")
-
-    @pytest.mark.parametrize("key", ["catalog_size", "extraction_windows", "test_ids"])
+    @pytest.mark.parametrize("key", ["config", "extraction_windows", "test_ids"])
     def test_meta_without_another_read_key_exits_2(self, trained, tmp_path, capsys, key):
         self.check_meta_without(trained, tmp_path, capsys, key)
 
@@ -624,7 +630,7 @@ class TestTrainEval:
         _, run_path, cfg = trained
         manifest, members = zip_members(run_path / "out" / "checkpoint_0.bin")
         if fault == "not JSON":
-            manifest = "{'catalog_mode': 1}"
+            manifest = "{'config': 1}"
             want = "manifest is not valid JSON"
         elif fault == "list root":
             manifest = [manifest]
@@ -664,38 +670,47 @@ class TestTrainEval:
         assert err["message"] == (f"checkpoint {ckpt} was written by an earlier tmgad in a "
                                   "format this one does not read; re-run `tmgad train`")
 
-    def test_eval_catalog_mismatch(self, trained, tmp_path):
-        code, run_path, _ = trained
-        out = run_path / "out"
-        bad = {
-            "data": {"edges": str(run_path / "edges.csv"),
-                     "features": str(run_path / "features.csv"),
-                     "labels": str(run_path / "labels.csv")},
-            "model": {"layers": 2, "hidden_dim": 16, "out_dim": 8, "dropout": 0.0,
-                      "catalog_mode": "unrooted"},
-            "output": {"directory": str(out)},
-        }
-        cfg2 = write_config(tmp_path, bad, name="bad.json")
-        code = cli.main(["--config", cfg2, "eval",
-                         "--checkpoint", str(out / "checkpoint_0.bin")])
-        assert code == cli.EXIT_INPUT
+    def test_eval_catalog_mismatch(self, trained, tmp_path, capsys):
+        """A checkpoint whose motif tensors have another catalog's size is refused."""
+        _, run_path, cfg = trained
+        arrays, meta = tg.load_arrays(run_path / "out" / "checkpoint_0.bin", "checkpoint")
+        size = build_catalog(UNROOTED).size
+        for name in ("tensors/supernodes", "tensors/w_inter"):
+            arrays[name] = np.zeros((size, arrays[name].shape[1]))
+        ckpt = tmp_path / "checkpoint.bin"
+        tg.save_arrays(ckpt, arrays, meta)
+        capsys.readouterr()
+        assert cli.main(["--config", cfg, "--output", str(tmp_path / "eval"), "eval",
+                         "--checkpoint", str(ckpt)]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == (f"cannot load checkpoint {ckpt}: checkpoint shape mismatch "
+                                  f"for 'supernodes': ({size}, 8) vs "
+                                  f"({build_catalog(FOCAL_ROOTED).size}, 8)")
+
+
+def recorded(run_path, tmp_path, record):
+    """A copy of the trained checkpoint 0 whose config record is `record(config)`."""
+    arrays, meta = tg.load_arrays(run_path / "out" / "checkpoint_0.bin", "checkpoint")
+    meta["config"] = record(meta["config"])
+    ckpt = tmp_path / "recorded.bin"
+    tg.save_arrays(ckpt, arrays, meta)
+    return ckpt
 
 
 class TestEvalMismatch:
-    """A checkpoint that does not fit the graph or config exits 2 naming both."""
+    """A checkpoint that does not fit the graph, or whose tensors do not fit its
+    record, exits 2 naming the checkpoint."""
 
     @staticmethod
-    def eval_error(trained, tmp_path, capsys, data=None, hidden_dim=16, ablation="full",
-                   ckpt=None):
+    def eval_error(trained, tmp_path, capsys, data=None, ckpt=None, **record):
         _, run_path, _ = trained
         data = data or {k: str(run_path / v) for k, v in DATA.items()}
-        cfg = write_config(tmp_path, {
-            "data": data,
-            "model": {"layers": 2, "hidden_dim": hidden_dim, "out_dim": 8, "dropout": 0.0},
-            "train": {"ablation": ablation},
-            "output": {"directory": str(tmp_path / "eval")},
-        }, name="eval.json")
+        cfg = write_config(tmp_path, {"data": data,
+                                      "output": {"directory": str(tmp_path / "eval")}},
+                           name="eval.json")
         ckpt = ckpt or run_path / "out" / "checkpoint_0.bin"
+        if record:
+            ckpt = recorded(run_path, tmp_path, lambda config: {**config, **record})
         capsys.readouterr()
         assert cli.main(["--config", cfg, "eval", "--checkpoint", str(ckpt)]) == cli.EXIT_INPUT
         err = json.loads(capsys.readouterr().err.strip())
@@ -726,6 +741,7 @@ class TestEvalMismatch:
         assert message.endswith("checkpoint shape mismatch for 'gcn.0': (4, 16) vs (3, 16)")
 
     def test_other_hidden_width(self, trained, tmp_path, capsys):
+        """The record's widths must be the tensors' widths."""
         message = self.eval_error(trained, tmp_path, capsys, hidden_dim=32)
         assert message.endswith("checkpoint shape mismatch for 'gcn.0': (4, 16) vs (4, 32)")
 
@@ -766,7 +782,75 @@ class TestEvalMismatch:
         assert message.startswith(want.format(ckpt))
 
 
+# model and train sections that differ from every trained run's in each key eval once read
+OTHER_MODEL = {"layers": 3, "hidden_dim": 32, "out_dim": 4, "dropout": 0.5}
+
+
+class TestRecordedModel:
+    """Eval rebuilds the model its checkpoint records, whatever the config says."""
+
+    @pytest.mark.parametrize("ablation", md.ABLATIONS)
+    def test_eval_reproduces_training(self, tmp_path, capsys, ablation):
+        small_dataset(tmp_path)
+        train = {"epochs": 6, "learning_rate": 0.01, "splits": 1, "seed": 2,
+                 "ablation": ablation, "instance_cap": 64}
+        if ablation == "tm_fixed":
+            train["delta_fixed"] = 20.0
+        cfg = write_config(tmp_path, {"data": DATA, "train": train,
+                                      "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, "train"]) == cli.EXIT_OK
+        report = json.loads((tmp_path / "out" / "train_report.json").read_text())["per_split"][0]
+        other = {"ablation": "tm_fixed" if ablation == "gcn_only" else "gcn_only",
+                 "delta_fixed": 5.0, "instance_cap": 1}
+        cfg = write_config(tmp_path, {"data": DATA, "model": OTHER_MODEL, "train": other,
+                                      "output": {"directory": "eval"}}, name="eval.json")
+        for split, key in (("test", "auc"), ("train", "train_auc")):
+            assert cli.main(["--config", cfg, "eval", "--split", split, "--checkpoint",
+                             str(tmp_path / "out" / "checkpoint_0.bin")]) == cli.EXIT_OK
+            got = json.loads((tmp_path / "eval" / "eval_report.json").read_text())
+            assert got["auc"] == report[key]
+
+    @pytest.mark.parametrize("fault, record, message", [
+        ("not an object", lambda c: [c], "config section 'config' must be an object"),
+        ("unknown key", lambda c: {**c, "catalog_mode": "unrooted"},
+         "unknown keys in section 'config': ['catalog_mode']"),
+        ("missing model field", lambda c: {k: v for k, v in c.items() if k != "layers"},
+         "config lacks key 'layers'"),
+        ("missing train field", lambda c: {k: v for k, v in c.items() if k != "instance_cap"},
+         "config lacks key 'instance_cap'"),
+        ("wrong type", lambda c: {**c, "hidden_dim": "16"},
+         'config.hidden_dim must be an integer, got "16"'),
+        ("bool for a number", lambda c: {**c, "learning_rate": True},
+         "config.learning_rate must be a number, got true"),
+        ("out of range", lambda c: {**c, "layers": 5}, "layers must be 2, 3 or 4, got 5"),
+        ("out of range", lambda c: {**c, "instance_cap": 0}, "instance_cap must be >= 1"),
+        ("unknown ablation", lambda c: {**c, "ablation": "gcn"}, "unknown ablation 'gcn'"),
+    ])
+    def test_invalid_record_exits_2_naming_checkpoint_and_key(self, trained, tmp_path, capsys,
+                                                              fault, record, message):
+        _, run_path, cfg = trained
+        ckpt = recorded(run_path, tmp_path, record)
+        capsys.readouterr()
+        assert cli.main(["--config", cfg, "--output", str(tmp_path / "eval"), "eval",
+                         "--checkpoint", str(ckpt)]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == cli.EXIT_INPUT and err["context"] == "eval"
+        assert err["message"].startswith(f"checkpoint {ckpt} records an invalid model: {message}")
+
+
 class TestMoreSurfaces:
+    def test_divergence_exits_1_with_json(self, tmp_path, capsys):
+        small_dataset(tmp_path)
+        cfg = write_config(tmp_path, {"data": DATA, "train": {"learning_rate": 1e200,
+                                                              "splits": 1},
+                                      "output": {"directory": "out"}})
+        with np.errstate(all="ignore"):
+            assert cli.main(["--config", cfg, "train"]) == cli.EXIT_INTERNAL
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"code": cli.EXIT_INTERNAL, "context": "train",
+                       "message": "training diverged at epoch 1: non-finite output in op "
+                                  "'matmul'"}
+
     def test_tm_fixed_ablation_via_config(self, tmp_path):
         small_dataset(tmp_path)
         cfg = write_config(tmp_path, {

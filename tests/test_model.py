@@ -250,7 +250,7 @@ class TestNodeForward:
     def test_node_without_motifs_defined(self, fixture_graph, catalog):
         g, state, a_hat, tau, index = build_everything(fixture_graph, catalog)
         index = orc.index_from_instances(
-            index.catalog_mode, index.catalog_size,
+            index.catalog_size,
             {v: {} if v == 1 else types for v, types in index.per_node.items()},
             windows=index.windows, window_starts=orc.window_starts(index))
         h = gcn_forward(g.features, a_hat, state.gcn)
@@ -451,8 +451,7 @@ class TestTapeSize:
 class TestCheckpointMeta:
     def test_round_trip(self, fixture_graph, catalog, tmp_path):
         g, state, a_hat, tau, index = build_everything(fixture_graph, catalog)
-        meta = {"catalog_mode": catalog.mode, "catalog_size": catalog.size,
-                "refresh_interval": 5}
+        meta = {"split_index": 0, "config": {"ablation": "full", "hidden_dim": 16}}
         arrays = {"test_ids": np.array([0, 5]), "extraction_windows": np.full(g.n, tau)}
         md.save_checkpoint(tmp_path / "m.bin", state, arrays, meta)
         tensors, loaded_arrays, loaded_meta = md.load_checkpoint(tmp_path / "m.bin")

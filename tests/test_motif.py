@@ -465,7 +465,7 @@ class TestAnalysis:
         insts = [motif.MotifInstance(0, (0, 1, 2), (0, 1, 2), 3, 5),
                  motif.MotifInstance(0, (0, 1, 2), (0, 1, 3), 7, 6)]
         idx = index_from_instances(
-            rooted.mode, rooted.size,
+            rooted.size,
             {0: {3: [insts[0]], 7: [insts[1]]},
              1: {3: [insts[0]], 7: [insts[1]]},
              2: {3: [insts[0], insts[0]], 7: [insts[1], insts[1]]}})
@@ -475,7 +475,7 @@ class TestAnalysis:
 
     def test_zero_variance_sentinel(self, rooted):
         i0 = motif.MotifInstance(0, (0, 1, 2), (0, 1, 2), 0, 5)
-        idx = index_from_instances(rooted.mode, rooted.size,
+        idx = index_from_instances(rooted.size,
                                    {0: {0: [i0]}, 1: {0: [i0, i0]}})
         corr = motif.motif_cross_correlation(idx, [0, 1])
         dead = 5  # type with zero counts everywhere
@@ -487,7 +487,7 @@ class TestAnalysis:
         rng = np.random.default_rng(3)
         counts = rng.integers(0, 6, size=(8, rooted.size))
         inst = motif.MotifInstance(0, (0, 1, 2), (0, 1, 2), 0, 5)
-        idx = index_from_instances(rooted.mode, rooted.size, {
+        idx = index_from_instances(rooted.size, {
             v: {t: [inst] * int(counts[v, t]) for t in range(rooted.size) if counts[v, t]}
             for v in range(8)})
         got = motif.motif_cross_correlation(idx, list(range(8)))
@@ -495,6 +495,6 @@ class TestAnalysis:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_subset_too_small(self, rooted):
-        idx = index_from_instances(rooted.mode, rooted.size, {0: {}})
+        idx = index_from_instances(rooted.size, {0: {}})
         with pytest.raises(motif.MotifError):
             motif.motif_cross_correlation(idx, [0])

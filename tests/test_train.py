@@ -1,5 +1,7 @@
 """Metrics against brute-force oracles, optimizer, generator, training loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,18 @@ class TestTrainLoop:
             fresh = build_index(g, rep.extraction_windows, build_catalog(FOCAL_ROOTED),
                                 nodes=g.labeled_nodes(), cap=cfg.instance_cap)
             assert rep.total_instances == fresh.total_instances() > 0
+
+    def test_divergence_names_the_epoch_and_op(self):
+        g = tr.synth_burst_graph(40, 0.2, 8, seed=9, horizon=120)
+        with np.errstate(all="ignore"), pytest.raises(tr.TrainError) as e:
+            tr.train(g, tr.TrainConfig(learning_rate=1e200))
+        assert str(e.value) == "training diverged at epoch 1: non-finite output in op 'matmul'"
+
+    def test_report_records_every_config_field(self):
+        cfg = tr.TrainConfig(epochs=2, ablation="tm_fixed", delta_fixed=30.0, pos_weight=2.0)
+        gcn = GCNConfig(layers=3, hidden_dim=32, out_dim=4, dropout=0.0)
+        _, rep = tr.train(tiny_graph(seed=5), cfg, gcn)
+        assert rep.config == {**dataclasses.asdict(cfg), **dataclasses.asdict(gcn)}
 
     def test_tm_fixed_needs_delta(self):
         g = tiny_graph(seed=5)

@@ -126,6 +126,33 @@ class TestReadEdgeListCompact:
             [(0, 3, 9), (1, 0, 3), (3, 1, 5), (3, 2, 1)]
         np.testing.assert_array_equal(np.isnan(g.amount), [True, True, False, False])
 
+    def test_tokens_keep_their_spelling(self, tmp_path):
+        # "007" is one account on lines 1 and 3, and not the account "7"
+        p = write_edges(tmp_path, "007,1,1\nx,y,2\n007,z,3\n")
+        g, id_map = tg.read_edge_list(p, compact=True)
+        assert id_map == {"007": 0, "1": 1, "x": 2, "y": 3, "z": 4}
+        assert list(zip(g.src.tolist(), g.dst.tolist())) == [(0, 1), (2, 3), (0, 4)]
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2,1\n3,4,zz\n5,x,3\n", "line 2: cannot parse timestamp from 'zz'"),
+        ("1,2,1\n3,4\n5,x,3\n", "line 2: expected 3 or 4 columns, got 2"),
+        ("1,2,zz\n3,4\n5,x,3\n", "line 1: cannot parse timestamp from 'zz'"),
+        ("99999999999999999999,2,1\n3,4\nx,y,3\n",
+         "line 1: src 99999999999999999999 does not fit in a 64-bit integer"),
+        ("1,2,1\n3,99999999999999999999,2\n5,6,zz\n",
+         "line 2: dst 99999999999999999999 does not fit in a 64-bit integer"),
+    ])
+    def test_first_fault_of_the_first_bad_line_in_either_id_mode(self, tmp_path, text,
+                                                                 message):
+        with pytest.raises(tg.ParseError) as e:
+            tg.read_edge_list(write_edges(tmp_path, text), compact=True)
+        assert str(e.value) == message
+
+    def test_big_integer_is_a_token_in_a_file_of_tokens(self, tmp_path):
+        p = write_edges(tmp_path, "99999999999999999999,2,1\nx,2,2\n")
+        _, id_map = tg.read_edge_list(p, compact=True)
+        assert id_map == {"2": 0, "99999999999999999999": 1, "x": 2}
+
     def test_errors_name_the_users_line(self, tmp_path):
         p = write_edges(tmp_path, "src,dst,timestamp\n# note\n\n0xa,0xb,1\n0xb,0xc,zz\n")
         with pytest.raises(tg.ParseError, match="line 5: cannot parse timestamp"):
@@ -552,7 +579,7 @@ class TestCache:
 def cache_parts(g):
     """The manifest and members `save_cache` writes for `g`."""
     arrays = {"src": g.src, "dst": g.dst, "timestamp": g.timestamp, "amount": g.amount,
-              "features": g.features, "labels": g.labels}
+              "t_earliest": g.t_earliest, "features": g.features, "labels": g.labels}
     manifest = {"meta": {"n": g.n, "provenance": None},
                 "arrays": {k: [a.dtype.str, list(a.shape)] for k, a in arrays.items()}}
     return manifest, {k: a.tobytes() for k, a in arrays.items()}
@@ -586,6 +613,9 @@ class TestForgedCache:
     ])
     def test_container_fault(self, tmp_path, fault, message):
         manifest, members = cache_parts(small_cached_graph())
+        # the container is checked before any array is read; leaving t_earliest
+        # out keeps the member lists in the messages short
+        del manifest["arrays"]["t_earliest"], members["t_earliest"]
         listed = manifest["arrays"]
         if fault == "unknown dtype":
             listed["src"] = ["<i4", [4]]  # the same 16 bytes as four int32
@@ -622,6 +652,10 @@ class TestForgedCache:
         ("n negative", "node count must be a non-negative integer, got -1"),
         ("n a float", "node count must be a non-negative integer, got 3.0"),
         ("n missing", "node count must be a non-negative integer, got None"),
+        ("n beyond t_earliest", "node count 1000000000000000 does not fit t_earliest (3,)"),
+        ("t_earliest 2-d", "node count 3 does not fit t_earliest (3, 1)"),
+        ("t_earliest missing", "lacks array 't_earliest'"),
+        ("t_earliest wrong", "t_earliest is not the earliest timestamp of each node's edges"),
         ("non-finite feature", "feature at node row 1, column 0 is inf; features must be finite"),
         ("label 2", "labels must be 0, 1 or the missing marker"),
         ("features without labels", "lacks array 'labels'"),
@@ -631,7 +665,7 @@ class TestForgedCache:
     def test_ingest_check(self, tmp_path, fault, message):
         g = small_cached_graph()
         arrays = {"src": g.src, "dst": g.dst, "timestamp": g.timestamp, "amount": g.amount,
-                  "features": g.features, "labels": g.labels}
+                  "t_earliest": g.t_earliest, "features": g.features, "labels": g.labels}
         meta = {"n": g.n, "provenance": None}
         if fault == "endpoint beyond n":
             arrays["dst"] = np.array([1, 3])
@@ -647,6 +681,14 @@ class TestForgedCache:
             meta["n"] = 3.0
         elif fault == "n missing":
             del meta["n"]
+        elif fault == "n beyond t_earliest":
+            meta["n"] = 10**15
+        elif fault == "t_earliest 2-d":
+            arrays["t_earliest"] = g.t_earliest.reshape(3, 1)
+        elif fault == "t_earliest missing":
+            del arrays["t_earliest"]
+        elif fault == "t_earliest wrong":
+            arrays["t_earliest"] = np.array([4, 4, -1])
         elif fault == "non-finite feature":
             arrays["features"] = np.where(np.arange(6).reshape(3, 2) == 2, np.inf, 0.0)
         elif fault == "label 2":
@@ -668,6 +710,7 @@ class TestForgedCache:
         p = tmp_path / "forged.bin"
         tg.save_arrays(p, {"src": g.src[::-1], "dst": g.dst[::-1],
                            "timestamp": g.timestamp[::-1], "amount": g.amount[::-1],
-                           "features": g.features, "labels": g.labels},
+                           "t_earliest": g.t_earliest, "features": g.features,
+                           "labels": g.labels},
                        {"n": g.n, "provenance": None})
         assert_same_graph(tg.load_cache(p), g)
