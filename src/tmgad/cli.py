@@ -206,6 +206,16 @@ def _load_graph(cfg) -> txgraph.TransactionGraph:
     return g
 
 
+def _time_span(g: txgraph.TransactionGraph) -> float:
+    """The graph's time span tau, which windows need to be positive."""
+    if g.tau_max is None:
+        raise txgraph.ValidationError("graph has no edges")
+    if g.tau_max == 0:
+        raise txgraph.ValidationError(f"every edge has timestamp {g.timestamp[0]}, so the "
+                                      f"time span tau is 0; windows need a positive span")
+    return float(g.tau_max)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -230,8 +240,7 @@ def cmd_motifs(cfg, args) -> int:
     g = _load_graph(cfg)
     if g.labels is None:
         raise txgraph.ValidationError("motif analysis needs labels")
-    if g.tau_max is None:
-        raise txgraph.ValidationError("graph has no edges")
+    tau = _time_span(g)
     grid = args.delta_grid or cfg["analysis"].get("delta_grid")
     if not grid:
         raise ConfigError("empty delta grid: set analysis.delta_grid or --delta-grid")
@@ -240,7 +249,6 @@ def cmd_motifs(cfg, args) -> int:
     if bad:
         where = "--delta-grid" if args.delta_grid else "analysis.delta_grid"
         raise ConfigError(f"{where} values must be positive and finite, got {bad[0]}")
-    tau = float(g.tau_max)
     for d in grid:
         if d > tau:
             print(f"warning: delta {d} exceeds tau_max {tau}; clamping", file=sys.stderr)
@@ -267,6 +275,7 @@ def cmd_motifs(cfg, args) -> int:
 def cmd_train(cfg, args) -> int:
     out = _out_dir(cfg, args)
     g = _load_graph(cfg)
+    _time_span(g)
     gcn_cfg = _build(GCNConfig, cfg["model"])
     base = _build(train_mod.TrainConfig, cfg["train"])
     seed = args.seed if args.seed is not None else base.seed
@@ -314,6 +323,7 @@ def cmd_train(cfg, args) -> int:
 def cmd_eval(cfg, args) -> int:
     out = _out_dir(cfg, args)
     g = _load_graph(cfg)
+    tau = _time_span(g)
     ckpt = Path(args.checkpoint)
     if not ckpt.exists():
         raise txgraph.ValidationError(f"missing checkpoint: {ckpt}")
@@ -345,7 +355,7 @@ def cmd_eval(cfg, args) -> int:
         raise txgraph.ValidationError(
             f"checkpoint {ckpt} {which} ids are not node ids for the graph's {g.n} nodes")
     logits, _, _ = model_mod.forward_nodes(
-        g.features, a_hat, state, index, ids, opts, float(g.tau_max), training=False)
+        g.features, a_hat, state, index, ids, opts, tau, training=False)
     scores = expit(logits.data[:, 0])
     y = g.labels[ids].astype(float)
     doc = {
@@ -410,7 +420,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        return _COMMANDS[args.command](cfg, args)
+        # stderr carries only the JSON error line; the tape's guard names a non-finite op
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.command](cfg, args)
     except (ConfigError, txgraph.GraphError, motif_mod.MotifError,
             train_mod.MetricsError, ValueError) as e:
         _error_json(EXIT_INPUT, str(e), args.command)

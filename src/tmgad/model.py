@@ -208,16 +208,15 @@ def motif_embeddings(h: dc.Tensor, deltas, state: ModelState, layout: HeadLayout
 
     Members pool into type embeddings, normalised by each type's total recency
     weight; types pool into node rows under inter sparsemax (a mean without it).
+    Without adaptive windows, every node's delta is the fixed window.
     """
     m = layout.owner.size
     if m == 0:
         return dc.tensor(np.zeros((layout.type_counts.size, h.shape[1])))
-    if opts.adaptive:
-        stretched = dc.select_rows(deltas, layout.owner)                    # m x 1
-        weights = dc.clip(dc.sigmoid(dc.add_const(stretched, -layout.gaps)),
-                          WEIGHT_FLOOR, math.inf)
-    else:
-        weights = dc.tensor(np.maximum(expit(opts.delta_fixed - layout.gaps), WEIGHT_FLOOR))
+    if not opts.adaptive:
+        deltas = dc.tensor(np.full((h.shape[0], 1), float(opts.delta_fixed)))
+    stretched = dc.select_rows(deltas, layout.owner)                        # m x 1
+    weights = dc.clip(dc.sigmoid(dc.add_const(stretched, -layout.gaps)), WEIGHT_FLOOR, math.inf)
     rows = dc.concat_rows([h, state.supernodes])
     members = layout.members if opts.use_intra else layout.members[:, 1:]
     width = members.shape[1]

@@ -25,8 +25,8 @@ batching does not change the result. It all runs in one process.
 
 The motif index stores the instances of many focal nodes as read-only
 columns (owner, type, member nodes, edges, latest timestamp), sorted by
-(owner, type, edges). Because a node's window always starts at the same
-anchor, an index enumerated at windows delta' holds every instance at any
+(owner, type, edges). Because a node's window always starts at its first
+activity, an index enumerated at windows delta' holds every instance at any
 delta <= delta': `MotifIndex.restrict` recovers those, and the per-type cap,
 with a mask instead of a new enumeration.
 """
@@ -362,20 +362,18 @@ def _enumerate(g: TransactionGraph, catalog: MotifCatalog, focal: np.ndarray,
 
 
 def enumerate_instances(g: TransactionGraph, v: int, delta: float,
-                        catalog: MotifCatalog, window_start=None) -> list[MotifInstance]:
+                        catalog: MotifCatalog) -> list[MotifInstance]:
     """All typed motif instances at focal node v within [start, start + delta].
 
-    The window anchors at v's earliest timestamp unless overridden. Instances
-    come in ascending edge order.
+    The window starts at v's earliest timestamp. Instances come in ascending
+    edge order.
     """
     if not delta > 0:
         raise MotifError(f"delta must be positive, got {delta}")
-    if window_start is None:
-        if g.t_earliest[v] == NO_TIMESTAMP:
-            return []  # isolated node
-        window_start = int(g.t_earliest[v])
+    if g.t_earliest[v] == NO_TIMESTAMP:
+        return []  # isolated node
     v = int(v)
-    w0 = np.array([window_start], dtype=np.int64)
+    w0 = g.t_earliest[[v]]
     _, rows = _enumerate(g, catalog, np.array([v]), w0,
                          _window_ends(w0, np.array([float(delta)])), None)
     rows = rows[np.lexsort((rows[:, _E3], rows[:, _E2], rows[:, _E1]))]
@@ -426,13 +424,13 @@ def _segment_ids(*keys) -> np.ndarray:
 
 
 def _checked_windows(windows, node_ids: np.ndarray, tau) -> np.ndarray:
-    out = np.empty(node_ids.size)
-    for i, v in enumerate(node_ids.tolist()):
-        d = float(windows[v])
-        if not (0.0 < d <= tau):
-            raise MotifError(f"window for node {v} out of bounds: {d} not in (0, {tau}]")
-        out[i] = d
-    return out
+    """The windows of `node_ids` from an array indexed by node id; each in (0, tau]."""
+    deltas = np.asarray(windows, dtype=np.float64)[node_ids]
+    bad = np.flatnonzero(~((0.0 < deltas) & (deltas <= tau)))
+    if bad.size:
+        v, d = int(node_ids[bad[0]]), float(deltas[bad[0]])
+        raise MotifError(f"window for node {v} out of bounds: {d} not in (0, {tau}]")
+    return deltas
 
 
 @dataclass(frozen=True, eq=False)
@@ -558,23 +556,21 @@ class MotifIndex:
 
 
 def build_index(g: TransactionGraph, windows, catalog: MotifCatalog,
-                nodes=None, window_starts=None, cap: int | None = 512) -> MotifIndex:
+                nodes=None, cap: int | None = 512) -> MotifIndex:
     """Per-node motif index under per-node windows.
 
-    `windows` maps node -> delta (dict or array); every delta must lie in
-    (0, tau_max]. Nodes default to the labeled set. All nodes are enumerated
-    together, in batches, in one process.
+    `windows` is an array indexed by node id; the delta of every indexed node
+    must lie in (0, tau_max]. Each window starts at its node's first activity.
+    Nodes default to the labeled set. All nodes are enumerated together, in
+    batches, in one process.
     """
     if nodes is None:
         nodes = g.labeled_nodes()
     node_ids = np.unique(np.asarray(nodes, dtype=np.int64))
     tau = g.tau_max if g.tau_max is not None else 0
     deltas = _checked_windows(windows, node_ids, tau)
-    if window_starts is not None:
-        starts = np.array([int(window_starts[v]) for v in node_ids.tolist()], dtype=np.int64)
-    else:
-        starts = g.t_earliest[node_ids].astype(np.int64)
-        starts[starts == NO_TIMESTAMP] = NO_ANCHOR
+    starts = g.t_earliest[node_ids].astype(np.int64)
+    starts[starts == NO_TIMESTAMP] = NO_ANCHOR
     anchored = np.flatnonzero(starts != NO_ANCHOR)  # isolated nodes have no instances
     counts = np.zeros(node_ids.size, dtype=np.int64)
     counts[anchored], rows = _enumerate(

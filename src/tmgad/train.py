@@ -28,20 +28,12 @@ class MetricsError(Exception):
 # metrics
 
 
-def bce_loss(probs, labels, mask) -> float:
-    """Mean cross-entropy of probabilities over the masked nodes."""
-    mask = np.asarray(mask)
-    if mask.dtype == bool:
-        mask = np.nonzero(mask)[0]
-    if mask.size == 0:
-        raise MetricsError("bce_loss: empty mask")
-    p = np.asarray(probs, dtype=np.float64)[mask]
-    y = np.asarray(labels, dtype=np.float64)[mask]
-    pos = y == 1.0
-    terms = np.empty_like(p)
-    terms[pos] = -np.log(p[pos])
-    terms[~pos] = -np.log(1.0 - p[~pos])
-    return float(terms.mean())
+def bce_loss(logits, labels) -> float:
+    """Mean cross-entropy of logits: the training loss `diffcore.bce_with_logits`, unweighted."""
+    z = np.asarray(logits, dtype=np.float64).reshape(-1, 1)
+    if z.size == 0:
+        raise MetricsError("bce_loss: no logits")
+    return dc.bce_with_logits(dc.tensor(z), labels).item()
 
 
 def _check_two_classes(labels) -> tuple[np.ndarray, np.ndarray]:
@@ -385,22 +377,19 @@ def train(g: TransactionGraph, cfg: TrainConfig, gcn_cfg: GCNConfig | None = Non
                     f"window bound violated at epoch {epoch}: [{lo}, {hi}] vs tau {tau}")
             delta_stats.append((lo, float(dvals.mean()), hi))
 
-    def score(ids):
-        logits, _, _ = forward_nodes(x, a_hat, state, index, ids, opts, tau, training=False)
-        return expit(logits.data[:, 0])
-
-    test_scores = score(test_ids)
-    train_scores = score(train_ids)
-    delta_final = delta_snapshot(x, a_hat, state, tau) if opts.adaptive else None
+    logits, deltas, _ = forward_nodes(x, a_hat, state, index,
+                                      np.concatenate([test_ids, train_ids]), opts, tau)
+    test_logits, train_logits = np.split(logits.data[:, 0], [len(test_ids)])
+    test_scores = expit(test_logits)
     report = MetricsReport(
         auc=auc(test_scores, y[test_ids]),
         auprc=auprc(test_scores, y[test_ids]),
         accuracy=accuracy(test_scores, y[test_ids]),
-        train_auc=auc(train_scores, y[train_ids]),
-        train_loss=bce_loss(train_scores, y[train_ids], np.arange(len(train_ids))),
+        train_auc=auc(expit(train_logits), y[train_ids]),
+        train_loss=bce_loss(train_logits, y[train_ids]),
         loss_curve=loss_curve,
         delta_stats=delta_stats,
-        delta_final=delta_final,
+        delta_final=deltas.data[:, 0].copy() if deltas is not None else None,
         extraction_windows=windows,
         total_instances=index.total_instances() if index is not None else 0,
         config={**asdict(cfg), **asdict(gcn_cfg)},

@@ -56,7 +56,7 @@ class TransactionGraph:
     features: np.ndarray | None = None          # n x d float64
     labels: np.ndarray | None = None            # int8 in {0,1}, UNLABELED when missing
     t_earliest: np.ndarray = field(default=None)  # int64, NO_TIMESTAMP for isolated nodes
-    tau_max: int | None = None
+    tau_max: int | None = None  # time span, latest minus earliest timestamp; None without edges
     _incidence: "Incidence | None" = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -66,7 +66,7 @@ class TransactionGraph:
             self.t_earliest = _earliest(self.n, self.src, self.dst, self.timestamp)
         self.t_earliest.setflags(write=False)
         if self.tau_max is None and len(self.timestamp):
-            self.tau_max = int(self.timestamp.max())
+            self.tau_max = int(self.timestamp.max() - self.timestamp.min())
 
     @property
     def num_edges(self) -> int:
@@ -172,6 +172,8 @@ def build_graph(n: int, src, dst, ts, amount=None) -> TransactionGraph:
         raise ValidationError("self-loops are not allowed")
     if len(ts) and ts.min() < 0:
         raise ValidationError("negative timestamp")
+    if (amount < 0).any():  # NaN, an absent amount, passes
+        raise ValidationError(f"negative amount {amount[amount < 0][0]}")
     s, d, t, order = _sort_edges(n, src, dst, ts)
     return TransactionGraph(n=n, src=s, dst=d, timestamp=t, amount=amount[order])
 

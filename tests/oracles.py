@@ -37,11 +37,12 @@ def orbit_count_focal_rooted() -> int:
     return len(reps)
 
 
-def brute_force_instances(g, catalog, windows, window_starts=None):
+def brute_force_instances(g, catalog, windows):
     """O(|E|^3) oracle: scan all edge triples once, assign to member focals.
 
     Returns {node: set((edge_triple, type_id))} restricted to nodes present in
-    `windows`. Window bounds are checked per focal node.
+    `windows`, a node -> delta mapping. Window bounds are checked per focal
+    node; each window starts at the node's earliest timestamp.
     """
     from tmgad.motif import canonical_type
     from tmgad.txgraph import NO_TIMESTAMP
@@ -58,12 +59,9 @@ def brute_force_instances(g, catalog, windows, window_starts=None):
         for v in members:
             if v not in nodes:
                 continue
-            if window_starts is not None:
-                w0 = window_starts[v]
-            elif g.t_earliest[v] != NO_TIMESTAMP:
-                w0 = int(g.t_earliest[v])
-            else:
+            if g.t_earliest[v] == NO_TIMESTAMP:
                 continue
+            w0 = int(g.t_earliest[v])
             w1 = w0 + float(windows[v])
             if all(w0 <= t <= w1 for t in times):
                 tid = canonical_type(seq, v, catalog.mode, catalog)

@@ -1,7 +1,11 @@
 """End-to-end CLI behavior: configs, exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +51,7 @@ def hex_edges(g, path, header="from,to,ts,amount"):
 
 
 DATA = {"edges": "edges.csv", "features": "features.csv", "labels": "labels.csv"}
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestConfig:
@@ -444,7 +449,7 @@ class TestCacheUse:
                                   f"config's edges file")
 
     @pytest.mark.parametrize("fault", ["earlier format", "truncated", "endpoint beyond n",
-                                       "node count beyond the file"])
+                                       "negative amount", "node count beyond the file"])
     def test_damaged_cache_exits_2_naming_it(self, tmp_path, capsys, fault):
         cache = self.ingested(tmp_path)
         if fault == "earlier format":
@@ -461,6 +466,12 @@ class TestCacheUse:
             arrays["t_earliest"] = arrays["t_earliest"][:20]
             tg.save_arrays(cache, arrays, meta)
             want = f"graph cache {cache}: edge endpoint out of range"
+        elif fault == "negative amount":
+            arrays, meta = tg.load_arrays(cache, "graph cache")
+            arrays["amount"] = np.where(np.arange(arrays["amount"].size) == 1, -3.0,
+                                        arrays["amount"])
+            tg.save_arrays(cache, arrays, meta)
+            want = f"graph cache {cache}: negative amount -3.0"
         else:  # would allocate petabytes if the count were trusted
             arrays, meta = tg.load_arrays(cache, "graph cache")
             meta["n"] = 10**15
@@ -850,6 +861,36 @@ class TestMoreSurfaces:
         assert err == {"code": cli.EXIT_INTERNAL, "context": "train",
                        "message": "training diverged at epoch 1: non-finite output in op "
                                   "'matmul'"}
+
+    def test_divergence_prints_only_the_json_line(self, tmp_path):
+        """numpy's floating-point warnings stay off stderr; the guard names the op."""
+        small_dataset(tmp_path)
+        cfg = write_config(tmp_path, {"data": DATA, "train": {"learning_rate": 1e200,
+                                                              "splits": 1},
+                                      "output": {"directory": "out"}})
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+        run = subprocess.run([sys.executable, "-m", "tmgad.cli", "--config", cfg, "train"],
+                             capture_output=True, text=True, env=env, timeout=300)
+        assert run.returncode == cli.EXIT_INTERNAL
+        (line,) = run.stderr.splitlines()
+        assert json.loads(line) == {"code": cli.EXIT_INTERNAL, "context": "train",
+                                    "message": "training diverged at epoch 1: non-finite "
+                                               "output in op 'matmul'"}
+
+    @pytest.mark.parametrize("command", [["train"], ["motifs", "--delta-grid", "5"]])
+    def test_one_timestamp_exits_2_naming_the_span(self, tmp_path, capsys, command):
+        small_dataset(tmp_path)
+        rows = (tmp_path / "edges.csv").read_text().splitlines()
+        (tmp_path / "edges.csv").write_text("\n".join(
+            [rows[0]] + [",".join(r.split(",")[:2] + ["7"] + r.split(",")[3:])
+                         for r in rows[1:]]) + "\n")
+        cfg = write_config(tmp_path, {"data": DATA, "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, *command]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"code": cli.EXIT_INPUT, "context": command[0],
+                       "message": "every edge has timestamp 7, so the time span tau is 0; "
+                                  "windows need a positive span"}
 
     def test_tm_fixed_ablation_via_config(self, tmp_path):
         small_dataset(tmp_path)

@@ -117,9 +117,9 @@ class TestEnumerate:
             windows = {v: delta for v in range(g.n)}
             want = brute_force_instances(g, rooted, windows)
             for v in range(g.n):
-                got = {(m.edges, m.type_id)
-                       for m in motif.enumerate_instances(g, v, delta, rooted)}
-                assert got == want[v], f"node {v} delta {delta}"
+                insts = motif.enumerate_instances(g, v, delta, rooted)
+                assert {(m.edges, m.type_id) for m in insts} == want[v], f"node {v} delta {delta}"
+                assert [m.edges for m in insts] == sorted(m.edges for m in insts)
 
     def test_repeated_pair_instances_allowed(self, rooted):
         # two parallel 0->1 plus 1->2 spans three nodes
@@ -143,19 +143,19 @@ class TestCandidatePruning:
         assert len(want[0]) == at_focal
 
     def test_single_edge_triangle(self, rooted):
-        self.check(rooted, [(0, 1, 1), (0, 2, 2), (1, 2, 3)], 3.0, 1)
+        self.check(rooted, [(0, 1, 1), (0, 2, 2), (1, 2, 3)], 2.0, 1)
 
     def test_two_v_a_edges_and_one_v_b_edge_without_a_b(self, rooted):
-        self.check(rooted, [(0, 1, 1), (1, 0, 2), (0, 2, 3)], 3.0, 1)
+        self.check(rooted, [(0, 1, 1), (1, 0, 2), (0, 2, 3)], 2.0, 1)
 
     def test_b_reached_only_through_two_a_b_edges(self, rooted):
-        self.check(rooted, [(0, 1, 1), (1, 2, 2), (2, 1, 3)], 3.0, 1)
+        self.check(rooted, [(0, 1, 1), (1, 2, 2), (2, 1, 3)], 2.0, 1)
 
     def test_three_v_a_edges_only(self, rooted):
-        self.check(rooted, [(0, 1, 1), (1, 0, 2), (0, 1, 3)], 3.0, 0)
+        self.check(rooted, [(0, 1, 1), (1, 0, 2), (0, 1, 3)], 2.0, 0)
 
     def test_one_v_a_and_one_v_b_edge_without_a_b(self, rooted):
-        self.check(rooted, [(0, 1, 1), (2, 0, 2), (1, 3, 3)], 3.0, 0)
+        self.check(rooted, [(0, 1, 1), (2, 0, 2), (1, 3, 3)], 2.0, 0)
 
     @pytest.mark.parametrize("delta, at_focal", [(4.0, 0), (5.0, 1)])
     def test_a_b_edge_at_the_window_end(self, rooted, delta, at_focal):
@@ -189,9 +189,9 @@ class TestBatchedEnumeration:
                  (0, 3, 256), (3, 1, 257)]
         src, dst, off = zip(*edges)
         g = build_graph(4, src, dst, [base + t for t in off])
-        windows = {v: 200.0 for v in range(g.n)}
+        windows = np.full(g.n, 200.0)
         idx = motif.build_index(g, windows, rooted, nodes=np.arange(g.n), cap=None)
-        want = brute_force_instances(g, rooted, windows)
+        want = brute_force_instances(g, rooted, dict(enumerate(windows)))
         assert index_as_sets(idx) == want
         assert len(want[0]) > 0
         assert max(m.t_max for lst in idx.per_node[0].values() for m in lst) == base + 256
@@ -209,27 +209,11 @@ class TestBatchedEnumeration:
         n = first + 4
         assert n ** 3 >= 2 ** 63
         g = build_graph(n, [first + s for s in src], [first + d for d in dst], ts)
-        windows = {v: float(g.tau_max) for v in [5, *range(first, n)]}  # node 5 is isolated
-        idx = motif.build_index(g, windows, rooted, nodes=list(windows), cap=None)
-        want = brute_force_instances(g, rooted, windows)
+        nodes = [5, *range(first, n)]  # node 5 is isolated
+        idx = motif.build_index(g, np.full(n, float(g.tau_max)), rooted, nodes=nodes, cap=None)
+        want = brute_force_instances(g, rooted, {v: float(g.tau_max) for v in nodes})
         assert index_as_sets(idx) == want
         assert want[5] == set() and sum(map(len, want.values())) > 0
-
-    def test_window_starts_match_oracle(self, rooted):
-        rng = np.random.default_rng(24)
-        for _ in range(10):
-            g = random_graph(rng, max_nodes=10, max_edges=40, max_ts=40)
-            tau = float(g.tau_max)
-            starts = {v: int(rng.integers(-10, 30)) for v in range(g.n)}
-            windows = dict(enumerate(rng.uniform(0.1, 1.0, g.n) * tau))
-            want = brute_force_instances(g, rooted, windows, window_starts=starts)
-            idx = motif.build_index(g, windows, rooted, nodes=np.arange(g.n),
-                                    window_starts=starts, cap=None)
-            assert index_as_sets(idx) == want
-            for v in range(g.n):
-                got = motif.enumerate_instances(g, v, windows[v], rooted, window_start=starts[v])
-                assert {(m.edges, m.type_id) for m in got} == want[v]
-                assert [m.edges for m in got] == sorted(m.edges for m in got)
 
 
 class TestIndex:
@@ -289,10 +273,8 @@ class TestIndex:
         rng = np.random.default_rng(22)
         g = with_isolated(random_graph(rng, max_nodes=12, max_edges=50, max_ts=40), 2)
         tau = float(g.tau_max)
-        starts = {v: int(rng.integers(-5, 20)) for v in range(g.n)}
         cases = [dict(windows=np.full(g.n, tau), cap=None),
-                 dict(windows=rng.uniform(0.2, 1.0, g.n) * tau, cap=2),
-                 dict(windows=np.full(g.n, tau), cap=3, window_starts=starts)]
+                 dict(windows=rng.uniform(0.2, 1.0, g.n) * tau, cap=2)]
         whole = [motif.build_index(g, catalog=rooted, nodes=np.arange(g.n), **c) for c in cases]
         monkeypatch.setattr(motif, "BATCH_ROWS", 1)  # one focal node, one triple per batch
         for c, want in zip(cases, whole):
@@ -370,14 +352,12 @@ class TestRestrict:
         rng = np.random.default_rng(32)
         g = random_graph(rng, max_nodes=12, max_edges=50, max_ts=40)
         tau = float(g.tau_max)
-        starts = {v: int(rng.integers(0, 10)) for v in range(g.n)}
         top = rng.uniform(0.5, 1.0, g.n) * tau
-        full = motif.build_index(g, top, rooted, nodes=np.arange(g.n),
-                                 window_starts=starts, cap=None)
+        full = motif.build_index(g, top, rooted, nodes=np.arange(g.n), cap=None)
+        assert np.unique(full.node_starts).size > 1  # each window starts at its node's anchor
         windows = top * rng.uniform(0.1, 1.0, g.n)
         got = full.restrict(windows, 3)
-        want = motif.build_index(g, windows, rooted, nodes=np.arange(g.n),
-                                 window_starts=starts, cap=3)
+        want = motif.build_index(g, windows, rooted, nodes=np.arange(g.n), cap=3)
         for name in COLUMNS:
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
@@ -449,14 +429,14 @@ class TestAnalysis:
     def test_histogram_empty_and_single(self, rooted, tmp_path):
         g = build_graph(3, [0, 0, 1], [1, 2, 2], [1, 2, 3])
         labels = np.array([1, 0, 0], dtype=np.int8)
-        idx = motif.build_index(g, np.full(3, 3.0), rooted, nodes=[0, 1, 2])
-        table = motif.motif_histogram({3.0: idx}, labels)
+        idx = motif.build_index(g, np.full(3, 2.0), rooted, nodes=[0, 1, 2])
+        table = motif.motif_histogram({2.0: idx}, labels)
         # node 0 is fraud and owns one instance; others own one each as members
         tid = next(iter(idx.per_node[0]))
-        assert table[(3.0, tid, 1)] == 1
+        assert table[(2.0, tid, 1)] == 1
         empty = motif.motif_histogram({}, labels)
         assert empty == {}
-        motif.write_histogram_csv(table, [3.0], rooted.size, tmp_path / "h.csv")
+        motif.write_histogram_csv(table, [2.0], rooted.size, tmp_path / "h.csv")
         lines = (tmp_path / "h.csv").read_text().splitlines()
         assert lines[0] == "delta,type_id,label,count"
         assert len(lines) == 1 + rooted.size * 2

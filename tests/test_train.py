@@ -1,6 +1,7 @@
 """Metrics against brute-force oracles, optimizer, generator, training loop."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -48,31 +49,28 @@ def auprc_threshold_oracle(scores, labels):
 
 class TestBceLoss:
     def test_half_probability_is_ln2(self):
-        probs = np.full(5, 0.5)
         labels = np.array([0, 1, 0, 1, 1])
-        assert tr.bce_loss(probs, labels, np.arange(5)) == pytest.approx(np.log(2.0))
+        assert tr.bce_loss(np.zeros(5), labels) == pytest.approx(np.log(2.0))
 
     def test_saturated_correct_predictions(self):
-        probs = np.array([1.0, 0.0, 1.0])
-        labels = np.array([1, 0, 1])
-        assert tr.bce_loss(probs, labels, np.arange(3)) == pytest.approx(0.0)
+        assert tr.bce_loss(np.array([800.0, -800.0, 800.0]), np.array([1, 0, 1])) == 0.0
 
     def test_two_point_oracle(self):
-        probs = np.array([0.9, 0.2])
-        labels = np.array([1, 0])
+        logits = np.log(np.array([0.9 / 0.1, 0.2 / 0.8]))  # probabilities 0.9 and 0.2
         want = (-np.log(0.9) - np.log(0.8)) / 2.0
-        assert tr.bce_loss(probs, labels, np.arange(2)) == pytest.approx(want, abs=1e-12)
+        assert tr.bce_loss(logits, np.array([1, 0])) == pytest.approx(want, abs=1e-12)
 
-    def test_empty_mask_rejected(self):
-        with pytest.raises(tr.MetricsError, match="empty mask"):
-            tr.bce_loss(np.array([0.5]), np.array([1]), np.array([], dtype=int))
+    def test_empty_input_rejected(self):
+        with pytest.raises(tr.MetricsError, match="no logits"):
+            tr.bce_loss(np.array([]), np.array([]))
 
-    def test_boolean_mask(self):
-        probs = np.array([0.9, 0.5, 0.2])
-        labels = np.array([1, 1, 0])
-        got = tr.bce_loss(probs, labels, np.array([True, False, True]))
-        want = (-np.log(0.9) - np.log(0.8)) / 2.0
-        assert got == pytest.approx(want)
+    def test_confident_miss_stays_finite(self):
+        """A logit whose probability rounds to 1 gives the logit, as the training loss does."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tr.bce_loss(np.array([40.0]), np.array([0]))
+        assert got == 40.0
+        assert got == dc.bce_with_logits(dc.tensor([[40.0]]), [[0.0]]).item()
 
 
 class TestRankingMetrics:
@@ -289,6 +287,14 @@ class TestTrainLoop:
             tr.train(g, tr.TrainConfig(learning_rate=1e200))
         assert str(e.value) == "training diverged at epoch 1: non-finite output in op 'matmul'"
 
+    def test_final_windows_are_the_snapshot(self):
+        g = tiny_graph(seed=8)
+        cfg = tr.TrainConfig(epochs=3, learning_rate=1e-2, seed=2, ablation="full")
+        state, rep = tr.train(g, cfg, GCNConfig(layers=2, hidden_dim=16, out_dim=8,
+                                                 dropout=0.1))
+        want = md.delta_snapshot(g.features, normalized_adjacency(g), state, float(g.tau_max))
+        np.testing.assert_array_equal(rep.delta_final, want)
+
     def test_report_records_every_config_field(self):
         cfg = tr.TrainConfig(epochs=2, ablation="tm_fixed", delta_fixed=30.0, pos_weight=2.0)
         gcn = GCNConfig(layers=3, hidden_dim=32, out_dim=4, dropout=0.0)
@@ -339,3 +345,49 @@ class TestTrainLoop:
     def test_none_refresh_and_cap_allowed(self):
         cfg = tr.TrainConfig(refresh_interval=None, instance_cap=None)
         assert cfg.refresh_interval is None and cfg.instance_cap is None
+
+
+def shifted(g, offset):
+    """`g` with `offset` added to every timestamp."""
+    out = build_graph(g.n, g.src, g.dst, g.timestamp + offset, g.amount)
+    return set_features_labels(out, g.features, g.labels)
+
+
+class TestTimeOrigin:
+    """Time counts from the graph's first timestamp: a shifted copy is the same input."""
+
+    @pytest.mark.parametrize("offset", [1_000, 10**6])
+    def test_shifted_copy_gives_same_instances(self, offset):
+        g = tr.synth_burst_graph(300, 0.1, 10, seed=42)
+        moved = shifted(g, offset)
+        assert moved.tau_max == g.tau_max == 200
+        catalog = build_catalog(FOCAL_ROOTED)
+        windows = np.random.default_rng(0).uniform(0.01, 1.0, g.n) * g.tau_max
+        a, b = (build_index(h, windows, catalog, cap=None) for h in (g, moved))
+        for name in ("node_ids", "node_windows", "offsets", "owner", "type_id", "nodes",
+                     "edges"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+        np.testing.assert_array_equal(a.t_max + offset, b.t_max)
+        assert a.total_instances() > 0
+
+    @pytest.mark.parametrize("ablation", ["full", "tm_ada", "tm_fixed"])
+    def test_shifted_copy_gives_same_logits(self, ablation):
+        g = tr.synth_burst_graph(300, 0.1, 10, seed=42)
+        split = make_splits(g, 1, 0.8, 7)[0]
+        cfg = tr.TrainConfig(epochs=20, learning_rate=1e-2, seed=0, ablation=ablation,
+                             delta_fixed=25.0)
+        gcn = GCNConfig(layers=2, hidden_dim=16, out_dim=8, dropout=0.1)
+        catalog = build_catalog(FOCAL_ROOTED)
+        runs = []
+        for h in (g, shifted(g, 10**6)):
+            state, rep = tr.train(h, cfg, gcn, split)
+            index = build_index(h, rep.extraction_windows, catalog, cap=cfg.instance_cap)
+            logits, _, _ = md.forward_nodes(h.features, normalized_adjacency(h), state, index,
+                                            g.labeled_nodes(),
+                                            md.HeadOptions.from_ablation(ablation, 25.0),
+                                            float(h.tau_max))
+            runs.append((logits.data, rep))
+        (want, base), (got, moved) = runs
+        np.testing.assert_array_equal(got, want)
+        assert moved.total_instances == base.total_instances > 0
+        assert (moved.auc, moved.train_loss) == (base.auc, base.train_loss)

@@ -24,7 +24,7 @@ class TestLoadEdgeList:
         p = write_edges(tmp_path, "0,1,10\n1,2,20\n0,2,15\n")
         g = tg.load_edge_list(p)
         assert g.n == 3
-        assert g.tau_max == 20
+        assert g.tau_max == 10  # the time span, 20 - 10
         np.testing.assert_array_equal(g.t_earliest, [10, 10, 15])
         # sorted by timestamp
         np.testing.assert_array_equal(g.timestamp, [10, 15, 20])
@@ -62,6 +62,18 @@ class TestLoadEdgeList:
     def test_self_loop_rejected(self, tmp_path):
         with pytest.raises(tg.ValidationError, match="self-loop"):
             tg.load_edge_list(write_edges(tmp_path, "0,0,5\n"))
+
+    def test_negative_amount_rejected_as_in_csv(self, tmp_path):
+        with pytest.raises(tg.ValidationError, match="^line 2: negative amount -3.0$"):
+            tg.load_edge_list(write_edges(tmp_path, "0,1,1,5.0\n1,2,2,-3.0\n"))
+        with pytest.raises(tg.ValidationError, match="^negative amount -3.0$"):
+            tg.build_graph(3, [0, 1], [1, 2], [1, 2], [5.0, -3.0])
+        g = tg.build_graph(3, [0, 1], [1, 2], [1, 2], [np.nan, 0.0])  # NaN: no amount
+        assert np.isnan(g.amount[0]) and g.amount[1] == 0.0
+
+    def test_time_span_is_counted_from_the_first_timestamp(self):
+        assert tg.build_graph(3, [0, 1], [1, 2], [7, 7]).tau_max == 0
+        assert tg.build_graph(3, [0, 1], [1, 2], [10**6 + 3, 10**6 + 9]).tau_max == 6
 
     def test_negative_timestamp_rejected(self, tmp_path):
         with pytest.raises(tg.ValidationError, match="negative timestamp"):
@@ -648,6 +660,7 @@ class TestForgedCache:
         ("endpoint beyond n", "edge endpoint out of range"),
         ("self-loop", "self-loops are not allowed"),
         ("negative timestamp", "negative timestamp"),
+        ("negative amount", "negative amount -3.0"),
         ("columns of two lengths", "src, dst, timestamp and amount must be vectors of one length"),
         ("n negative", "node count must be a non-negative integer, got -1"),
         ("n a float", "node count must be a non-negative integer, got 3.0"),
@@ -673,6 +686,8 @@ class TestForgedCache:
             arrays["dst"] = np.array([0, 2])
         elif fault == "negative timestamp":
             arrays["timestamp"] = np.array([-4, 6])
+        elif fault == "negative amount":
+            arrays["amount"] = np.array([1.5, -3.0])
         elif fault == "columns of two lengths":
             arrays["amount"] = np.ones(3)
         elif fault == "n negative":
