@@ -44,8 +44,10 @@ def gcn_forward(x, a_hat, weights, *, training: bool = False,
     Each layer pushes the narrower of its two widths through A_hat: a layer
     whose W is in x out with out < in computes ReLU(A_hat @ (H @ W)), any
     other layer ReLU((A_hat @ H) @ W). The two differ only by float
-    reassociation. Dropout (inverted, on the layer input H) only runs in
-    training mode and needs an rng so runs stay reproducible per seed.
+    reassociation. A_hat must be symmetric, as `normalized_adjacency` builds
+    it: `diffcore.spmm` multiplies by its transpose in both directions.
+    Dropout (inverted, on the layer input H) only runs in training mode and
+    needs an rng so runs stay reproducible per seed.
     """
     h = x if isinstance(x, dc.Tensor) else dc.tensor(x)
     if a_hat.shape != (h.shape[0], h.shape[0]):

@@ -182,15 +182,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def spmm(a_const, x: Tensor) -> Tensor:
-    """Sparse-or-dense constant matrix times tensor; no gradient w.r.t. the matrix."""
-    _shape_check("spmm", a_const.shape[1] == x.shape[0], f"{a_const.shape} @ {x.shape}")
-    data = a_const @ x.data
+    """Symmetric constant matrix times tensor; no gradient w.r.t. the matrix.
+
+    `a_const` (sparse or dense) must equal its transpose, so both directions
+    multiply by `a_const.T`: for a CSR matrix, the same arrays read as CSC,
+    whose scipy kernel is the faster one. With sorted indices it sums each
+    output entry in the same order as the CSR kernel would.
+    """
+    _shape_check("spmm", a_const.shape[1] == x.shape[0] == a_const.shape[0],
+                 f"{a_const.shape} @ {x.shape}")
     at = a_const.T
 
     def bwd(g):
         _accum(x, at @ g)
 
-    return _make("spmm", np.asarray(data), (x,), bwd)
+    return _make("spmm", np.asarray(at @ x.data), (x,), bwd)
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -275,8 +281,29 @@ def concat_cols(parts) -> Tensor:
 
 
 def select_rows(x: Tensor, indices) -> Tensor:
-    ones = np.ones(len(indices), dtype=np.intp)
-    return gather_sum(x, indices, ones, ones)
+    """Rows x[indices] in the given order; an index may repeat.
+
+    Forward is the fancy index. Backward writes g into the selected rows of a
+    zero array when no index repeats, and otherwise sums g through the
+    transposed one-hot matrix of the indices, as `gather_sum` does.
+    """
+    idx = np.asarray(indices, dtype=np.intp)
+    _shape_check("select_rows", idx.ndim == 1, f"{idx.shape} indices")
+    rows = x.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise ShapeMismatchError(f"select_rows: index out of range for {rows} rows")
+
+    def bwd(g):
+        if idx.size <= rows and np.bincount(idx, minlength=rows).max() <= 1:
+            grad = np.zeros_like(x.data)
+            grad[idx] = g
+        else:
+            one_hot = sp.csr_matrix((np.ones(idx.size), idx, np.arange(idx.size + 1)),
+                                    shape=(idx.size, rows))
+            grad = one_hot.T @ g
+        _accum(x, grad)
+
+    return _make("select_rows", x.data[idx], (x,), bwd)
 
 
 def gather_sum(x: Tensor, idx, values, sizes) -> Tensor:

@@ -148,7 +148,16 @@ def instance_weight(delta_v: float, tau_instance_max: float, t_v: float) -> floa
 
 
 def classifier_logits(z: dc.Tensor, state: ModelState) -> dc.Tensor:
-    hidden = dc.relu(dc.add_bias(dc.matmul(z, state.clf_w1), state.clf_b1))
+    """Two-layer classifier over z, the backbone columns and then any motif columns.
+
+    z meets the rows of clf_w1 it has columns for: all 2d with the motif half,
+    the first d without it (gcn_only). Then the motif rows get an exactly-zero
+    gradient, and Adam leaves them as initialised.
+    """
+    w1 = state.clf_w1
+    if z.shape[1] < w1.shape[0]:
+        w1 = dc.select_rows(w1, np.arange(z.shape[1]))
+    hidden = dc.relu(dc.add_bias(dc.matmul(z, w1), state.clf_b1))
     return dc.add_bias(dc.matmul(hidden, state.clf_w2), state.clf_b2)
 
 
@@ -245,18 +254,19 @@ def forward_nodes(x, a_hat, state: ModelState, index: MotifIndex | None,
                   rng: np.random.Generator | None = None):
     """Batched forward pass for the listed nodes.
 
-    Returns (logits len(nodes) x 1, deltas n x 1 tensor or None, h).
+    The classifier reads the nodes' backbone rows, joined by their motif rows
+    when the head uses motifs. Returns (logits len(nodes) x 1, deltas n x 1
+    tensor or None, h).
     """
     if opts.use_motifs and index is None:
         raise ValueError("motif-using head options need a built MotifIndex")
     h = gcn_forward(x, a_hat, state.gcn, training=training, dropout=dropout, rng=rng)
     n = h.shape[0]
     deltas = adaptive_windows(h, state, tau_max) if opts.adaptive else None
+    z = dc.select_rows(h, nodes)
     if opts.use_motifs:
-        ztilde = motif_embeddings(h, deltas, state, head_layout(index, nodes, n), opts)
-    else:
-        ztilde = dc.tensor(np.zeros((len(nodes), state.embed_dim)))
-    z = dc.concat_cols([dc.select_rows(h, nodes), ztilde])
+        z = dc.concat_cols(
+            [z, motif_embeddings(h, deltas, state, head_layout(index, nodes, n), opts)])
     logits = classifier_logits(z, state)
     return logits, deltas, h
 

@@ -353,9 +353,11 @@ def _enumerate(g: TransactionGraph, catalog: MotifCatalog, focal: np.ndarray,
         f, rows = f[order], rows[order]
         if cap is not None and rows.shape[0] > cap:
             seg = _segment_ids(f, rows[:, _TYPE])
-            recency = _recency_order(seg, rows[:, _TMAX], rows[:, _E1:_E3 + 1])
-            keep = _latest(seg, recency, np.bincount(seg), cap)
-            f, rows = f[keep], rows[keep]
+            sizes = np.bincount(seg)
+            if sizes.max() > cap:  # else the cap keeps every row
+                recency = _recency_order(seg, rows[:, _TMAX], rows[:, _E1:_E3 + 1])
+                keep = _latest(seg, recency, sizes, cap)
+                f, rows = f[keep], rows[keep]
         counts += np.bincount(f, minlength=focal.size)
         parts.append(rows)
     return counts, np.concatenate(parts)
@@ -538,8 +540,12 @@ class MotifIndex:
         counts = np.diff(self.offsets)
         keep = self.t_max <= np.repeat(_window_ends(self.node_starts, deltas), counts)
         if cap is not None:
-            seg, order, n_seg = self._cached("recency", self._recency)
-            keep = _latest(seg, order, np.bincount(seg[keep], minlength=n_seg), cap)
+            seg, n_seg = self._cached("segments", self._segments)
+            kept = np.bincount(seg[keep], minlength=n_seg)
+            if kept.max(initial=0) > cap:  # else every row in `keep` is among its type's latest
+                order = self._cached(
+                    "recency", lambda: _recency_order(seg, self.t_max, self.edges))
+                keep = _latest(seg, order, kept, cap)
         node_of_row = np.repeat(np.arange(self.node_ids.size), counts)
         return MotifIndex(
             catalog_size=self.catalog_size, tau_max=self.tau_max, cap=cap,
@@ -548,11 +554,10 @@ class MotifIndex:
             owner=self.owner[keep], type_id=self.type_id[keep], nodes=self.nodes[keep],
             edges=self.edges[keep], t_max=self.t_max[keep])
 
-    def _recency(self):
-        """(owner, type) segment per row, the (segment, t_max, edges) order, segment count."""
+    def _segments(self):
+        """(owner, type) segment per row, and the segment count."""
         seg = _segment_ids(self.owner, self.type_id)
-        n_seg = int(seg[-1]) + 1 if seg.size else 0
-        return seg, _recency_order(seg, self.t_max, self.edges), n_seg
+        return seg, int(seg[-1]) + 1 if seg.size else 0
 
 
 def build_index(g: TransactionGraph, windows, catalog: MotifCatalog,

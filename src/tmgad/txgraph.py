@@ -58,6 +58,7 @@ class TransactionGraph:
     t_earliest: np.ndarray = field(default=None)  # int64, NO_TIMESTAMP for isolated nodes
     tau_max: int | None = None  # time span, latest minus earliest timestamp; None without edges
     _incidence: "Incidence | None" = field(default=None, repr=False)
+    _adjacency: "sp.csr_matrix | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         for arr in (self.src, self.dst, self.timestamp, self.amount):
@@ -483,16 +484,26 @@ def set_features_labels(g: TransactionGraph, features: np.ndarray,
 
 
 def normalized_adjacency(g: TransactionGraph) -> sp.csr_matrix:
-    """Symmetric-normalized (A+I) over the direction-collapsed simple graph."""
-    rows = np.concatenate([g.src, g.dst])
-    cols = np.concatenate([g.dst, g.src])
-    a = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(g.n, g.n))
-    a = (a > 0).astype(np.float64)  # collapse parallel edges
-    a_tilde = a + sp.identity(g.n, format="coo")
-    deg = np.asarray(a_tilde.sum(axis=1)).ravel()
-    d_inv_sqrt = 1.0 / np.sqrt(deg)
-    dmat = sp.diags(d_inv_sqrt)
-    return (dmat @ a_tilde @ dmat).tocsr()
+    """Symmetric-normalized (A+I) over the direction-collapsed simple graph.
+
+    Built on first use, then cached on `g` with read-only arrays. The matrix
+    equals its transpose exactly, as `diffcore.spmm` needs, and its indices
+    are sorted.
+    """
+    if g._adjacency is None:
+        rows = np.concatenate([g.src, g.dst])
+        cols = np.concatenate([g.dst, g.src])
+        a = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(g.n, g.n))
+        a = (a > 0).astype(np.float64)  # collapse parallel edges
+        a_tilde = a + sp.identity(g.n, format="coo")
+        deg = np.asarray(a_tilde.sum(axis=1)).ravel()
+        d_inv_sqrt = 1.0 / np.sqrt(deg)
+        dmat = sp.diags(d_inv_sqrt)
+        a_hat = (dmat @ a_tilde @ dmat).tocsr()
+        for arr in (a_hat.data, a_hat.indices, a_hat.indptr):
+            arr.setflags(write=False)
+        g._adjacency = a_hat
+    return g._adjacency
 
 
 def make_splits(g: TransactionGraph, k: int, train_fraction: float,

@@ -10,6 +10,7 @@ import numpy as np
 from scipy.special import expit
 
 from tmgad import diffcore as dc
+from tmgad.backbone import gcn_forward
 from tmgad.model import WEIGHT_FLOOR, adaptive_windows, classifier_logits
 from tmgad.motif import NO_ANCHOR, MotifIndex, spanning_sequences
 
@@ -117,6 +118,18 @@ def write_edge_csv(g, path) -> None:
             a = g.amount[i]
             row = f"{g.src[i]},{g.dst[i]},{g.timestamp[i]}"
             f.write(row + (f",{float(a)!r}\n" if not np.isnan(a) else "\n"))
+
+
+def latest_rows(index, cap):
+    """Row mask of an uncapped index: per (owner, type), the `cap` latest rows by (t_max, edges)."""
+    groups = {}
+    for r, key in enumerate(zip(index.owner.tolist(), index.type_id.tolist())):
+        groups.setdefault(key, []).append(r)
+    keep = np.zeros(index.owner.size, dtype=bool)
+    for rows in groups.values():
+        rows.sort(key=lambda r: (int(index.t_max[r]), *index.edges[r].tolist()))
+        keep[rows[max(0, len(rows) - cap):]] = True
+    return keep
 
 
 def index_from_instances(catalog_size, per_node, *, windows=None, window_starts=None):
@@ -302,6 +315,26 @@ def node_forward(v, h, index, state, opts, tau_max: float):
     z = dc.concat_cols([dc.select_rows(h, [v]), ztilde])
     y_hat = float(expit(classifier_logits(z, state).item()))
     return z, y_hat
+
+
+def one_hot_rows(x, indices):
+    """Rows x[indices] as the one-hot matrix of the indices times x."""
+    ones = np.ones(len(indices), dtype=np.intp)
+    return dc.gather_sum(x, indices, ones, ones)
+
+
+def forward_nodes_zero_half(x, a_hat, state, index, nodes, opts, tau_max, *,
+                            training=False, dropout=0.0, rng=None):
+    """`model.forward_nodes` for gcn_only in its zero-half form.
+
+    z is [h[nodes], 0]: the rows picked by a one-hot product, then an all-zero
+    motif half, so all 2d rows of clf_w1 take part.
+    """
+    assert not opts.use_motifs
+    h = gcn_forward(x, a_hat, state.gcn, training=training, dropout=dropout, rng=rng)
+    z = dc.concat_cols([one_hot_rows(h, nodes),
+                        dc.tensor(np.zeros((len(nodes), state.embed_dim)))])
+    return classifier_logits(z, state), None, h
 
 
 # ---------------------------------------------------------------------------

@@ -245,8 +245,10 @@ class TestPrimitiveGradients:
 
     def test_spmm(self):
         import scipy.sparse as sp
-        m = sp.random(5, 5, density=0.4, random_state=1, format="csr")
+        r = sp.random(5, 5, density=0.4, random_state=1, format="csr")
+        m = (r + r.T).tocsr()  # spmm's constant is symmetric
         x = dc.parameter(self.rng.normal(size=(5, 3)))
+        np.testing.assert_array_equal(dc.spmm(m, x).data, m @ x.data)
         _fd(lambda: dc.mean_all(dc.spmm(m, x)), [x], self.rng)
 
     def test_add_and_bias_and_const(self):
@@ -321,6 +323,40 @@ class TestPrimitiveGradients:
             return dc.bce_with_logits(orc.transpose(out), np.array([[1.0], [0.0], [1.0]]))
 
         _fd(build, [a, w, col], self.rng)
+
+
+class TestSelectRows:
+    """Forward and backward equal the one-hot product bit for bit."""
+
+    rng = np.random.default_rng(14)
+
+    @pytest.mark.parametrize("ids", [[4, 0, 2], [2, 2, 1, 0, 4, 2], list(range(5))[::-1],
+                                     [3] * 7])
+    def test_matches_one_hot_product(self, ids):
+        data = self.rng.normal(size=(5, 3))
+        c = self.rng.normal(size=(len(ids), 3))  # uneven upstream gradient per entry
+        outs, grads = [], []
+        for select in (dc.select_rows, orc.one_hot_rows):
+            x = dc.parameter(data.copy())
+            with dc.Tape() as t:
+                out = select(x, ids)
+                t.backward(dc.mean_all(dc.mul_const(out, c)))
+            outs.append(out.data.tobytes())
+            grads.append(x.grad.tobytes())
+        assert outs[0] == outs[1]
+        assert grads[0] == grads[1]
+
+    def test_unselected_rows_get_zero_gradient(self):
+        x = dc.parameter(self.rng.normal(size=(5, 2)))
+        with dc.Tape() as t:
+            t.backward(dc.mean_all(dc.select_rows(x, [3, 1])))
+        np.testing.assert_array_equal(x.grad[[0, 2, 4]], 0.0)
+        np.testing.assert_array_equal(x.grad[[1, 3]], 0.25)
+
+    @pytest.mark.parametrize("ids", [[5], [-1]])
+    def test_index_out_of_range_rejected(self, ids):
+        with pytest.raises(dc.ShapeMismatchError, match="out of range for 5 rows"):
+            dc.select_rows(dc.tensor(np.ones((5, 2))), ids)
 
 
 class TestGatherSum:

@@ -10,7 +10,7 @@ from tmgad import motif
 from tmgad.txgraph import build_graph
 
 from oracles import (brute_force_instances, index_as_sets, index_from_instances,
-                     orbit_count_focal_rooted, orbit_count_unrooted, pearson_two_pass,
+                     latest_rows, orbit_count_focal_rooted, orbit_count_unrooted, pearson_two_pass,
                      permute_sequence, random_graph, window_starts)
 
 
@@ -391,6 +391,37 @@ class TestRestrict:
                                    nodes=np.arange(g.n), cap=5)
         with pytest.raises(motif.MotifError, match="uncapped"):
             capped.restrict(np.full(g.n, 1.0), 5)
+
+
+class TestCapWhereItBinds:
+    """The cap's recency pass runs only when a (node, type) segment exceeds the cap."""
+
+    @pytest.mark.parametrize("batch_rows", [motif.BATCH_ROWS, 1])
+    def test_columns_when_the_cap_binds_for_some_segments_and_for_none(
+            self, rooted, monkeypatch, batch_rows):
+        rng = np.random.default_rng(38)
+        g = with_isolated(random_graph(rng, max_nodes=12, max_edges=50, max_ts=40), 2)
+        nodes, windows = np.arange(g.n), np.full(g.n, float(g.tau_max))
+        full = motif.build_index(g, windows, rooted, nodes=nodes, cap=None)
+        sizes = np.unique(np.column_stack([full.owner, full.type_id]), axis=0,
+                          return_counts=True)[1]
+        some = int(np.median(sizes))
+        assert (sizes > some).any() and (sizes <= some).any()
+        monkeypatch.setattr(motif, "BATCH_ROWS", batch_rows)
+        node_of_row = np.repeat(np.arange(full.node_ids.size), np.diff(full.offsets))
+        for cap in (some, int(sizes.max())):
+            keep = latest_rows(full, cap)
+            for got in (motif.build_index(g, windows, rooted, nodes=nodes, cap=cap),
+                        full.restrict(windows, cap)):
+                for name in ("node_ids", "node_windows", "node_starts"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(full, name))
+                for name in ("owner", "type_id", "nodes", "edges", "t_max"):
+                    np.testing.assert_array_equal(getattr(got, name),
+                                                  getattr(full, name)[keep], err_msg=name)
+                np.testing.assert_array_equal(
+                    np.diff(got.offsets), np.bincount(node_of_row[keep],
+                                                      minlength=full.node_ids.size))
+        assert latest_rows(full, int(sizes.max())).all()
 
 
 class TestIndexColumns:

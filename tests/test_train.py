@@ -13,7 +13,7 @@ from tmgad.backbone import GCNConfig
 from tmgad.motif import FOCAL_ROOTED, build_catalog, build_index
 from tmgad.txgraph import build_graph, make_splits, normalized_adjacency, set_features_labels
 
-from oracles import auc_tie_loop, auprc_tie_loop
+from oracles import auc_tie_loop, auprc_tie_loop, forward_nodes_zero_half
 
 
 def auc_pairwise_oracle(scores, labels):
@@ -345,6 +345,39 @@ class TestTrainLoop:
     def test_none_refresh_and_cap_allowed(self):
         cfg = tr.TrainConfig(refresh_interval=None, instance_cap=None)
         assert cfg.refresh_interval is None and cfg.instance_cap is None
+
+
+class TestGcnOnlyClassifier:
+    """gcn_only's classifier reads only the backbone rows of clf_w1, with no zero half."""
+
+    def test_equals_zero_half_formulation(self, monkeypatch):
+        g = tiny_graph(200, seed=4)
+        split = make_splits(g, 1, 0.8, 0)[0]
+        cfg = tr.TrainConfig(epochs=20, learning_rate=1e-2, seed=0, ablation="gcn_only")
+        state, report = tr.train(g, cfg, split=split)
+        with monkeypatch.context() as m:
+            m.setattr(tr, "forward_nodes", forward_nodes_zero_half)
+            want_state, want = tr.train(g, cfg, split=split)
+        assert report.loss_curve == want.loss_curve
+        assert (report.auc, report.auprc, report.train_loss) == (
+            want.auc, want.auprc, want.train_loss)
+        for name, t in state.named().items():
+            assert t.data.tobytes() == want_state.named()[name].data.tobytes(), name
+        opts = md.HeadOptions.from_ablation("gcn_only")
+        args = (g.features, normalized_adjacency(g), state, None, split.test_ids, opts,
+                float(g.tau_max))
+        got = md.forward_nodes(*args)[0].data
+        assert got.tobytes() == forward_nodes_zero_half(*args)[0].data.tobytes()
+
+    def test_motif_rows_keep_their_initial_values(self):
+        g = tiny_graph(200, seed=4)
+        cfg = tr.TrainConfig(epochs=20, learning_rate=1e-2, seed=0, ablation="gcn_only")
+        state, _ = tr.train(g, cfg)
+        init = md.init_model(np.random.default_rng(0), g.num_features, GCNConfig(),
+                             build_catalog().size)
+        d = state.embed_dim
+        assert state.clf_w1.data[d:].tobytes() == init.clf_w1.data[d:].tobytes()
+        assert not np.array_equal(state.clf_w1.data[:d], init.clf_w1.data[:d])
 
 
 def shifted(g, offset):

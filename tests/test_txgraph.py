@@ -366,6 +366,13 @@ class TestNormalizedAdjacency:
         np.testing.assert_allclose(a, a.T, atol=1e-15)
         assert (np.abs(a).sum(axis=1) > 0).all()
 
+    def test_built_once_per_graph_with_read_only_arrays(self):
+        g = tg.build_graph(3, [0, 1], [1, 2], [1, 2])
+        a = tg.normalized_adjacency(g)
+        assert tg.normalized_adjacency(g) is a
+        assert not any(arr.flags.writeable for arr in (a.data, a.indices, a.indptr))
+        with pytest.raises(ValueError, match="read-only"):
+            a.data[0] = 1.0
 
     def test_matches_set_of_pairs_oracle_exactly(self):
         rng = np.random.default_rng(8)
