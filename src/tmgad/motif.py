@@ -2,9 +2,11 @@
 
 A motif instance is an ascending triple of directed edges (under the total
 edge order) spanning exactly three distinct nodes, one of which is the focal
-node, with all timestamps inside the focal node's window. Types are
-equivalence classes of the time-ordered directed-pair sequence under node
-relabeling; the catalog is generated exhaustively, never hand-listed.
+node, with all timestamps inside the focal node's window: the edges at t with
+t - t_v <= floor(delta_v), where t_v is v's first activity, decided exactly
+in integers for any int64 timestamps. Types are equivalence classes of the
+time-ordered directed-pair sequence under node relabeling; the catalog is
+generated exhaustively, never hand-listed.
 
 Enumeration at focal node v visits only the third-node pairs {a, b} that can
 hold an instance: an instance needs 3 window edges among the pairs v-a, v-b
@@ -173,11 +175,15 @@ _ROW = 7
 BATCH_ROWS = 1 << 16  # rows a batch of focal nodes, or of candidate triples, expands to
 
 
-def _window_ends(starts: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Largest int t <= start + delta, the sum in float: Python's exact int <= float test."""
-    end = np.floor(starts.astype(np.float64) + deltas)
-    over = end >= 2.0 ** 63
-    return np.where(over, np.iinfo(np.int64).max, np.where(over, 0.0, end).astype(np.int64))
+def _reach(deltas: np.ndarray) -> np.ndarray:
+    """floor(delta) in uint64, at most 2**63: more than any gap between int64 timestamps."""
+    return np.floor(np.minimum(deltas, 2.0 ** 63)).astype(np.uint64)
+
+
+def _window_ends(g: TransactionGraph, starts: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Each window's last tick: start + floor(delta), clamped to g's last timestamp."""
+    room = (g.timestamp.max(initial=0) - starts).astype(np.uint64)
+    return starts + np.minimum(_reach(deltas), room).astype(np.int64)
 
 
 def _expand(starts: np.ndarray, counts: np.ndarray):
@@ -365,10 +371,10 @@ def _enumerate(g: TransactionGraph, catalog: MotifCatalog, focal: np.ndarray,
 
 def enumerate_instances(g: TransactionGraph, v: int, delta: float,
                         catalog: MotifCatalog) -> list[MotifInstance]:
-    """All typed motif instances at focal node v within [start, start + delta].
+    """All typed motif instances at focal node v in its window.
 
-    The window starts at v's earliest timestamp. Instances come in ascending
-    edge order.
+    The window starts at v's earliest timestamp t_v and holds the edges at t
+    with t - t_v <= floor(delta). Instances come in ascending edge order.
     """
     if not delta > 0:
         raise MotifError(f"delta must be positive, got {delta}")
@@ -377,7 +383,7 @@ def enumerate_instances(g: TransactionGraph, v: int, delta: float,
     v = int(v)
     w0 = g.t_earliest[[v]]
     _, rows = _enumerate(g, catalog, np.array([v]), w0,
-                         _window_ends(w0, np.array([float(delta)])), None)
+                         _window_ends(g, w0, np.array([float(delta)])), None)
     rows = rows[np.lexsort((rows[:, _E3], rows[:, _E2], rows[:, _E1]))]
     return [MotifInstance(focal=v, nodes=(v, a, b), edges=(i, j, k), type_id=t, t_max=tm)
             for a, b, i, j, k, t, tm in rows.tolist()]
@@ -385,8 +391,6 @@ def enumerate_instances(g: TransactionGraph, v: int, delta: float,
 
 # ---------------------------------------------------------------------------
 # index
-
-NO_ANCHOR = np.iinfo(np.int64).min  # node_starts entry of a node without a window anchor
 
 _COLUMNS = ("node_ids", "node_windows", "node_starts", "offsets",
             "owner", "type_id", "nodes", "edges", "t_max")
@@ -451,7 +455,7 @@ class MotifIndex:
     cap: int | None            # most recent instances kept per (node, type)
     node_ids: np.ndarray       # indexed nodes, ascending
     node_windows: np.ndarray   # delta per indexed node
-    node_starts: np.ndarray    # window anchor per indexed node, NO_ANCHOR if none
+    node_starts: np.ndarray    # window start per indexed node, its t_earliest
     offsets: np.ndarray        # len(node_ids) + 1 row offsets
     owner: np.ndarray          # m: focal node
     type_id: np.ndarray        # m
@@ -527,7 +531,7 @@ class MotifIndex:
 
         Needs an uncapped index. Windows are checked as in `build_index` and
         may not exceed a node's window here: each node keeps the rows with
-        t_max <= start + delta, then the `cap` latest of those per type.
+        t_max - start <= floor(delta), then the `cap` latest of those per type.
         """
         if self.cap is not None:
             raise MotifError(f"restrict needs an uncapped index, this one has cap {self.cap}")
@@ -537,8 +541,9 @@ class MotifIndex:
             i = over[0]
             raise MotifError(f"window for node {self.node_ids[i]} exceeds the enumerated "
                              f"window: {deltas[i]} > {self.node_windows[i]}")
-        counts = np.diff(self.offsets)
-        keep = self.t_max <= np.repeat(_window_ends(self.node_starts, deltas), counts)
+        node_of_row = np.repeat(np.arange(self.node_ids.size), np.diff(self.offsets))
+        gaps = self.t_max - self.node_starts[node_of_row]  # in [0, 2**63)
+        keep = gaps.astype(np.uint64) <= _reach(deltas)[node_of_row]
         if cap is not None:
             seg, n_seg = self._cached("segments", self._segments)
             kept = np.bincount(seg[keep], minlength=n_seg)
@@ -546,7 +551,6 @@ class MotifIndex:
                 order = self._cached(
                     "recency", lambda: _recency_order(seg, self.t_max, self.edges))
                 keep = _latest(seg, order, kept, cap)
-        node_of_row = np.repeat(np.arange(self.node_ids.size), counts)
         return MotifIndex(
             catalog_size=self.catalog_size, tau_max=self.tau_max, cap=cap,
             node_ids=self.node_ids, node_windows=deltas, node_starts=self.node_starts,
@@ -574,13 +578,12 @@ def build_index(g: TransactionGraph, windows, catalog: MotifCatalog,
     node_ids = np.unique(np.asarray(nodes, dtype=np.int64))
     tau = g.tau_max if g.tau_max is not None else 0
     deltas = _checked_windows(windows, node_ids, tau)
-    starts = g.t_earliest[node_ids].astype(np.int64)
-    starts[starts == NO_TIMESTAMP] = NO_ANCHOR
-    anchored = np.flatnonzero(starts != NO_ANCHOR)  # isolated nodes have no instances
+    starts = g.t_earliest[node_ids]
+    active = np.flatnonzero(starts != NO_TIMESTAMP)  # isolated nodes have no instances
     counts = np.zeros(node_ids.size, dtype=np.int64)
-    counts[anchored], rows = _enumerate(
-        g, catalog, node_ids[anchored], starts[anchored],
-        _window_ends(starts[anchored], deltas[anchored]), cap)
+    counts[active], rows = _enumerate(
+        g, catalog, node_ids[active], starts[active],
+        _window_ends(g, starts[active], deltas[active]), cap)
     owner = np.repeat(node_ids, counts)
     return MotifIndex(catalog_size=catalog.size, tau_max=tau, cap=cap, node_ids=node_ids,
                       node_windows=deltas, node_starts=starts, offsets=_offsets(counts),
@@ -635,10 +638,8 @@ def motif_cross_correlation(index: MotifIndex, node_subset) -> np.ndarray:
     std = centered.std(axis=0)
     ok = std > 0.0
     corr = np.zeros((index.catalog_size, index.catalog_size))
-    if ok.any():
-        z = centered[:, ok] / std[ok]
-        corr_ok = (z.T @ z) / len(nodes)
-        corr[np.ix_(ok, ok)] = corr_ok
+    z = centered[:, ok] / std[ok]
+    corr[np.ix_(ok, ok)] = (z.T @ z) / len(nodes)
     np.fill_diagonal(corr, 1.0)
     return corr
 

@@ -135,12 +135,11 @@ class Incidence:
 
 
 def _earliest(n: int, src, dst, ts) -> np.ndarray:
-    unset = np.iinfo(np.int64).max
-    out = np.full(n, unset, dtype=np.int64)
-    np.minimum.at(out, src, ts)
-    np.minimum.at(out, dst, ts)
-    out[out == unset] = NO_TIMESTAMP
-    return out
+    unset = np.iinfo(np.uint64).max  # in uint64, above every int64 timestamp
+    out = np.full(n, unset, dtype=np.uint64)
+    np.minimum.at(out, src, ts.view(np.uint64))
+    np.minimum.at(out, dst, ts.view(np.uint64))
+    return np.where(out == unset, NO_TIMESTAMP, out.view(np.int64))
 
 
 def _sort_edges(n: int, src, dst, ts):

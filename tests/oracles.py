@@ -4,7 +4,6 @@ import json
 import math
 import zipfile
 from itertools import combinations, permutations
-from types import MappingProxyType
 
 import numpy as np
 from scipy.special import expit
@@ -12,7 +11,8 @@ from scipy.special import expit
 from tmgad import diffcore as dc
 from tmgad.backbone import gcn_forward
 from tmgad.model import WEIGHT_FLOOR, adaptive_windows, classifier_logits
-from tmgad.motif import NO_ANCHOR, MotifIndex, spanning_sequences
+from tmgad.motif import MotifIndex, spanning_sequences
+from tmgad.txgraph import NO_TIMESTAMP
 
 
 def permute_sequence(seq, perm):
@@ -43,10 +43,10 @@ def brute_force_instances(g, catalog, windows):
 
     Returns {node: set((edge_triple, type_id))} restricted to nodes present in
     `windows`, a node -> delta mapping. Window bounds are checked per focal
-    node; each window starts at the node's earliest timestamp.
+    node, in Python ints: each window starts at the node's earliest timestamp
+    w0 and ends at w0 + floor(delta).
     """
     from tmgad.motif import canonical_type
-    from tmgad.txgraph import NO_TIMESTAMP
 
     nodes = set(int(v) for v in windows)
     out = {v: set() for v in nodes}
@@ -63,7 +63,7 @@ def brute_force_instances(g, catalog, windows):
             if g.t_earliest[v] == NO_TIMESTAMP:
                 continue
             w0 = int(g.t_earliest[v])
-            w1 = w0 + float(windows[v])
+            w1 = w0 + math.floor(windows[v])
             if all(w0 <= t <= w1 for t in times):
                 tid = canonical_type(seq, v, catalog.mode, catalog)
                 out[v].add(((i, j, k), tid))
@@ -132,13 +132,14 @@ def latest_rows(index, cap):
     return keep
 
 
-def index_from_instances(catalog_size, per_node, *, windows=None, window_starts=None):
+def index_from_instances(catalog_size, per_node, *, windows=None, starts=None):
     """Uncapped MotifIndex holding given instances: node -> {type_id -> [MotifInstance]}.
 
     The mapping keys give each instance's owner and type; instances are stored
-    in (owner, type, edges) order. Nodes without windows or anchors get NaN and
-    NO_ANCHOR. The index records no horizon (tau_max 0), so `restrict` rejects
-    every window.
+    in (owner, type, edges) order. `starts` is an array indexed by node id,
+    like `TransactionGraph.t_earliest`. Without windows or starts, nodes get
+    NaN and NO_TIMESTAMP. The index records no horizon (tau_max 0), so
+    `restrict` rejects every window.
     """
     node_ids = np.array(sorted(int(v) for v in per_node), dtype=np.int64)
     rows = sorted((v, tid, *m.edges, m.nodes[1], m.nodes[2], m.t_max)
@@ -150,20 +151,12 @@ def index_from_instances(catalog_size, per_node, *, windows=None, window_starts=
         node_ids=node_ids,
         node_windows=np.array([np.nan if windows is None else float(windows[v])
                                for v in node_ids.tolist()]),
-        node_starts=np.array([NO_ANCHOR if window_starts is None or window_starts[v] is None
-                              else int(window_starts[v]) for v in node_ids.tolist()],
-                             dtype=np.int64),
+        node_starts=(np.full(node_ids.size, NO_TIMESTAMP, dtype=np.int64) if starts is None
+                     else np.asarray(starts, dtype=np.int64)[node_ids]),
         offsets=np.append(np.searchsorted(owner, node_ids), owner.size).astype(np.int64),
         owner=owner, type_id=np.ascontiguousarray(cols[:, 1]),
         nodes=np.column_stack([owner, cols[:, 5:7]]),
         edges=np.ascontiguousarray(cols[:, 2:5]), t_max=np.ascontiguousarray(cols[:, 7]))
-
-
-def window_starts(index):
-    """Read-only node -> window anchor of an index (None for nodes without one)."""
-    return MappingProxyType({v: None if s == NO_ANCHOR else s
-                             for v, s in zip(index.node_ids.tolist(),
-                                             index.node_starts.tolist())})
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +336,6 @@ def forward_nodes_zero_half(x, a_hat, state, index, nodes, opts, tau_max, *,
 
 def earliest_loop(n, src, dst, ts):
     """Per-node earliest timestamp, NO_TIMESTAMP for isolated nodes."""
-    from tmgad.txgraph import NO_TIMESTAMP
-
     out = np.full(n, NO_TIMESTAMP, dtype=np.int64)
     for arr in (src, dst):
         for v, t in zip(arr, ts):

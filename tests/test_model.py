@@ -252,7 +252,7 @@ class TestNodeForward:
         index = orc.index_from_instances(
             index.catalog_size,
             {v: {} if v == 1 else types for v, types in index.per_node.items()},
-            windows=index.windows, window_starts=orc.window_starts(index))
+            windows=index.windows, starts=g.t_earliest)
         h = gcn_forward(g.features, a_hat, state.gcn)
         opts = md.HeadOptions()
         z, y_hat = orc.node_forward(1, h, index, state, opts, tau)
@@ -296,8 +296,11 @@ class TestNodeForward:
 
 class TestHeadWeights:
     def test_batched_weights_equal_instance_weight(self, fixture_graph, catalog, monkeypatch):
-        """The recency weights the batched head applies are `instance_weight` per instance."""
-        g, state, a_hat, tau, index = build_everything(fixture_graph, catalog, seed=41)
+        """The recency weights the batched head applies are `instance_weight` per instance.
+
+        Checked bitwise, for learned and fixed windows, on the fixture graph and on
+        an 80-node planted graph; weights below the floor are applied as the floor.
+        """
         applied = []
         clip = dc.clip
 
@@ -308,15 +311,26 @@ class TestHeadWeights:
             return out
 
         monkeypatch.setattr(dc, "clip", recording_clip)
-        nodes = list(range(g.n))
-        _, deltas, _ = md.forward_nodes(g.features, a_hat, state, index, nodes,
-                                        md.HeadOptions(), tau)
-        # the head lays instances out node by node in request order, each node's in index order
-        want = [md.instance_weight(deltas.data[v, 0], inst.t_max, g.t_earliest[v])
-                for v in nodes for tid in sorted(index.instances_at(v))
-                for inst in index.instances_at(v)[tid]]
-        assert len(applied) == 1 and len(want) == index.total_instances() > 0
-        np.testing.assert_allclose(applied[0], want, rtol=1e-15, atol=0)
+        burst = synth_burst_graph(80, 0.2, 10, seed=3)
+        for g in (fixture_graph, burst):
+            state = fresh_state(catalog, in_dim=g.num_features, seed=41)
+            a_hat, tau, nodes = normalized_adjacency(g), float(g.tau_max), np.arange(g.n)
+            index = build_index(g, np.full(g.n, tau), catalog, nodes=nodes, cap=None)
+            assert index.total_instances() > 0
+            for opts in (md.HeadOptions(), md.HeadOptions.from_ablation("tm_fixed", tau / 8)):
+                applied.clear()
+                _, deltas, _ = md.forward_nodes(g.features, a_hat, state, index, nodes, opts,
+                                                tau)
+                delta = deltas.data[:, 0] if opts.adaptive else np.full(g.n, tau / 8)
+                # the head lays instances out node by node in request order, each node's
+                # by type: for ascending nodes, the index's (owner, type, edges) order
+                want = np.array([md.instance_weight(delta[v], t_max, g.t_earliest[v])
+                                 for v, t_max in zip(index.owner, index.t_max.tolist())])
+                (got,) = applied
+                above = want > md.WEIGHT_FLOOR
+                assert above.any()
+                np.testing.assert_array_equal(got[above], want[above])
+                np.testing.assert_array_equal(got[~above], md.WEIGHT_FLOOR)
 
 
 class TestGradientFlow:

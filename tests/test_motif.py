@@ -1,6 +1,7 @@
 """Catalog generation, canonical typing, windowed enumeration, analysis stats."""
 
 import dataclasses
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -11,7 +12,7 @@ from tmgad.txgraph import build_graph
 
 from oracles import (brute_force_instances, index_as_sets, index_from_instances,
                      latest_rows, orbit_count_focal_rooted, orbit_count_unrooted, pearson_two_pass,
-                     permute_sequence, random_graph, window_starts)
+                     permute_sequence, random_graph)
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,13 @@ class TestEnumerate:
         g = build_graph(3, [0, 0, 1], [1, 2, 2], [1, 2, 3])
         assert motif.enumerate_instances(g, 0, 1.5, rooted) == []
 
+    def test_window_holds_edges_up_to_start_plus_floor_delta(self, rooted):
+        # node 0 starts at 8; 8 + nextafter(3, 0) rounds to 11.0 in float, but the
+        # window holds t - 8 <= floor(delta) = 2, so the triangle closing at 11 is out
+        g = build_graph(3, [0, 1, 0, 1], [1, 2, 2, 0], [8, 9, 11, 30])
+        _, t_max = check_window_rule(rooted, g, [float(np.nextafter(3.0, 0.0)), 3.0])
+        assert t_max == [[], [11]]
+
     def test_isolated_node_empty(self, rooted):
         g = build_graph(4, [0, 1], [1, 2], [1, 2])
         assert motif.enumerate_instances(g, 3, 5.0, rooted) == []
@@ -182,24 +190,31 @@ class TestBatchedEnumeration:
         assert_same_columns(got, want)
 
     def test_window_end_is_exact_above_2_pow_53(self, rooted):
-        # float(2**60 + 200) is 2**60 + 256: edges up to that tick are inside the
-        # window, 2**60 + 257 is not, though it rounds to the same float
+        # floats are 256 apart at 2**60, yet node 0's window, first active at base,
+        # ends at base + floor(delta) = base + 200 exactly: the a-b edge at base + 200
+        # is in, the two edges at base + 201 are out
         base = 2 ** 60
-        edges = [(0, 1, 0), (0, 2, 10), (1, 2, 255), (0, 1, 256), (2, 0, 257), (1, 0, 300),
-                 (0, 3, 256), (3, 1, 257)]
+        edges = [(0, 1, 0), (0, 3, 5), (0, 2, 10), (1, 2, 200), (2, 0, 201), (3, 1, 201),
+                 (1, 0, 300)]
         src, dst, off = zip(*edges)
         g = build_graph(4, src, dst, [base + t for t in off])
-        windows = np.full(g.n, 200.0)
-        idx = motif.build_index(g, windows, rooted, nodes=np.arange(g.n), cap=None)
-        want = brute_force_instances(g, rooted, dict(enumerate(windows)))
-        assert index_as_sets(idx) == want
-        assert len(want[0]) > 0
-        assert max(m.t_max for lst in idx.per_node[0].values() for m in lst) == base + 256
-        got = {(m.edges, m.type_id) for m in motif.enumerate_instances(g, 0, 200.0, rooted)}
-        assert got == want[0]
-        full = motif.build_index(g, np.full(g.n, float(g.tau_max)), rooted,
-                                 nodes=np.arange(g.n), cap=None)
-        assert_same_columns(full.restrict(np.full(g.n, 200.0), None), idx)
+        _, t_max = check_window_rule(rooted, g, [200.0, float(np.nextafter(201.0, 0.0)), 201.0])
+        assert [max(t) - base for t in t_max] == [200, 200, 201]
+
+    def test_timestamps_0_and_int64_max(self, rooted):
+        # tau = 2**63 - 1 rounds up to the window 2**63; node 3, first active at the
+        # last tick, has a window that would end past it
+        last = 2 ** 63 - 1
+        edges = [(0, 1, 0), (1, 2, 0), (2, 0, 0), (3, 4, last), (4, 5, last), (5, 3, last),
+                 (0, 3, last), (1, 3, last)]
+        src, dst, ts = zip(*edges)
+        g = build_graph(7, src, dst, ts)  # node 6 is isolated
+        assert g.tau_max == last and g.t_earliest.tolist() == [0, 0, 0, last, last, last, -1]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            full, t_max = check_window_rule(rooted, g, [float(g.tau_max), 1.0])
+        assert len(t_max[0]) > len(t_max[1]) > 0
+        assert len(index_as_sets(full)[3]) > 0
 
     def test_node_ids_beyond_2_1_million(self, rooted):
         # (v * n + a) * n + b overflows int64 for these node ids; no key may take that form
@@ -317,6 +332,24 @@ def assert_same_columns(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def check_window_rule(rooted, g, deltas):
+    """(tau index, node 0's sorted instance t_max at each delta), after checking that
+    `build_index`, `restrict` of the tau index, `enumerate_instances` and the oracle agree."""
+    nodes = np.arange(g.n)
+    full = motif.build_index(g, np.full(g.n, float(g.tau_max)), rooted, nodes=nodes, cap=None)
+    t_max = []
+    for delta in deltas:
+        windows = np.full(g.n, delta)
+        idx = motif.build_index(g, windows, rooted, nodes=nodes, cap=None)
+        assert_same_columns(full.restrict(windows, None), idx)
+        want = brute_force_instances(g, rooted, dict(enumerate(windows)))
+        assert index_as_sets(idx) == want
+        insts = motif.enumerate_instances(g, 0, delta, rooted)
+        assert {(m.edges, m.type_id) for m in insts} == want[0]
+        t_max.append(sorted(m.t_max for m in insts))
+    return full, t_max
 
 
 class TestRestrict:
@@ -443,7 +476,7 @@ class TestIndexColumns:
     def test_views_are_read_only(self, rooted):
         idx = self.make_index(rooted)
         v = int(idx.node_ids[0])
-        for view in (idx.per_node, idx.windows, window_starts(idx), idx.instances_at(v)):
+        for view in (idx.per_node, idx.windows, idx.instances_at(v)):
             with pytest.raises(TypeError):
                 view[v] = None
 

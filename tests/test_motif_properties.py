@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from tmgad import motif  # noqa: E402
-from tmgad.txgraph import build_graph  # noqa: E402
+from tmgad.txgraph import NO_TIMESTAMP, build_graph  # noqa: E402
 
 from oracles import brute_force_instances, index_as_sets  # noqa: E402
 
@@ -35,14 +35,28 @@ def windowed_multigraphs(draw):
     # whole windows put edges on the window's end, where it is closed
     window = st.one_of(st.integers(1, int(tau)).map(float),
                        st.floats(1e-3, 1.0).map(lambda share: share * tau))
-    return g, [draw(window) for _ in range(n)]
+    return g, [draw(window) for _ in range(n)], draw(st.sampled_from(ORIGINS))
+
+
+# time origins: small, exact in float, Unix nanoseconds, and where floats are 1024 apart
+ORIGINS = (0, 2 ** 40, 17 * 10 ** 17, 2 ** 62)
 
 
 @PROFILE
 @given(windowed_multigraphs())
 def test_index_equals_oracle(case):
-    g, windows = case
+    g, windows, origin = case
     idx = motif.build_index(g, np.array(windows), CATALOG, nodes=np.arange(g.n), cap=None)
     want = brute_force_instances(g, CATALOG, dict(enumerate(windows)))
     assert index_as_sets(idx) == want
     assert idx.total_instances() == sum(map(len, want.values()))  # no duplicate rows
+    # the same graph later in time: the same instances, each t_max shifted
+    moved = build_graph(g.n, g.src, g.dst, g.timestamp + origin)
+    got = motif.build_index(moved, np.array(windows), CATALOG, nodes=np.arange(g.n), cap=None)
+    for name in ("node_ids", "node_windows", "offsets", "owner", "type_id", "nodes", "edges"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(idx, name), err_msg=name)
+    active = idx.node_starts != NO_TIMESTAMP
+    np.testing.assert_array_equal(got.node_starts, np.where(active, idx.node_starts + origin,
+                                                            NO_TIMESTAMP))
+    np.testing.assert_array_equal(got.t_max, idx.t_max + origin)
+    assert index_as_sets(got) == brute_force_instances(moved, CATALOG, dict(enumerate(windows)))

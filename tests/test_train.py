@@ -389,7 +389,7 @@ def shifted(g, offset):
 class TestTimeOrigin:
     """Time counts from the graph's first timestamp: a shifted copy is the same input."""
 
-    @pytest.mark.parametrize("offset", [1_000, 10**6])
+    @pytest.mark.parametrize("offset", [1_000, 10**6, 17 * 10**17, 2**62])
     def test_shifted_copy_gives_same_instances(self, offset):
         g = tr.synth_burst_graph(300, 0.1, 10, seed=42)
         moved = shifted(g, offset)
@@ -412,7 +412,8 @@ class TestTimeOrigin:
         gcn = GCNConfig(layers=2, hidden_dim=16, out_dim=8, dropout=0.1)
         catalog = build_catalog(FOCAL_ROOTED)
         runs = []
-        for h in (g, shifted(g, 10**6)):
+        # up to Unix nanoseconds (1.7e18) and 2**62, where floats are 1024 apart
+        for h in (g, *(shifted(g, offset) for offset in (10**6, 17 * 10**17, 2**62))):
             state, rep = tr.train(h, cfg, gcn, split)
             index = build_index(h, rep.extraction_windows, catalog, cap=cfg.instance_cap)
             logits, _, _ = md.forward_nodes(h.features, normalized_adjacency(h), state, index,
@@ -420,7 +421,11 @@ class TestTimeOrigin:
                                             md.HeadOptions.from_ablation(ablation, 25.0),
                                             float(h.tau_max))
             runs.append((logits.data, rep))
-        (want, base), (got, moved) = runs
-        np.testing.assert_array_equal(got, want)
-        assert moved.total_instances == base.total_instances > 0
-        assert (moved.auc, moved.train_loss) == (base.auc, base.train_loss)
+        (want, base), *moved_runs = runs
+        assert base.total_instances > 0
+        for got, moved in moved_runs:
+            np.testing.assert_array_equal(got, want)
+            assert moved.loss_curve == base.loss_curve
+            assert moved.total_instances == base.total_instances
+            assert (moved.auc, moved.auprc, moved.train_loss) == (base.auc, base.auprc,
+                                                                   base.train_loss)
