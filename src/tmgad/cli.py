@@ -256,10 +256,12 @@ def cmd_motifs(cfg, args) -> int:
     tcfg = _build(train_mod.TrainConfig, cfg["train"])
     catalog = motif_mod.build_catalog()
     labeled = g.labeled_nodes()
+    # one uncapped enumeration at the largest window holds every smaller window's instances
+    enumerated = motif_mod.build_index(g, np.full(g.n, max(clamped)), catalog, nodes=labeled,
+                                       cap=None)
     indexes = {}
     for d in clamped:
-        indexes[d] = motif_mod.build_index(g, np.full(g.n, d), catalog, nodes=labeled,
-                                           cap=tcfg.instance_cap)
+        indexes[d] = enumerated.restrict(np.full(g.n, d), tcfg.instance_cap)
         print(f"delta={d}: {indexes[d].total_instances()} instances")
     table = motif_mod.motif_histogram(indexes, g.labels)
     for i, d in enumerate(clamped):

@@ -17,13 +17,22 @@ edge between two neighbours of v is counted once, from the smaller node.
 
 `build_index` applies this rule to all focal nodes at once, with array
 operations on the graph's incidence arrays (`TransactionGraph.incidence`):
-it groups each focal window's edges by neighbour a, then each neighbour's
-window edges by pair {a, b}, keeps the candidates, forms every triple of a
-candidate's edges from a combination index, types it through a 9**3-entry
-table of role-coded triples (`MotifCatalog.role_table`), and sorts and caps
-the rows. Focal nodes go in batches whose neighbour-pair rows, and triples
-in chunks, stay within `BATCH_ROWS`, so a hub cannot blow up memory; the
-batching does not change the result. It all runs in one process.
+it groups each focal window's edges by neighbour a, then filters each
+neighbour's window edges a-b before grouping them by pair {a, b}. When b
+is a window neighbour of v (a triangle), the edge stays only if b > a, as
+the pair is counted from its smaller end. Otherwise it stays only if b != v
+and v-a has at least 2 window edges or {a, b} has at least 2 edges anywhere
+in the graph (`Incidence.repeated`). Any other pair holds one v-a and one
+a-b window edge, too few for an instance, so most a-b edges of a wide
+window never reach the sort. Whether b is a neighbour of v is read from a
+boolean table over (focal node, node id) of at most `TABLE_BYTES`, filled
+and cleared a chunk of focal nodes at a time. The enumerator then keeps the
+candidates, forms every triple of a candidate's edges from a combination
+index, types it through a 9**3-entry table of role-coded triples
+(`MotifCatalog.role_table`), and sorts and caps the rows. Focal nodes go in
+batches whose neighbour-pair rows, and triples in chunks, stay within
+`BATCH_ROWS`, so a hub cannot blow up memory; neither the batching nor the
+table's chunks change the result. It all runs in one process.
 
 The motif index stores the instances of many focal nodes as read-only
 columns (owner, type, member nodes, edges, latest timestamp), sorted by
@@ -173,6 +182,7 @@ _A, _B, _E1, _E2, _E3, _TYPE, _TMAX = range(7)
 _ROW = 7
 
 BATCH_ROWS = 1 << 16  # rows a batch of focal nodes, or of candidate triples, expands to
+TABLE_BYTES = 1 << 24  # bytes of the table that marks a batch's window neighbours
 
 
 def _reach(deltas: np.ndarray) -> np.ndarray:
@@ -259,33 +269,65 @@ def _neighbours(inc, n, focal, w0, w1) -> _Neighbours:
                        ptr=_offsets(np.bincount(nf, minlength=focal.size)))
 
 
-def _candidates(g, inc, nb: _Neighbours, focal, j0, j1):
-    """Candidate pairs of the neighbour entries j0:j1, and each one's member edges.
+def _is_neighbour(nb: _Neighbours, n, f, b, f0, f1) -> np.ndarray:
+    """Whether node b[i] is a window neighbour of focal position f[i]; f ascends in f0:f1.
+
+    A boolean table over (focal position, node id) marks the neighbours of at
+    most TABLE_BYTES // n focal nodes at a time: each chunk is marked, read
+    and cleared in turn, so one table of at most TABLE_BYTES (or n) bytes
+    serves the batch.
+    """
+    rows = max(1, min(f1 - f0, TABLE_BYTES // n))
+    table = np.zeros((rows, n), dtype=bool)
+    bounds = np.append(np.arange(f0, f1, rows), f1)
+    entries, queries = nb.ptr[bounds].tolist(), np.searchsorted(f, bounds).tolist()
+    out = np.empty(f.size, dtype=bool)
+    for i, c in enumerate(bounds[:-1].tolist()):
+        mark = nb.f[entries[i]:entries[i + 1]] - c, nb.a[entries[i]:entries[i + 1]]
+        q = slice(queries[i], queries[i + 1])
+        table[mark] = True
+        out[q] = table[f[q] - c, b[q]]
+        table[mark] = False
+    return out
+
+
+def _candidates(g, inc, nb: _Neighbours, focal, f0, f1):
+    """Candidate pairs of the focal positions f0:f1, and each one's member edges.
+
+    Each a-b incidence entry (focal v, neighbour a, a's window edge to b) is
+    kept or dropped before the entries are grouped by pair {a, b}. If b is a
+    window neighbour of v, it is kept only if b > a (a triangle is counted
+    from its smaller end); otherwise only if b != v and v-a has at least 2
+    window edges or {a, b} has at least 2 edges in the graph
+    (`Incidence.repeated`). These tests depend only on (v, a, b), so a pair's
+    entries go together; a dropped pair holds one v-a and one a-b window
+    edge, too few for an instance, or is counted from b.
 
     Returns (f, lo, hi, members, member_ptr): the focal position and the two
     other nodes (ascending) of each candidate, and its member edges,
     ascending, at `members[member_ptr[c]:member_ptr[c + 1]]`.
     """
     n, num = g.n, nb.a.size
-    # a-b edges: a's window edges, grouped by the pair {a, b}
+    j0, j1 = nb.ptr[f0], nb.ptr[f1]
+    # a-b edges: a's window edges that can take part, grouped by the pair {a, b}
     j, p = _expand(nb.lo[j0:j1], nb.hi[j0:j1] - nb.lo[j0:j1])
     j += j0
-    key = j * n + inc.other[p]
+    f, b = nb.f[j], inc.other[p]
+    tri = _is_neighbour(nb, n, f, b, f0, f1)
+    keep = (b != focal[f]) & np.where(tri, b > nb.a[j], (nb.count[j] >= 2) | inc.repeated[p])
+    j, p, tri = j[keep], p[keep], tri[keep]
+    key = j * n + b[keep]
     order = np.argsort(key)
     key = key[order]
     first = _run_starts(key)  # group g's a-b edges are p[order[first[g]:first[g] + glen[g]]]
     glen = np.diff(np.append(first, order.size))
     gj = j[order[first]]
     gb = key[first] - gj * n
-    # a pair with one v-a edge, one a-b edge and b < a holds 3 edges only if b
-    # is a neighbour, and then it is counted from b
-    ask = np.flatnonzero((gb > nb.a[gj]) | (nb.count[gj] + glen >= 3))
-    first, glen, gj, gb = first[ask], glen[ask], gj[ask], gb[ask]
-    gjb = _find(nb.key[j0:j1], nb.f[gj] * n + gb)  # b's neighbour entry, or -1
-    gjb[gjb >= 0] += j0
-    # drop edges back to v; an edge between two neighbours of v counts from its smaller end
-    ok = (gb != focal[nb.f[gj]]) & ((gjb < 0) | (gb > nb.a[gj]))
-    ok &= nb.count[gj] + np.where(gjb >= 0, nb.count[gjb], 0) + glen >= 3
+    linked = tri[order[first]]  # both are neighbours of v, and there is an a-b edge
+    gjb = np.full(gj.size, -1)  # b's neighbour entry, or -1
+    gjb[linked] = j0 + _find(nb.key[j0:j1], nb.f[gj[linked]] * n + gb[linked])
+    # a linked pair holds a v-a, a v-b and an a-b edge; any other, its v-a and a-b edges
+    ok = linked | (nb.count[gj] + glen >= 3)
     # neighbour pairs without an a-b edge: two v-a edges and one v-b edge make 3
     heavy = j0 + np.flatnonzero(nb.count[j0:j1] >= 2)
     hf = nb.f[heavy]
@@ -293,7 +335,6 @@ def _candidates(g, inc, nb: _Neighbours, focal, j0, j1):
     h = heavy[i]
     pair = (x != h) & ((nb.count[x] < 2) | (h < x))
     hp, hq = np.minimum(h, x)[pair], np.maximum(h, x)[pair]
-    linked = (gjb >= 0) & (gb > nb.a[gj])  # both are neighbours, and there is an a-b edge
     pair = _find(gj[linked] * num + gjb[linked], hp * num + hq) < 0
     hp, hq = hp[pair], hq[pair]
 
@@ -352,8 +393,7 @@ def _enumerate(g: TransactionGraph, catalog: MotifCatalog, focal: np.ndarray,
     counts = np.zeros(focal.size, dtype=np.int64)
     parts = [np.empty((0, _ROW), dtype=np.int64)]
     for f0, f1 in _batches(weight, BATCH_ROWS):
-        j0, j1 = nb.ptr[f0], nb.ptr[f1]
-        rows = _instance_rows(g, table, focal, *_candidates(g, inc, nb, focal, j0, j1))
+        rows = _instance_rows(g, table, focal, *_candidates(g, inc, nb, focal, f0, f1))
         f, rows = rows[:, 0], rows[:, 1:]
         order = np.lexsort((rows[:, _E3], rows[:, _E2], rows[:, _E1], rows[:, _TYPE], f))
         f, rows = f[order], rows[order]

@@ -16,6 +16,7 @@ import warnings
 import zipfile
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,9 @@ class Incidence:
 
     Node v's entries are `ptr[v]:ptr[v + 1]`. Edges are sorted by time, so
     `key` (node, then time) is sorted over all entries and `window` finds a
-    node's edges in a time range with binary searches.
+    node's edges in a time range with binary searches. `repeated` marks the
+    entries whose node pair has more edges; it is built on first use, so
+    building the incidence does not pay for it.
     """
 
     ptr: np.ndarray     # n + 1 entry offsets
@@ -125,6 +128,16 @@ class Incidence:
                   other=ends[order ^ 1], key=node * (times.size + 1) + rank[edge], times=times)
         for arr in (out.ptr, out.edge, out.other, out.key, out.times):
             arr.setflags(write=False)
+        return out
+
+    @cached_property
+    def repeated(self) -> np.ndarray:
+        """2m: whether the entry's node pair has at least 2 edges, in either direction."""
+        n = self.ptr.size - 1
+        key = np.repeat(np.arange(n), np.diff(self.ptr)) * n + self.other
+        _, pair, edges = np.unique(key, return_inverse=True, return_counts=True)
+        out = edges[pair] >= 2
+        out.setflags(write=False)
         return out
 
     def window(self, nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray):

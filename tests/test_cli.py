@@ -12,6 +12,7 @@ import pytest
 
 from tmgad import cli
 from tmgad import model as md
+from tmgad import motif
 from tmgad import train as tr
 from tmgad import txgraph as tg
 from tmgad.motif import FOCAL_ROOTED, UNROOTED, build_catalog
@@ -498,6 +499,37 @@ class TestMotifs:
         for i in range(4):
             assert (out / f"histogram_delta_{i}.csv").exists()
         assert (out / "anomaly_correlation.csv").exists()
+
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_files_equal_one_build_per_delta(self, tmp_path, cap):
+        # one enumeration at the largest window, restricted per delta, writes the
+        # bytes that one capped build per delta writes
+        g, *_ = small_dataset(tmp_path)
+        grid = [5.0, 30.0, 1e9, 2e9]  # the last two clamp to tau
+        cfg = write_config(tmp_path, {"data": DATA, "analysis": {"delta_grid": grid},
+                                      "train": {"instance_cap": cap},
+                                      "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, "motifs"]) == cli.EXIT_OK
+        catalog, labeled = build_catalog(FOCAL_ROOTED), g.labeled_nodes()
+        clamped = [min(d, float(g.tau_max)) for d in grid]
+        indexes = {d: motif.build_index(g, np.full(g.n, d), catalog, nodes=labeled, cap=cap)
+                   for d in clamped}
+        if cap is not None:
+            uncapped = motif.build_index(g, np.full(g.n, clamped[-1]), catalog, nodes=labeled,
+                                         cap=None)
+            assert indexes[clamped[-1]].total_instances() < uncapped.total_instances()
+        table = motif.motif_histogram(indexes, g.labels)
+        want = tmp_path / "want"
+        want.mkdir()
+        for i, d in enumerate(clamped):
+            motif.write_histogram_csv({k: v for k, v in table.items() if k[0] == d}, [d],
+                                      catalog.size, want / f"histogram_delta_{i}.csv")
+        corr = motif.motif_cross_correlation(indexes[clamped[-1]],
+                                             labeled[g.labels[labeled] == 1])
+        motif.write_correlation_csv(corr, want / "anomaly_correlation.csv")
+        assert len(list(want.iterdir())) == 5
+        for path in want.iterdir():
+            assert (tmp_path / "out" / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_oversized_delta_clamped_with_warning(self, tmp_path, capsys):
         cfg = self.make_cfg(tmp_path, [1e9])

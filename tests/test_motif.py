@@ -1,6 +1,7 @@
 """Catalog generation, canonical typing, windowed enumeration, analysis stats."""
 
 import dataclasses
+import tracemalloc
 import warnings
 from itertools import permutations
 
@@ -165,6 +166,13 @@ class TestCandidatePruning:
     def test_one_v_a_and_one_v_b_edge_without_a_b(self, rooted):
         self.check(rooted, [(0, 1, 1), (2, 0, 2), (1, 3, 3)], 2.0, 0)
 
+    def test_a_b_pair_repeated_in_the_graph_but_not_in_the_window(self, rooted):
+        # {1, 2} has two edges, so its entry survives the filter; the window holds one
+        self.check(rooted, [(0, 1, 1), (1, 2, 2), (2, 1, 9)], 2.0, 0)
+
+    def test_two_v_a_edges_and_an_a_b_edge_to_a_non_neighbour(self, rooted):
+        self.check(rooted, [(0, 1, 1), (1, 0, 2), (1, 2, 3)], 2.0, 1)
+
     @pytest.mark.parametrize("delta, at_focal", [(4.0, 0), (5.0, 1)])
     def test_a_b_edge_at_the_window_end(self, rooted, delta, at_focal):
         self.check(rooted, [(0, 1, 0), (0, 2, 1), (1, 2, 5)], delta, at_focal)
@@ -188,6 +196,44 @@ class TestBatchedEnumeration:
         assert index_as_sets(got) == brute_force_instances(g, rooted, {v: tau for v in range(g.n)})
         assert len(index_as_sets(got)[0]) > motif.BATCH_ROWS
         assert_same_columns(got, want)
+
+    @pytest.mark.parametrize("focal_per_chunk", [1, 2])
+    def test_neighbour_table_chunks_do_not_change_columns(self, rooted, monkeypatch,
+                                                          focal_per_chunk):
+        rng = np.random.default_rng(24)
+        g = with_isolated(random_graph(rng, max_nodes=30, max_edges=120, max_ts=40), 3)
+        tau = float(g.tau_max)
+        cases = [dict(windows=np.full(g.n, tau), cap=None),
+                 dict(windows=rng.uniform(0.2, 1.0, g.n) * tau, cap=2)]
+        whole = [motif.build_index(g, catalog=rooted, nodes=np.arange(g.n), **c) for c in cases]
+        monkeypatch.setattr(motif, "TABLE_BYTES", focal_per_chunk * g.n)
+        for c, want in zip(cases, whole):
+            got = motif.build_index(g, catalog=rooted, nodes=np.arange(g.n), **c)
+            assert_same_columns(got, want)
+        assert index_as_sets(whole[0]) == brute_force_instances(
+            g, rooted, {v: tau for v in range(g.n)})
+        assert whole[0].total_instances() > 100
+
+    def test_sparse_graph_with_every_node_focal_stays_small(self, rooted):
+        # the neighbour table is bounded by TABLE_BYTES; one row per focal node of a
+        # batch would take gigabytes here
+        n, rng = 100_000, np.random.default_rng(25)
+        src, dst = rng.integers(0, n, n // 10), rng.integers(0, n, n // 10)
+        keep = src != dst
+        pair = np.arange(0, n, 2)  # disjoint pairs, with an edge each way
+        src = np.r_[pair, pair + 1, src[keep]]
+        dst = np.r_[pair + 1, pair, dst[keep]]
+        g = build_graph(n, src, dst, rng.integers(0, 1000, src.size))
+        g.incidence()
+        tracemalloc.start()
+        try:
+            idx = motif.build_index(g, np.full(n, float(g.tau_max)), rooted,
+                                    nodes=np.arange(n), cap=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2 ** 20, f"build_index peaked at {peak / 2 ** 20:.1f} MiB"
+        assert idx.total_instances() > 1000
 
     def test_window_end_is_exact_above_2_pow_53(self, rooted):
         # floats are 256 apart at 2**60, yet node 0's window, first active at base,

@@ -1,4 +1,6 @@
-"""Property test: the motif index equals the brute-force oracle on random multigraphs."""
+"""Property tests: the motif index equals the brute-force oracle on random multigraphs."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -60,3 +62,33 @@ def test_index_equals_oracle(case):
                                                             NO_TIMESTAMP))
     np.testing.assert_array_equal(got.t_max, idx.t_max + origin)
     assert index_as_sets(got) == brute_force_instances(moved, CATALOG, dict(enumerate(windows)))
+
+
+@st.composite
+def chunked_graphs(draw):
+    """A graph on 20-40 nodes whose edges join nearby ids, so triangles and parallel
+    edges are common, per-node windows, and a neighbour-table budget of 1-3 rows."""
+    n = draw(st.integers(20, 40))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 3),
+                                    st.integers(0, 30)), min_size=30, max_size=60))
+    src = [s for s, _, _ in edges]
+    dst = [(s + step) % n for s, step, _ in edges]
+    ts = [t for _, _, t in edges]
+    if max(ts) == min(ts):
+        ts[0] += 1
+    g = build_graph(n, src, dst, ts)
+    tau = float(g.tau_max)
+    windows = [draw(st.integers(1, int(tau)).map(float)) for _ in range(n)]
+    return g, windows, draw(st.integers(1, 3)) * n
+
+
+@settings(PROFILE, max_examples=60)
+@given(chunked_graphs())
+def test_chunked_neighbour_table_equals_oracle(case):
+    g, windows, budget = case
+    want = motif.build_index(g, np.array(windows), CATALOG, nodes=np.arange(g.n), cap=None)
+    with mock.patch.object(motif, "TABLE_BYTES", budget):
+        got = motif.build_index(g, np.array(windows), CATALOG, nodes=np.arange(g.n), cap=None)
+    for name in ("offsets", "owner", "type_id", "nodes", "edges", "t_max"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert index_as_sets(got) == brute_force_instances(g, CATALOG, dict(enumerate(windows)))

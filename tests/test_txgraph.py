@@ -432,6 +432,11 @@ class TestIncidence:
                 assert inc.edge[start[v]:stop[v]].tolist() == inside
                 other = g.src[inside] + g.dst[inside] - v
                 assert inc.other[start[v]:stop[v]].tolist() == other.tolist()
+                pair_edges = [sum(v in (g.src[i], g.dst[i]) and w in (g.src[i], g.dst[i])
+                                  for i in range(g.num_edges))
+                              for w in inc.other[inc.ptr[v]:inc.ptr[v + 1]].tolist()]
+                assert inc.repeated[inc.ptr[v]:inc.ptr[v + 1]].tolist() == [
+                    c >= 2 for c in pair_edges]
 
     def test_refuses_graphs_whose_keys_could_overflow(self):
         class Huge:
