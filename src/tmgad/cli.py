@@ -225,9 +225,10 @@ def cmd_ingest(cfg, args) -> int:
     g, id_map = _read_dataset(cfg)
     cache_path = out / "graph.cache"
     txgraph.save_cache(g, cache_path, _provenance(cfg["data"]))
-    if id_map is None:
-        id_map = {str(i): i for i in range(g.n)}
-    txgraph.save_id_map(id_map, out / "id_map.json")
+    if id_map is not None:  # integer ids are node ids and need no map
+        txgraph.save_id_map(id_map, out / "id_map.json")
+    else:  # a map left by an earlier ingest of token ids does not describe this cache
+        (out / "id_map.json").unlink(missing_ok=True)
     summary = txgraph.graph_summary(g)
     _write_json(out / "ingest_summary.json", summary)
     print(json.dumps(summary, sort_keys=True))
@@ -256,12 +257,13 @@ def cmd_motifs(cfg, args) -> int:
     tcfg = _build(train_mod.TrainConfig, cfg["train"])
     catalog = motif_mod.build_catalog()
     labeled = g.labeled_nodes()
-    # one uncapped enumeration at the largest window holds every smaller window's instances
+    # one capped enumeration at the largest window, restricted by mask, gives each
+    # smaller window's capped index
     enumerated = motif_mod.build_index(g, np.full(g.n, max(clamped)), catalog, nodes=labeled,
-                                       cap=None)
+                                       cap=tcfg.instance_cap)
     indexes = {}
     for d in clamped:
-        indexes[d] = enumerated.restrict(np.full(g.n, d), tcfg.instance_cap)
+        indexes[d] = enumerated.restrict(np.full(g.n, d))
         print(f"delta={d}: {indexes[d].total_instances()} instances")
     table = motif_mod.motif_histogram(indexes, g.labels)
     for i, d in enumerate(clamped):

@@ -36,10 +36,14 @@ table's chunks change the result. It all runs in one process.
 
 The motif index stores the instances of many focal nodes as read-only
 columns (owner, type, member nodes, edges, latest timestamp), sorted by
-(owner, type, edges). Because a node's window always starts at its first
-activity, an index enumerated at windows delta' holds every instance at any
-delta <= delta': `MotifIndex.restrict` recovers those, and the per-type cap,
-with a mask instead of a new enumeration.
+(owner, type, edges). The cap keeps, per (node, type), the `cap` earliest
+instances in (E3, E2, E1) order: edges are sorted by time, so that order
+refines t_max order, and these are the instances the head weighs most.
+Because a node's window always starts at its first activity, an index
+enumerated at windows delta' holds every instance at any delta <= delta',
+and a smaller window keeps a prefix of each (node, type) in that order; so
+`MotifIndex.restrict` recovers the capped index at smaller windows with a
+mask instead of a new enumeration.
 """
 
 from __future__ import annotations
@@ -399,10 +403,8 @@ def _enumerate(g: TransactionGraph, catalog: MotifCatalog, focal: np.ndarray,
         f, rows = f[order], rows[order]
         if cap is not None and rows.shape[0] > cap:
             seg = _segment_ids(f, rows[:, _TYPE])
-            sizes = np.bincount(seg)
-            if sizes.max() > cap:  # else the cap keeps every row
-                recency = _recency_order(seg, rows[:, _TMAX], rows[:, _E1:_E3 + 1])
-                keep = _latest(seg, recency, sizes, cap)
+            if np.bincount(seg).max() > cap:  # else the cap keeps every row
+                keep = _earliest(seg, rows[:, _E1:_E3 + 1], cap)
                 f, rows = f[keep], rows[keep]
         counts += np.bincount(f, minlength=focal.size)
         parts.append(rows)
@@ -436,27 +438,21 @@ _COLUMNS = ("node_ids", "node_windows", "node_starts", "offsets",
             "owner", "type_id", "nodes", "edges", "t_max")
 
 
-def _latest(seg: np.ndarray, order: np.ndarray, kept: np.ndarray, cap: int) -> np.ndarray:
-    """Row mask holding, per segment, the `cap` latest of the segment's first `kept` rows.
+def _earliest(seg: np.ndarray, edges: np.ndarray, cap: int) -> np.ndarray:
+    """Row mask holding, per segment, the `cap` earliest rows in (E3, E2, E1) order.
 
-    `seg` is a dense segment id per row, `order` sorts the rows by (segment,
-    t_max, edges) and `kept` counts, per segment, the rows that survive before
-    the cap; they must be the segment's earliest rows in that order.
+    `seg` is a dense segment id per row, ascending.
     """
-    sizes = np.bincount(seg, minlength=kept.size)
-    s = seg[order]
-    pos = np.arange(s.size) - (np.cumsum(sizes) - sizes)[s]
-    out = np.zeros(s.size, dtype=bool)
-    out[order[(pos < kept[s]) & (pos >= kept[s] - cap)]] = True
+    order = np.lexsort((edges[:, 0], edges[:, 1], edges[:, 2], seg))
+    sizes = np.bincount(seg)
+    pos = np.arange(seg.size) - (np.cumsum(sizes) - sizes)[seg]
+    out = np.zeros(seg.size, dtype=bool)
+    out[order[pos < cap]] = True
     return out
 
 
 def _offsets(counts) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-
-
-def _recency_order(seg, t_max, edges) -> np.ndarray:
-    return np.lexsort((edges[:, 2], edges[:, 1], edges[:, 0], t_max, seg))
 
 
 def _segment_ids(*keys) -> np.ndarray:
@@ -492,7 +488,7 @@ class MotifIndex:
 
     catalog_size: int
     tau_max: int | float       # windows were checked against (0, tau_max]
-    cap: int | None            # most recent instances kept per (node, type)
+    cap: int | None            # earliest instances kept per (node, type)
     node_ids: np.ndarray       # indexed nodes, ascending
     node_windows: np.ndarray   # delta per indexed node
     node_starts: np.ndarray    # window start per indexed node, its t_earliest
@@ -566,15 +562,15 @@ class MotifIndex:
 
     # -- windows -------------------------------------------------------------
 
-    def restrict(self, windows, cap: int | None) -> "MotifIndex":
+    def restrict(self, windows) -> "MotifIndex":
         """The index `build_index` would return at smaller windows, by mask.
 
-        Needs an uncapped index. Windows are checked as in `build_index` and
-        may not exceed a node's window here: each node keeps the rows with
-        t_max - start <= floor(delta), then the `cap` latest of those per type.
+        Windows are checked as in `build_index` and may not exceed a node's
+        window here: each node keeps the rows with t_max - start <=
+        floor(delta). A smaller window keeps a prefix of each (node, type)'s
+        instances in the cap's order, so the result is the index at those
+        windows with this index's cap.
         """
-        if self.cap is not None:
-            raise MotifError(f"restrict needs an uncapped index, this one has cap {self.cap}")
         deltas = _checked_windows(windows, self.node_ids, self.tau_max)
         over = np.flatnonzero(deltas > self.node_windows)
         if over.size:
@@ -584,24 +580,12 @@ class MotifIndex:
         node_of_row = np.repeat(np.arange(self.node_ids.size), np.diff(self.offsets))
         gaps = self.t_max - self.node_starts[node_of_row]  # in [0, 2**63)
         keep = gaps.astype(np.uint64) <= _reach(deltas)[node_of_row]
-        if cap is not None:
-            seg, n_seg = self._cached("segments", self._segments)
-            kept = np.bincount(seg[keep], minlength=n_seg)
-            if kept.max(initial=0) > cap:  # else every row in `keep` is among its type's latest
-                order = self._cached(
-                    "recency", lambda: _recency_order(seg, self.t_max, self.edges))
-                keep = _latest(seg, order, kept, cap)
         return MotifIndex(
-            catalog_size=self.catalog_size, tau_max=self.tau_max, cap=cap,
+            catalog_size=self.catalog_size, tau_max=self.tau_max, cap=self.cap,
             node_ids=self.node_ids, node_windows=deltas, node_starts=self.node_starts,
             offsets=_offsets(np.bincount(node_of_row[keep], minlength=self.node_ids.size)),
             owner=self.owner[keep], type_id=self.type_id[keep], nodes=self.nodes[keep],
             edges=self.edges[keep], t_max=self.t_max[keep])
-
-    def _segments(self):
-        """(owner, type) segment per row, and the segment count."""
-        seg = _segment_ids(self.owner, self.type_id)
-        return seg, int(seg[-1]) + 1 if seg.size else 0
 
 
 def build_index(g: TransactionGraph, windows, catalog: MotifCatalog,

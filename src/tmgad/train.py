@@ -317,11 +317,12 @@ def train(g: TransactionGraph, cfg: TrainConfig, gcn_cfg: GCNConfig | None = Non
           split: SplitSpec | None = None):
     """Full-batch training on one split; returns (ModelState, MetricsReport).
 
-    Motifs are enumerated once, uncapped, at the largest window the run can
-    request; every `refresh_interval` epochs (None = once) the motif index is
-    restricted to the current windows by mask. Between refreshes the window
-    learner moves the model only through the recency weights.
-    Deterministic for a fixed config seed.
+    Motifs are enumerated once, with the instance cap, at the largest window
+    the run can request; every `refresh_interval` epochs (None = once) the
+    motif index is restricted to the current windows by mask, which gives the
+    capped index at those windows. Between refreshes the window learner moves
+    the model only through the recency weights. Deterministic for a fixed
+    config seed.
     """
     if g.features is None or g.labels is None:
         raise TrainError("graph needs features and labels before training")
@@ -354,8 +355,8 @@ def train(g: TransactionGraph, cfg: TrainConfig, gcn_cfg: GCNConfig | None = Non
             windows = _extraction_windows(g, state, a_hat, opts)
             if enumerated is None:  # fixed windows never change; learned ones stay <= tau
                 enumerated = build_index(g, np.full(g.n, tau) if opts.adaptive else windows,
-                                         catalog, nodes=labeled, cap=None)
-            index = enumerated.restrict(windows, cfg.instance_cap)
+                                         catalog, nodes=labeled, cap=cfg.instance_cap)
+            index = enumerated.restrict(windows)
         optim.zero_grad()
         try:
             with dc.Tape() as tape:

@@ -120,15 +120,16 @@ def write_edge_csv(g, path) -> None:
             f.write(row + (f",{float(a)!r}\n" if not np.isnan(a) else "\n"))
 
 
-def latest_rows(index, cap):
-    """Row mask of an uncapped index: per (owner, type), the `cap` latest rows by (t_max, edges)."""
+def earliest_rows(index, cap):
+    """Row mask of an uncapped index: per (owner, type), the `cap` earliest rows by
+    (E3, E2, E1)."""
     groups = {}
     for r, key in enumerate(zip(index.owner.tolist(), index.type_id.tolist())):
         groups.setdefault(key, []).append(r)
     keep = np.zeros(index.owner.size, dtype=bool)
     for rows in groups.values():
-        rows.sort(key=lambda r: (int(index.t_max[r]), *index.edges[r].tolist()))
-        keep[rows[max(0, len(rows) - cap):]] = True
+        rows.sort(key=lambda r: index.edges[r].tolist()[::-1])
+        keep[rows[:cap]] = True
     return keep
 
 

@@ -208,10 +208,12 @@ class TestIngest:
                      "labels": "labels.csv"},
             "output": {"directory": "out"},
         })
-        assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_OK
         out = tmp_path / "out"
+        out.mkdir()
+        (out / "id_map.json").write_text('{"0xa": 0}')  # from an earlier ingest of tokens
+        assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_OK
         assert (out / "graph.cache").exists()
-        assert (out / "id_map.json").exists()
+        assert not (out / "id_map.json").exists()  # integer ids are node ids: no map
         summary = json.loads((out / "ingest_summary.json").read_text())
         assert summary["nodes"] == g.n
         assert summary["edges"] == g.num_edges

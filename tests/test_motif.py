@@ -12,7 +12,7 @@ from tmgad import motif
 from tmgad.txgraph import build_graph
 
 from oracles import (brute_force_instances, index_as_sets, index_from_instances,
-                     latest_rows, orbit_count_focal_rooted, orbit_count_unrooted, pearson_two_pass,
+                     earliest_rows, orbit_count_focal_rooted, orbit_count_unrooted, pearson_two_pass,
                      permute_sequence, random_graph)
 
 
@@ -343,25 +343,29 @@ class TestIndex:
             assert_same_columns(got, want)
         assert sum(w.total_instances() for w in whole) > 0
 
-    def test_cap_keeps_most_recent(self, rooted):
-        # many parallel 0->1 edges plus one 1->2: one type, many instances
-        n_par = 12
-        src = [0] * n_par + [1]
-        dst = [1] * n_par + [2]
-        ts = list(range(1, n_par + 1)) + [n_par + 1]
-        g = build_graph(3, src, dst, ts)
-        full = motif.build_index(g, np.full(3, float(g.tau_max)), rooted,
-                                 nodes=[0], cap=None)
-        capped = motif.build_index(g, np.full(3, float(g.tau_max)), rooted,
-                                   nodes=[0], cap=5)
-        (tid,) = capped.per_node[0].keys()
-        kept = capped.per_node[0][tid]
-        assert len(kept) == 5
-        assert len(full.per_node[0][tid]) > 5
-        all_tmax = sorted(m.t_max for m in full.per_node[0][tid])
-        # every retained instance is at least as recent as every dropped one
-        dropped = len(full.per_node[0][tid]) - 5
-        assert min(m.t_max for m in kept) >= all_tmax[dropped - 1]
+    def test_cap_keeps_earliest(self, rooted):
+        # parallel 0->1 edges with 1->2 edges between them: several types, and
+        # within each, instances that close at different times
+        src = [0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1]
+        dst = [1, 2, 1, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2]
+        g = build_graph(3, src, dst, list(range(1, len(src) + 1)))
+        windows, cap = np.full(3, float(g.tau_max)), 3
+        full = motif.build_index(g, windows, rooted, nodes=[0], cap=None)
+        capped = motif.build_index(g, windows, rooted, nodes=[0], cap=cap)
+        assert capped.per_node[0].keys() == full.per_node[0].keys()
+        binds = 0
+        for tid, insts in full.per_node[0].items():
+            by_recency = sorted(insts, key=lambda m: m.edges[::-1])
+            kept = sorted(capped.per_node[0][tid], key=lambda m: m.edges[::-1])
+            assert kept == by_recency[:cap]
+            dropped = by_recency[cap:]
+            if dropped:
+                binds += 1
+                # no dropped instance closes before a kept one, and some close later
+                last_kept = max(m.t_max for m in kept)
+                assert last_kept <= min(m.t_max for m in dropped)
+                assert last_kept < max(m.t_max for m in dropped)
+        assert binds >= 2
 
 
 def with_isolated(g, extra):
@@ -389,7 +393,7 @@ def check_window_rule(rooted, g, deltas):
     for delta in deltas:
         windows = np.full(g.n, delta)
         idx = motif.build_index(g, windows, rooted, nodes=nodes, cap=None)
-        assert_same_columns(full.restrict(windows, None), idx)
+        assert_same_columns(full.restrict(windows), idx)
         want = brute_force_instances(g, rooted, dict(enumerate(windows)))
         assert index_as_sets(idx) == want
         insts = motif.enumerate_instances(g, 0, delta, rooted)
@@ -400,20 +404,18 @@ def check_window_rule(rooted, g, deltas):
 
 class TestRestrict:
     def test_equals_fresh_build(self, rooted, tmp_path):
+        # a capped tau index, restricted, is the capped index at the smaller windows
         rng = np.random.default_rng(31)
         for trial in range(30):
             g = with_isolated(random_graph(rng, max_nodes=12, max_edges=50, max_ts=40), 2)
             tau = float(g.tau_max)
             nodes = np.arange(g.n) if trial % 2 else rng.choice(g.n, g.n // 2, replace=False)
-            full = motif.build_index(g, np.full(g.n, tau), rooted, nodes=nodes, cap=None)
             for cap in (None, 1, 2):
+                full = motif.build_index(g, np.full(g.n, tau), rooted, nodes=nodes, cap=cap)
                 windows = rng.uniform(0.02, 1.0, g.n) * tau
-                got = full.restrict(windows, cap)
+                got = full.restrict(windows)
                 want = motif.build_index(g, windows, rooted, nodes=nodes, cap=cap)
-                for name in COLUMNS:
-                    a, b = getattr(got, name), getattr(want, name)
-                    assert a.dtype == b.dtype and a.shape == b.shape, name
-                    np.testing.assert_array_equal(a, b, err_msg=name)
+                assert_same_columns(got, want)
                 assert (got.cap, got.tau_max) == (want.cap, want.tau_max)
                 motif.write_index_csv(got, tmp_path / "got.csv")
                 motif.write_index_csv(want, tmp_path / "want.csv")
@@ -423,22 +425,22 @@ class TestRestrict:
         # the equality above is only worth something if the cap drops instances
         rng = np.random.default_rng(31)
         g = with_isolated(random_graph(rng, max_nodes=12, max_edges=50, max_ts=40), 2)
-        full = motif.build_index(g, np.full(g.n, float(g.tau_max)), rooted,
-                                 nodes=np.arange(g.n), cap=None)
-        assert full.restrict(full.node_windows, 1).total_instances() < full.total_instances()
+        windows = np.full(g.n, float(g.tau_max))
+        full = motif.build_index(g, windows, rooted, nodes=np.arange(g.n), cap=None)
+        capped = motif.build_index(g, windows, rooted, nodes=np.arange(g.n), cap=1)
+        assert capped.total_instances() < full.total_instances()
 
     def test_anchor_offsets_and_smaller_enumerated_windows(self, rooted):
         rng = np.random.default_rng(32)
         g = random_graph(rng, max_nodes=12, max_edges=50, max_ts=40)
         tau = float(g.tau_max)
         top = rng.uniform(0.5, 1.0, g.n) * tau
-        full = motif.build_index(g, top, rooted, nodes=np.arange(g.n), cap=None)
+        full = motif.build_index(g, top, rooted, nodes=np.arange(g.n), cap=3)
         assert np.unique(full.node_starts).size > 1  # each window starts at its node's anchor
         windows = top * rng.uniform(0.1, 1.0, g.n)
-        got = full.restrict(windows, 3)
+        got = full.restrict(windows)
         want = motif.build_index(g, windows, rooted, nodes=np.arange(g.n), cap=3)
-        for name in COLUMNS:
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert_same_columns(got, want)
 
     def test_rejects_window_above_enumerated(self, rooted):
         g = with_isolated(random_graph(np.random.default_rng(33)), 1)
@@ -448,39 +450,33 @@ class TestRestrict:
         windows = np.full(g.n, tau / 4)
         windows[2] = tau / 2 + 1.0
         with pytest.raises(motif.MotifError, match="node 2 exceeds the enumerated"):
-            full.restrict(windows, None)
+            full.restrict(windows)
         windows[2] = tau / 2
-        full.restrict(windows, None)  # equal to the enumerated window is fine
+        full.restrict(windows)  # equal to the enumerated window is fine
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, "over_tau"])
     def test_rejects_window_outside_bounds(self, rooted, bad):
         g = random_graph(np.random.default_rng(34))
         tau = float(g.tau_max)
-        full = motif.build_index(g, np.full(g.n, tau), rooted, nodes=np.arange(g.n), cap=None)
+        full = motif.build_index(g, np.full(g.n, tau), rooted, nodes=np.arange(g.n), cap=4)
         windows = np.full(g.n, tau / 2)
         windows[3] = tau * 2.0 if bad == "over_tau" else bad
         with pytest.raises(motif.MotifError, match="window for node 3 out of bounds"):
-            full.restrict(windows, 4)
+            full.restrict(windows)
         with pytest.raises(motif.MotifError, match="window for node 3 out of bounds"):
             motif.build_index(g, windows, rooted, nodes=np.arange(g.n))
 
-    def test_needs_uncapped_index(self, rooted):
-        g = random_graph(np.random.default_rng(35))
-        capped = motif.build_index(g, np.full(g.n, float(g.tau_max)), rooted,
-                                   nodes=np.arange(g.n), cap=5)
-        with pytest.raises(motif.MotifError, match="uncapped"):
-            capped.restrict(np.full(g.n, 1.0), 5)
-
 
 class TestCapWhereItBinds:
-    """The cap's recency pass runs only when a (node, type) segment exceeds the cap."""
+    """The cap's pass runs only when a (node, type) segment exceeds the cap."""
 
     @pytest.mark.parametrize("batch_rows", [motif.BATCH_ROWS, 1])
     def test_columns_when_the_cap_binds_for_some_segments_and_for_none(
             self, rooted, monkeypatch, batch_rows):
         rng = np.random.default_rng(38)
         g = with_isolated(random_graph(rng, max_nodes=12, max_edges=50, max_ts=40), 2)
-        nodes, windows = np.arange(g.n), np.full(g.n, float(g.tau_max))
+        nodes, tau = np.arange(g.n), float(g.tau_max)
+        windows = rng.uniform(0.5, 1.0, g.n) * tau
         full = motif.build_index(g, windows, rooted, nodes=nodes, cap=None)
         sizes = np.unique(np.column_stack([full.owner, full.type_id]), axis=0,
                           return_counts=True)[1]
@@ -489,9 +485,10 @@ class TestCapWhereItBinds:
         monkeypatch.setattr(motif, "BATCH_ROWS", batch_rows)
         node_of_row = np.repeat(np.arange(full.node_ids.size), np.diff(full.offsets))
         for cap in (some, int(sizes.max())):
-            keep = latest_rows(full, cap)
+            keep = earliest_rows(full, cap)
+            wide = motif.build_index(g, np.full(g.n, tau), rooted, nodes=nodes, cap=cap)
             for got in (motif.build_index(g, windows, rooted, nodes=nodes, cap=cap),
-                        full.restrict(windows, cap)):
+                        wide.restrict(windows)):
                 for name in ("node_ids", "node_windows", "node_starts"):
                     np.testing.assert_array_equal(getattr(got, name), getattr(full, name))
                 for name in ("owner", "type_id", "nodes", "edges", "t_max"):
@@ -500,7 +497,7 @@ class TestCapWhereItBinds:
                 np.testing.assert_array_equal(
                     np.diff(got.offsets), np.bincount(node_of_row[keep],
                                                       minlength=full.node_ids.size))
-        assert latest_rows(full, int(sizes.max())).all()
+        assert earliest_rows(full, int(sizes.max())).all()
 
 
 class TestIndexColumns:

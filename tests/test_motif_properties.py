@@ -92,3 +92,24 @@ def test_chunked_neighbour_table_equals_oracle(case):
     for name in ("offsets", "owner", "type_id", "nodes", "edges", "t_max"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
     assert index_as_sets(got) == brute_force_instances(g, CATALOG, dict(enumerate(windows)))
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["default_budgets", "split_budgets"])
+@PROFILE
+@given(case=windowed_multigraphs(), cap=st.integers(1, 3))
+def test_capped_tau_index_restricted_equals_capped_build(small, case, cap):
+    # a smaller window keeps a prefix of each (node, type) in the cap's order, so
+    # restricting the capped tau index gives the capped index at those windows
+    g, windows, _ = case
+    nodes, windows = np.arange(g.n), np.array(windows)
+    with mock.patch.object(motif, "BATCH_ROWS", 8 if small else motif.BATCH_ROWS), \
+            mock.patch.object(motif, "TABLE_BYTES", g.n if small else motif.TABLE_BYTES):
+        wide = motif.build_index(g, np.full(g.n, float(g.tau_max)), CATALOG, nodes=nodes,
+                                 cap=cap)
+        got = wide.restrict(windows)
+        want = motif.build_index(g, windows, CATALOG, nodes=nodes, cap=cap)
+    for name in motif._COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert got.cap == want.cap == cap

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from tmgad import diffcore as dc
 from tmgad import model as md
@@ -274,12 +275,54 @@ class TestTrainLoop:
         cfg = tr.TrainConfig(epochs=6, learning_rate=1e-2, seed=0, ablation=ablation,
                              delta_fixed=15.0, refresh_interval=1)
         _, rep = tr.train(g, cfg, GCNConfig(layers=2, hidden_dim=16, out_dim=8, dropout=0.0))
-        assert calls == ([] if ablation == "gcn_only" else [None])
+        assert calls == ([] if ablation == "gcn_only" else [cfg.instance_cap])
         if ablation != "gcn_only":
             # the last refresh's masked index is what a fresh build would give
             fresh = build_index(g, rep.extraction_windows, build_catalog(FOCAL_ROOTED),
                                 nodes=g.labeled_nodes(), cap=cfg.instance_cap)
             assert rep.total_instances == fresh.total_instances() > 0
+
+    @pytest.mark.parametrize("ablation, cap", [("full", 2), ("tm_fixed", 5)])
+    def test_binding_cap_matches_the_eval_path(self, monkeypatch, ablation, cap):
+        # every edge three times over, so (node, type)s hold more instances than the cap
+        base = tiny_graph(seed=9)
+        g = set_features_labels(
+            build_graph(base.n, np.tile(base.src, 3), np.tile(base.dst, 3),
+                        np.concatenate([base.timestamp + k for k in range(3)])),
+            base.features, base.labels)
+        enumerated = []
+
+        def recording_build_index(*args, **kwargs):
+            enumerated.append(build_index(*args, **kwargs))
+            return enumerated[-1]
+
+        monkeypatch.setattr(tr, "build_index", recording_build_index)
+        split = make_splits(g, 1, 0.8, 3)[0]
+        cfg = tr.TrainConfig(epochs=6, learning_rate=1e-2, seed=0, ablation=ablation,
+                             delta_fixed=40.0, refresh_interval=2, instance_cap=cap)
+        state, rep = tr.train(g, cfg, GCNConfig(layers=2, hidden_dim=16, out_dim=8,
+                                                 dropout=0.0), split)
+        (index,) = enumerated
+        sizes = np.unique(np.column_stack([index.owner, index.type_id]), axis=0,
+                          return_counts=True)[1]
+        assert sizes.max() == cap
+        # `tmgad eval` rebuilds the index at the extraction windows with the cap
+        catalog, labeled = build_catalog(FOCAL_ROOTED), g.labeled_nodes()
+        fresh = build_index(g, rep.extraction_windows, catalog, nodes=labeled, cap=cap)
+        uncapped = build_index(g, rep.extraction_windows, catalog, nodes=labeled, cap=None)
+        assert rep.total_instances == fresh.total_instances() < uncapped.total_instances()
+        ids = np.concatenate([split.test_ids, split.train_ids])
+        opts = md.HeadOptions.from_ablation(ablation, cfg.delta_fixed)
+        tau = float(g.tau_max)
+        got = md.forward_nodes(g.features, normalized_adjacency(g), state,
+                               index.restrict(rep.extraction_windows), ids, opts, tau)[0].data
+        want = md.forward_nodes(g.features, normalized_adjacency(g), state, fresh, ids, opts,
+                                tau)[0].data
+        np.testing.assert_array_equal(got, want)
+        test_logits, train_logits = np.split(want[:, 0], [split.test_ids.size])
+        y = g.labels.astype(np.float64)
+        assert rep.auc == tr.auc(expit(test_logits), y[split.test_ids])
+        assert rep.train_loss == tr.bce_loss(train_logits, y[split.train_ids])
 
     def test_divergence_names_the_epoch_and_op(self):
         g = tr.synth_burst_graph(40, 0.2, 8, seed=9, horizon=120)
