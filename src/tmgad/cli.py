@@ -100,9 +100,11 @@ def load_config(path) -> dict:
         _check_section(section, body, _SCHEMA[section])
     for section in _SCHEMA:
         cfg.setdefault(section, {})
-    if cfg["data"].get("time_unit", 1) < 1:
-        raise ConfigError(f"data.time_unit must be a positive integer, "
+    if not 1 <= cfg["data"].get("time_unit", 1) < 2**63:  # timestamps are int64
+        raise ConfigError(f"data.time_unit must be a positive integer below 2**63, "
                           f"got {cfg['data']['time_unit']}")
+    if cfg["train"].get("seed", 0) < 0:
+        raise ConfigError(f"train.seed must be a non-negative integer, got {cfg['train']['seed']}")
     base = path.parent
     for key in ("edges", "features", "labels", "cache"):
         if key in cfg["data"]:
@@ -423,6 +425,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         cfg = load_config(args.config)
         # stderr carries only the JSON error line; the tape's guard names a non-finite op
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -424,12 +424,6 @@ def softmax_blocks(x: Tensor, block: int) -> Tensor:
     return _make("softmax_blocks", y, (x,), bwd)
 
 
-def sparsemax_vec(x: Tensor) -> Tensor:
-    """Euclidean projection of a column vector onto the probability simplex."""
-    _check_col("sparsemax_vec", x)
-    return segment_sparsemax(x, [x.shape[0]])
-
-
 def segment_sparsemax(x: Tensor, sizes) -> Tensor:
     """Sparsemax within consecutive segments of a column vector.
 
@@ -471,12 +465,6 @@ def segment_sparsemax(x: Tensor, sizes) -> Tensor:
     return _make("segment_sparsemax", y, (x,), bwd)
 
 
-def sparsemax_project(z: np.ndarray) -> np.ndarray:
-    """Simplex projection of a flat array: `segment_sparsemax` with one segment, no tape."""
-    z = np.asarray(z, dtype=np.float64).reshape(-1, 1)
-    return segment_sparsemax(tensor(z), [z.shape[0]]).data[:, 0]
-
-
 def rowwise_dot(a: Tensor, b: Tensor) -> Tensor:
     """Per-row dot product of two k x d tensors -> k x 1."""
     _shape_check("rowwise_dot", a.shape == b.shape, f"{a.shape} vs {b.shape}")
@@ -489,16 +477,6 @@ def rowwise_dot(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, g * a.data)
 
     return _make("rowwise_dot", data, (a, b), bwd)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    data = np.array([[x.data.sum() / n]])
-
-    def bwd(g):
-        _accum(x, np.full_like(x.data, g[0, 0] / n))
-
-    return _make("mean_all", data, (x,), bwd)
 
 
 def bce_with_logits(logits: Tensor, targets, pos_weight: float | None = None) -> Tensor:
@@ -518,51 +496,6 @@ def bce_with_logits(logits: Tensor, targets, pos_weight: float | None = None) ->
         _accum(logits, g[0, 0] * dz)
 
     return _make("bce_with_logits", data, (logits,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-
-
-def finite_difference_check(build_loss, params, *, step: float = 1e-5,
-                            max_per_tensor: int | None = None, rng=None) -> float:
-    """Compare analytic gradients of a scalar loss against central differences.
-
-    `build_loss` must rebuild the loss from the current contents of `params`
-    (a list of Tensors) on whatever tape is active, deterministically. Returns
-    the max over sampled coordinates of |analytic - numeric| scaled by
-    max(1, |analytic|, |numeric|).
-    """
-    params = list(params)
-    zero_grads(params)
-    with Tape() as t:
-        loss = build_loss()
-        t.backward(loss)
-    analytic = [p.grad.copy() for p in params]
-
-    def eval_loss() -> float:
-        return build_loss().item()
-
-    if rng is None:
-        rng = np.random.default_rng(0)
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        coords = np.arange(p.data.size)
-        if max_per_tensor is not None and coords.size > max_per_tensor:
-            coords = rng.choice(coords, size=max_per_tensor, replace=False)
-        flat = p.data.reshape(-1)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + step
-            hi = eval_loss()
-            flat[c] = orig - step
-            lo = eval_loss()
-            flat[c] = orig
-            numeric = (hi - lo) / (2.0 * step)
-            a = ga.reshape(-1)[c]
-            err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-            worst = max(worst, err)
-    return worst
 
 
 def restore_tensors(named: dict, loaded: dict) -> None:

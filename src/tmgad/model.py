@@ -91,10 +91,6 @@ class ModelState:
         })
         return out
 
-    @property
-    def embed_dim(self) -> int:
-        return self.gcn[-1].shape[1]
-
 
 WINDOW_BIAS_INIT = -2.0  # start windows near 0.12 * tau: short windows are the
                          # motif-relevant regime and gradients can widen them

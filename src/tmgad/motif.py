@@ -154,29 +154,6 @@ def build_catalog(mode: str = FOCAL_ROOTED) -> MotifCatalog:
     return MotifCatalog(mode=mode, types=tuple(sorted(encodings)))
 
 
-def canonical_type(edge_triple, focal, mode: str, catalog: MotifCatalog | None = None) -> int:
-    """Catalog index of a time-ordered directed triple on arbitrary node ids."""
-    nodes = set()
-    for s, d in edge_triple:
-        nodes.add(s)
-        nodes.add(d)
-    if len(nodes) != 3:
-        raise MotifError(f"edge triple must span exactly 3 nodes, got {len(nodes)}")
-    if focal is not None and focal not in nodes:
-        raise MotifError(f"focal node {focal} not in the triple")
-    if catalog is None:
-        catalog = build_catalog(mode)
-    elif catalog.mode != mode:
-        raise MotifError(f"catalog mode {catalog.mode!r} does not match {mode!r}")
-    if mode == FOCAL_ROOTED:
-        if focal is None:
-            raise MotifError("focal_rooted typing requires a focal node")
-        enc = _first_appearance_relabel(edge_triple, focal=focal)
-    else:
-        enc = _first_appearance_relabel(edge_triple)
-    return catalog.index_of(enc)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -411,26 +388,6 @@ def _enumerate(g: TransactionGraph, catalog: MotifCatalog, focal: np.ndarray,
     return counts, np.concatenate(parts)
 
 
-def enumerate_instances(g: TransactionGraph, v: int, delta: float,
-                        catalog: MotifCatalog) -> list[MotifInstance]:
-    """All typed motif instances at focal node v in its window.
-
-    The window starts at v's earliest timestamp t_v and holds the edges at t
-    with t - t_v <= floor(delta). Instances come in ascending edge order.
-    """
-    if not delta > 0:
-        raise MotifError(f"delta must be positive, got {delta}")
-    if g.t_earliest[v] == NO_TIMESTAMP:
-        return []  # isolated node
-    v = int(v)
-    w0 = g.t_earliest[[v]]
-    _, rows = _enumerate(g, catalog, np.array([v]), w0,
-                         _window_ends(g, w0, np.array([float(delta)])), None)
-    rows = rows[np.lexsort((rows[:, _E3], rows[:, _E2], rows[:, _E1]))]
-    return [MotifInstance(focal=v, nodes=(v, a, b), edges=(i, j, k), type_id=t, t_max=tm)
-            for a, b, i, j, k, t, tm in rows.tolist()]
-
-
 # ---------------------------------------------------------------------------
 # index
 
@@ -554,8 +511,8 @@ class MotifIndex:
     def per_node(self):
         """Read-only node -> {type_id -> instances} view of every indexed node.
 
-        Built on first use, for tests, the CLI and inspection; library code
-        reads the columns.
+        Built on first use, for tests and for perfbench's traced mode, which
+        compares it between index builds; library code reads the columns.
         """
         return self._cached("per_node", lambda: MappingProxyType(
             {v: self.instances_at(v) for v in self.node_ids.tolist()}))

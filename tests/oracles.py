@@ -10,8 +10,10 @@ from scipy.special import expit
 
 from tmgad import diffcore as dc
 from tmgad.backbone import gcn_forward
+from tmgad.diffcore import Tape, _accum, _make, zero_grads
 from tmgad.model import WEIGHT_FLOOR, adaptive_windows, classifier_logits
-from tmgad.motif import MotifIndex, spanning_sequences
+from tmgad.motif import (FOCAL_ROOTED, MotifCatalog, MotifError, MotifIndex,
+                         _first_appearance_relabel, build_catalog, spanning_sequences)
 from tmgad.txgraph import NO_TIMESTAMP
 
 
@@ -38,6 +40,29 @@ def orbit_count_focal_rooted() -> int:
     return len(reps)
 
 
+def canonical_type(edge_triple, focal, mode: str, catalog: MotifCatalog | None = None) -> int:
+    """Catalog index of a time-ordered directed triple on arbitrary node ids."""
+    nodes = set()
+    for s, d in edge_triple:
+        nodes.add(s)
+        nodes.add(d)
+    if len(nodes) != 3:
+        raise MotifError(f"edge triple must span exactly 3 nodes, got {len(nodes)}")
+    if focal is not None and focal not in nodes:
+        raise MotifError(f"focal node {focal} not in the triple")
+    if catalog is None:
+        catalog = build_catalog(mode)
+    elif catalog.mode != mode:
+        raise MotifError(f"catalog mode {catalog.mode!r} does not match {mode!r}")
+    if mode == FOCAL_ROOTED:
+        if focal is None:
+            raise MotifError("focal_rooted typing requires a focal node")
+        enc = _first_appearance_relabel(edge_triple, focal=focal)
+    else:
+        enc = _first_appearance_relabel(edge_triple)
+    return catalog.index_of(enc)
+
+
 def brute_force_instances(g, catalog, windows):
     """O(|E|^3) oracle: scan all edge triples once, assign to member focals.
 
@@ -46,8 +71,6 @@ def brute_force_instances(g, catalog, windows):
     node, in Python ints: each window starts at the node's earliest timestamp
     w0 and ends at w0 + floor(delta).
     """
-    from tmgad.motif import canonical_type
-
     nodes = set(int(v) for v in windows)
     out = {v: set() for v in nodes}
     src, dst, ts = g.src.tolist(), g.dst.tolist(), g.timestamp.tolist()
@@ -160,8 +183,77 @@ def index_from_instances(catalog_size, per_node, *, windows=None, starts=None):
         edges=np.ascontiguousarray(cols[:, 2:5]), t_max=np.ascontiguousarray(cols[:, 7]))
 
 
+def simplex_projection_bisect(z, iters=200):
+    """Independent oracle: solve sum(max(z - tau, 0)) = 1 by bisection."""
+    z = np.asarray(z, dtype=np.float64)
+    lo, hi = z.min() - 1.0, z.max()
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if np.maximum(z - mid, 0.0).sum() > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return np.maximum(z - 0.5 * (lo + hi), 0.0)
+
+
 # ---------------------------------------------------------------------------
-# tape primitives only the single-node head below uses
+# gradient verification
+
+
+def finite_difference_check(build_loss, params, *, step: float = 1e-5,
+                            max_per_tensor: int | None = None, rng=None) -> float:
+    """Compare analytic gradients of a scalar loss against central differences.
+
+    `build_loss` must rebuild the loss from the current contents of `params`
+    (a list of Tensors) on whatever tape is active, deterministically. Returns
+    the max over sampled coordinates of |analytic - numeric| scaled by
+    max(1, |analytic|, |numeric|).
+    """
+    params = list(params)
+    zero_grads(params)
+    with Tape() as t:
+        loss = build_loss()
+        t.backward(loss)
+    analytic = [p.grad.copy() for p in params]
+
+    def eval_loss() -> float:
+        return build_loss().item()
+
+    if rng is None:
+        rng = np.random.default_rng(0)
+    worst = 0.0
+    for p, ga in zip(params, analytic):
+        coords = np.arange(p.data.size)
+        if max_per_tensor is not None and coords.size > max_per_tensor:
+            coords = rng.choice(coords, size=max_per_tensor, replace=False)
+        flat = p.data.reshape(-1)
+        for c in coords:
+            orig = flat[c]
+            flat[c] = orig + step
+            hi = eval_loss()
+            flat[c] = orig - step
+            lo = eval_loss()
+            flat[c] = orig
+            numeric = (hi - lo) / (2.0 * step)
+            a = ga.reshape(-1)[c]
+            err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+            worst = max(worst, err)
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# tape primitives only tests and the single-node head below use
+
+
+def mean_all(x):
+    n = x.data.size
+    data = np.array([[x.data.sum() / n]])
+
+    def bwd(g):
+        _accum(x, np.full_like(x.data, g[0, 0] / n))
+
+    return _make("mean_all", data, (x,), bwd)
+
 
 
 def transpose(x):
@@ -246,7 +338,7 @@ def inter_embedding(type_embs, type_ids, w_inter):
     """Sparsemax attention over the types present at a node."""
     w_sel = dc.select_rows(w_inter, list(type_ids))
     scores = dc.tanh(dc.rowwise_dot(type_embs, w_sel))
-    beta = dc.sparsemax_vec(scores)
+    beta = dc.segment_sparsemax(scores, [scores.shape[0]])
     return dc.matmul(transpose(beta), type_embs)
 
 
@@ -297,7 +389,7 @@ def node_forward(v, h, index, state, opts, tau_max: float):
     Nodes with no motif instances use a zero motif embedding.
     """
     n = h.shape[0]
-    d = state.embed_dim
+    d = state.gcn[-1].shape[1]
     emb = None
     if opts.use_motifs:
         delta_v = None
@@ -327,7 +419,7 @@ def forward_nodes_zero_half(x, a_hat, state, index, nodes, opts, tau_max, *,
     assert not opts.use_motifs
     h = gcn_forward(x, a_hat, state.gcn, training=training, dropout=dropout, rng=rng)
     z = dc.concat_cols([one_hot_rows(h, nodes),
-                        dc.tensor(np.zeros((len(nodes), state.embed_dim)))])
+                        dc.tensor(np.zeros((len(nodes), state.gcn[-1].shape[1])))])
     return classifier_logits(z, state), None, h
 
 

@@ -17,13 +17,12 @@ from tmgad import diffcore as dc
 from tmgad import model as md
 from tmgad import train as tr
 from tmgad.backbone import GCNConfig, gcn_forward
-from tmgad.motif import (FOCAL_ROOTED, UNROOTED, build_catalog, build_index,
-                         canonical_type, enumerate_instances, spanning_sequences)
+from tmgad.motif import FOCAL_ROOTED, UNROOTED, build_catalog, build_index, spanning_sequences
 from tmgad.txgraph import make_splits, normalized_adjacency
 
-from oracles import (brute_force_instances, orbit_count_focal_rooted,
-                     orbit_count_unrooted, random_graph)
-from test_diffcore import simplex_projection_bisect
+from oracles import (brute_force_instances, canonical_type, finite_difference_check,
+                     index_as_sets, mean_all, orbit_count_focal_rooted, orbit_count_unrooted,
+                     random_graph, simplex_projection_bisect)
 
 
 def report(num, name, ok, detail=""):
@@ -48,8 +47,8 @@ def test_criterion_1_motif_oracle_equivalence():
             windows = {v: delta for v in range(g.n)}
             want = brute_force_instances(g, catalog, windows)
             for v in range(g.n):
-                got = {(m.edges, m.type_id)
-                       for m in enumerate_instances(g, v, delta, catalog)}
+                got = index_as_sets(build_index(g, np.full(g.n, min(delta, g.tau_max)), catalog,
+                                                nodes=[v], cap=None))[v]
                 assert got == want[v], f"trial {trial} node {v} delta {delta}"
                 checked += len(got)
     elapsed = time.perf_counter() - start
@@ -93,23 +92,24 @@ def test_criterion_3_gradient_correctness(fixture_graph):
                                         list(range(g.n)), opts, tau)
         return dc.bce_with_logits(logits, y)
 
-    err = dc.finite_difference_check(build, params, rng=np.random.default_rng(1),
-                                     max_per_tensor=6)
+    err = finite_difference_check(build, params, rng=np.random.default_rng(1),
+                                  max_per_tensor=6)
     # sparsemax unit gradients at stable-support points
     unit_rng = np.random.default_rng(5)
     unit_worst = 0.0
     checked = 0
     while checked < 10:
         z = unit_rng.normal(0, 1, size=(6, 1))
-        support = dc.sparsemax_project(z[:, 0]) > 0
-        stable = all((dc.sparsemax_project(z[:, 0] + s * 2e-5 * np.eye(6)[i]) > 0).tolist()
+        support = dc.segment_sparsemax(dc.tensor(z), [6]).data[:, 0] > 0
+        stable = all((dc.segment_sparsemax(dc.tensor(z + s * 2e-5 * np.eye(6)[:, [i]]), [6])
+                      .data[:, 0] > 0).tolist()
                      == support.tolist() for i in range(6) for s in (1, -1))
         if not stable:
             continue
         x = dc.parameter(z)
         probe = unit_rng.normal(0, 1, size=(6, 1))
-        unit_err = dc.finite_difference_check(
-            lambda: dc.mean_all(dc.mul_const(dc.sparsemax_vec(x), probe)), [x],
+        unit_err = finite_difference_check(
+            lambda: mean_all(dc.mul_const(dc.segment_sparsemax(x, [6]), probe)), [x],
             rng=unit_rng)
         unit_worst = max(unit_worst, unit_err)
         checked += 1
@@ -125,7 +125,7 @@ def test_criterion_4_sparsemax_exactness():
     worst_simplex = 0.0
     for _ in range(1000):
         z = rng.normal(0, rng.uniform(0.5, 4.0), size=rng.integers(2, 24))
-        got = dc.sparsemax_project(z)
+        got = dc.segment_sparsemax(dc.tensor(z.reshape(-1, 1)), [z.size]).data[:, 0]
         want = simplex_projection_bisect(z)
         worst = max(worst, float(np.abs(got - want).max()))
         worst_simplex = max(worst_simplex,

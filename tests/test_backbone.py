@@ -8,6 +8,8 @@ from tmgad import diffcore as dc
 from tmgad.backbone import GCNConfig, gcn_forward, glorot, init_gcn_weights
 from tmgad.txgraph import build_graph, normalized_adjacency
 
+from oracles import finite_difference_check, mean_all
+
 
 def _a_hat(n, m, seed):
     """Normalized adjacency of a random n-node graph with m directed edges (no self-loops)."""
@@ -130,9 +132,9 @@ class TestProperties:
         w = init_gcn_weights(rng, 3, GCNConfig(layers=3, hidden_dim=16, out_dim=4))
 
         def build():
-            return dc.mean_all(dc.tanh(gcn_forward(x, a_hat, w)))
+            return mean_all(dc.tanh(gcn_forward(x, a_hat, w)))
 
-        assert dc.finite_difference_check(build, w, rng=rng, max_per_tensor=6) < 1e-4
+        assert finite_difference_check(build, w, rng=rng, max_per_tensor=6) < 1e-4
 
     def test_gradient_through_three_narrowing_layers_with_dropout(self):
         rng = np.random.default_rng(10)
@@ -143,9 +145,9 @@ class TestProperties:
         def build():
             h = gcn_forward(x, a_hat, w, training=True, dropout=0.2,
                             rng=np.random.default_rng(11))
-            return dc.mean_all(dc.tanh(h))
+            return mean_all(dc.tanh(h))
 
-        assert dc.finite_difference_check(build, w, rng=rng) < 1e-4
+        assert finite_difference_check(build, w, rng=rng) < 1e-4
 
 
 class TestConfig:

@@ -98,7 +98,7 @@ class TestConfig:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["message"] == f"{section}.{key} must be {expected}, got {json.dumps(value)}"
 
-    @pytest.mark.parametrize("unit", [0, -2, 2.5, "x"])
+    @pytest.mark.parametrize("unit", [0, -2, 2.5, "x", 2**63])
     def test_time_unit_must_be_a_positive_integer(self, tmp_path, capsys, unit):
         small_dataset(tmp_path)
         cfg = write_config(tmp_path, {"data": dict(DATA, time_unit=unit),
@@ -106,6 +106,20 @@ class TestConfig:
         assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_INPUT
         err = json.loads(capsys.readouterr().err.strip())
         assert err["message"].startswith("data.time_unit must be ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config_seed, flag, message", [
+        (-1, [], "train.seed must be a non-negative integer, got -1"),
+        (0, ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+    ])
+    def test_negative_seed_exits_2_naming_key_or_flag(self, tmp_path, capsys,
+                                                      config_seed, flag, message):
+        small_dataset(tmp_path)
+        cfg = write_config(tmp_path, {"data": DATA, "train": {"epochs": 2, "seed": config_seed},
+                                      "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, *flag, "train"]) == cli.EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"code": cli.EXIT_INPUT, "context": "train", "message": message}
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [("refresh_interval", 0), ("instance_cap", 0),

@@ -10,36 +10,23 @@ from tmgad import diffcore as dc
 from tmgad import txgraph as tg
 
 import oracles as orc
-from oracles import write_zip, zip_members
-
-
-def simplex_projection_bisect(z, iters=200):
-    """Independent oracle: solve sum(max(z - tau, 0)) = 1 by bisection."""
-    z = np.asarray(z, dtype=np.float64)
-    lo, hi = z.min() - 1.0, z.max()
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if np.maximum(z - mid, 0.0).sum() > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.maximum(z - 0.5 * (lo + hi), 0.0)
+from oracles import simplex_projection_bisect, write_zip, zip_members
 
 
 class TestSparsemax:
     def test_contract_example(self):
-        out = dc.sparsemax_vec(dc.tensor(np.array([[1.1], [1.0], [0.5]])))
+        out = dc.segment_sparsemax(dc.tensor(np.array([[1.1], [1.0], [0.5]])), [3])
         np.testing.assert_allclose(out.data[:, 0], [0.55, 0.45, 0.0], atol=1e-12)
 
     def test_constant_input_is_uniform(self):
-        out = dc.sparsemax_vec(dc.tensor(np.full((3, 1), 7.3)))
+        out = dc.segment_sparsemax(dc.tensor(np.full((3, 1), 7.3)), [3])
         np.testing.assert_allclose(out.data[:, 0], [1 / 3] * 3, atol=1e-12)
 
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             z = rng.normal(0, 2, size=rng.integers(2, 12))
-            got = dc.sparsemax_project(z)
+            got = dc.segment_sparsemax(dc.tensor(z.reshape(-1, 1)), [z.size]).data[:, 0]
             want = simplex_projection_bisect(z)
             np.testing.assert_allclose(got, want, atol=1e-9)
             assert got.min() >= 0.0
@@ -50,7 +37,7 @@ class TestSparsemax:
         for _ in range(50):
             z = rng.normal(0, 1, size=(6, 1))
             soft = orc.softmax_vec(dc.tensor(z)).data[:, 0]
-            sparse = dc.sparsemax_vec(dc.tensor(z)).data[:, 0]
+            sparse = dc.segment_sparsemax(dc.tensor(z), [6]).data[:, 0]
             assert np.argmax(soft) == np.argmax(sparse) == np.argmax(z)
 
     def test_gradient_at_stable_support(self):
@@ -58,7 +45,7 @@ class TestSparsemax:
         checked = 0
         while checked < 20:
             z = rng.normal(0, 1, size=(5, 1))
-            p = dc.sparsemax_project(z[:, 0])
+            p = dc.segment_sparsemax(dc.tensor(z), [5]).data[:, 0]
             support = p > 0
             # skip draws where a +-1e-4 nudge could flip the support
             margin = np.min(np.abs(z[:, 0] - (z[:, 0] - p)[support].mean())) if support.all() else None
@@ -66,14 +53,15 @@ class TestSparsemax:
             w = dc.tensor(rng.normal(0, 1, size=(5, 1)))
 
             def build():
-                return dc.mean_all(dc.mul_col(dc.sparsemax_vec(x), w))
+                return orc.mean_all(dc.mul_col(dc.segment_sparsemax(x, [5]), w))
 
             perturbed_same_support = all(
-                (dc.sparsemax_project(z[:, 0] + d) > 0).tolist() == support.tolist()
+                (dc.segment_sparsemax(dc.tensor(z + d.reshape(-1, 1)), [5]).data[:, 0] > 0).tolist()
+                == support.tolist()
                 for d in (np.eye(5)[i] * s * 2e-5 for i in range(5) for s in (1, -1)))
             if not perturbed_same_support:
                 continue
-            err = dc.finite_difference_check(build, [x], rng=rng)
+            err = orc.finite_difference_check(build, [x], rng=rng)
             assert err < 1e-4
             checked += 1
 
@@ -91,7 +79,8 @@ class TestSegmentSparsemax:
             z = rng.normal(0, rng.uniform(0.5, 4.0), size=int(sizes.sum()))
             got = dc.segment_sparsemax(dc.tensor(z.reshape(-1, 1)), sizes).data[:, 0]
             for zs, ys in zip(_split(z, sizes), _split(got, sizes)):
-                assert np.abs(ys - dc.sparsemax_project(zs)).max() < 1e-9
+                assert np.abs(ys - dc.segment_sparsemax(dc.tensor(zs.reshape(-1, 1)), [zs.size])
+                              .data[:, 0]).max() < 1e-9
                 assert np.abs(ys - simplex_projection_bisect(zs)).max() < 1e-9
                 assert abs(ys.sum() - 1.0) < 1e-12 and ys.min() >= 0.0
 
@@ -106,10 +95,13 @@ class TestSegmentSparsemax:
         np.testing.assert_allclose(out, [1 / 3] * 3 + [0.5, 0.5, 0.0] + [0.5, 0.5],
                                    atol=1e-12)
 
-    def test_single_segment_is_sparsemax_vec(self):
-        z = np.random.default_rng(13).normal(size=(9, 1))
-        np.testing.assert_array_equal(dc.segment_sparsemax(dc.tensor(z), [9]).data,
-                                      dc.sparsemax_vec(dc.tensor(z)).data)
+    def test_segment_is_independent_of_its_neighbours(self):
+        # a segment projects the same alone as between segments of other lengths
+        rng = np.random.default_rng(13)
+        z = rng.normal(size=(9, 1))
+        batch = np.vstack([rng.normal(size=(2, 1)), z, rng.normal(size=(30, 1))])
+        np.testing.assert_array_equal(dc.segment_sparsemax(dc.tensor(batch), [2, 9, 30]).data[2:11],
+                                      dc.segment_sparsemax(dc.tensor(z), [9]).data)
 
     def test_gradient_at_stable_support(self):
         rng = np.random.default_rng(14)
@@ -119,7 +111,8 @@ class TestSegmentSparsemax:
             z = rng.normal(0, 1, size=(13, 1))
 
             def supports(zz):
-                return [(dc.sparsemax_project(s) > 0).tolist() for s in _split(zz, sizes)]
+                return [(dc.segment_sparsemax(dc.tensor(s.reshape(-1, 1)), [s.size]).data[:, 0] > 0)
+                        .tolist() for s in _split(zz, sizes)]
 
             base = supports(z[:, 0])
             if not all(supports(z[:, 0] + s * 2e-5 * np.eye(13)[i]) == base
@@ -127,7 +120,7 @@ class TestSegmentSparsemax:
                 continue
             x = dc.parameter(z)
             probe = rng.normal(0, 1, size=(13, 1))
-            _fd(lambda: dc.mean_all(dc.mul_const(dc.segment_sparsemax(x, sizes), probe)),
+            _fd(lambda: orc.mean_all(dc.mul_const(dc.segment_sparsemax(x, sizes), probe)),
                 [x], rng)
             checked += 1
 
@@ -141,7 +134,7 @@ class TestSegmentSparsemax:
 
 def _total(x):
     """Sum of all entries, as a 1 x 1 tensor."""
-    return dc.mul_const(dc.mean_all(x), float(x.data.size))
+    return dc.mul_const(orc.mean_all(x), float(x.data.size))
 
 
 class TestBackward:
@@ -182,15 +175,15 @@ class TestBackward:
         def build():
             return dc.matmul(w, orc.transpose(w))
 
-        assert dc.finite_difference_check(build, [w], rng=rng) < 1e-8
+        assert orc.finite_difference_check(build, [w], rng=rng) < 1e-8
 
     def test_plateau_fd_error_zero(self):
         x = dc.parameter(-np.ones((2, 3)))
 
         def build():
-            return dc.mean_all(dc.relu(x))
+            return orc.mean_all(dc.relu(x))
 
-        assert dc.finite_difference_check(build, [x]) == 0.0
+        assert orc.finite_difference_check(build, [x]) == 0.0
 
 
 class TestTapeNesting:
@@ -229,7 +222,7 @@ class TestTapeNesting:
 
 
 def _fd(build, params, rng, tol=1e-4):
-    err = dc.finite_difference_check(build, params, rng=rng)
+    err = orc.finite_difference_check(build, params, rng=rng)
     assert err < tol, f"fd error {err}"
 
 
@@ -241,7 +234,7 @@ class TestPrimitiveGradients:
     def test_matmul(self):
         a = dc.parameter(self.rng.normal(size=(3, 4)))
         b = dc.parameter(self.rng.normal(size=(4, 2)))
-        _fd(lambda: dc.mean_all(dc.matmul(a, b)), [a, b], self.rng)
+        _fd(lambda: orc.mean_all(dc.matmul(a, b)), [a, b], self.rng)
 
     def test_spmm(self):
         import scipy.sparse as sp
@@ -249,61 +242,61 @@ class TestPrimitiveGradients:
         m = (r + r.T).tocsr()  # spmm's constant is symmetric
         x = dc.parameter(self.rng.normal(size=(5, 3)))
         np.testing.assert_array_equal(dc.spmm(m, x).data, m @ x.data)
-        _fd(lambda: dc.mean_all(dc.spmm(m, x)), [x], self.rng)
+        _fd(lambda: orc.mean_all(dc.spmm(m, x)), [x], self.rng)
 
     def test_add_and_bias_and_const(self):
         a = dc.parameter(self.rng.normal(size=(3, 3)))
         bias = dc.parameter(self.rng.normal(size=(1, 3)))
-        _fd(lambda: dc.mean_all(dc.add_bias(a, bias)), [a, bias], self.rng)
-        _fd(lambda: dc.mean_all(dc.add_const(a, 2.5)), [a], self.rng)
+        _fd(lambda: orc.mean_all(dc.add_bias(a, bias)), [a, bias], self.rng)
+        _fd(lambda: orc.mean_all(dc.add_const(a, 2.5)), [a], self.rng)
 
     def test_scaling_ops(self):
         a = dc.parameter(self.rng.normal(size=(4, 3)))
         col = dc.parameter(self.rng.normal(size=(4, 1)) + 3.0)
-        _fd(lambda: dc.mean_all(dc.mul_const(a, -1.7)), [a], self.rng)
-        _fd(lambda: dc.mean_all(dc.mul_const(a, 0.4)), [a], self.rng)
-        _fd(lambda: dc.mean_all(dc.mul_col(a, col)), [a, col], self.rng)
-        _fd(lambda: dc.mean_all(dc.div_col(a, col)), [a, col], self.rng)
+        _fd(lambda: orc.mean_all(dc.mul_const(a, -1.7)), [a], self.rng)
+        _fd(lambda: orc.mean_all(dc.mul_const(a, 0.4)), [a], self.rng)
+        _fd(lambda: orc.mean_all(dc.mul_col(a, col)), [a, col], self.rng)
+        _fd(lambda: orc.mean_all(dc.div_col(a, col)), [a, col], self.rng)
 
     def test_structure_ops(self):
         a = dc.parameter(self.rng.normal(size=(2, 3)))
         b = dc.parameter(self.rng.normal(size=(1, 3)))
         c = dc.parameter(self.rng.normal(size=(3, 2)))
-        _fd(lambda: dc.mean_all(orc.transpose(a)), [a], self.rng)
-        _fd(lambda: dc.mean_all(dc.concat_rows([a, b])), [a, b], self.rng)
-        _fd(lambda: dc.mean_all(dc.concat_cols([a, orc.transpose(c)])), [a, c], self.rng)
-        _fd(lambda: dc.mean_all(dc.select_rows(a, [1, 0, 1])), [a], self.rng)
+        _fd(lambda: orc.mean_all(orc.transpose(a)), [a], self.rng)
+        _fd(lambda: orc.mean_all(dc.concat_rows([a, b])), [a, b], self.rng)
+        _fd(lambda: orc.mean_all(dc.concat_cols([a, orc.transpose(c)])), [a, c], self.rng)
+        _fd(lambda: orc.mean_all(dc.select_rows(a, [1, 0, 1])), [a], self.rng)
 
     def test_block_and_segment_ops(self):
         a = dc.parameter(self.rng.normal(size=(6, 3)))
         col = dc.parameter(self.rng.normal(size=(6, 1)))
-        _fd(lambda: dc.mean_all(orc.sum_blocks(a, 2)), [a], self.rng)
-        _fd(lambda: dc.mean_all(dc.segment_sum_rows(a, [1, 2, 3])), [a], self.rng)
-        _fd(lambda: dc.mean_all(dc.softmax_blocks(col, 3)), [col], self.rng)
+        _fd(lambda: orc.mean_all(orc.sum_blocks(a, 2)), [a], self.rng)
+        _fd(lambda: orc.mean_all(dc.segment_sum_rows(a, [1, 2, 3])), [a], self.rng)
+        _fd(lambda: orc.mean_all(dc.softmax_blocks(col, 3)), [col], self.rng)
 
     def test_elementwise(self):
         a = dc.parameter(self.rng.normal(size=(3, 3)))
-        _fd(lambda: dc.mean_all(dc.tanh(a)), [a], self.rng)
-        _fd(lambda: dc.mean_all(dc.sigmoid(a)), [a], self.rng)
-        _fd(lambda: dc.mean_all(dc.clip(a, -0.2, math.inf)), [a], self.rng)
-        _fd(lambda: dc.mean_all(dc.clip(a, -0.3, 0.4)), [a], self.rng)
+        _fd(lambda: orc.mean_all(dc.tanh(a)), [a], self.rng)
+        _fd(lambda: orc.mean_all(dc.sigmoid(a)), [a], self.rng)
+        _fd(lambda: orc.mean_all(dc.clip(a, -0.2, math.inf)), [a], self.rng)
+        _fd(lambda: orc.mean_all(dc.clip(a, -0.3, 0.4)), [a], self.rng)
 
     def test_reductions(self):
         a = dc.parameter(self.rng.normal(size=(4, 3)))
-        _fd(lambda: dc.mean_all(a), [a], self.rng)
-        _fd(lambda: dc.mean_all(orc.mean_rows(a)), [a], self.rng)
+        _fd(lambda: orc.mean_all(a), [a], self.rng)
+        _fd(lambda: orc.mean_all(orc.mean_rows(a)), [a], self.rng)
 
     def test_weighted_sum_and_rowwise_dot(self):
         v = dc.parameter(self.rng.normal(size=(5, 3)))
         w = dc.parameter(self.rng.uniform(0.5, 2.0, size=(5, 1)))
         b = dc.parameter(self.rng.normal(size=(5, 3)))
-        _fd(lambda: dc.mean_all(orc.weighted_sum(v, w)), [v, w], self.rng)
-        _fd(lambda: dc.mean_all(dc.rowwise_dot(v, b)), [v, b], self.rng)
+        _fd(lambda: orc.mean_all(orc.weighted_sum(v, w)), [v, w], self.rng)
+        _fd(lambda: orc.mean_all(dc.rowwise_dot(v, b)), [v, b], self.rng)
 
     def test_softmax_vec(self):
         col = dc.parameter(self.rng.normal(size=(5, 1)))
         probe = self.rng.normal(size=(5, 1))
-        _fd(lambda: dc.mean_all(dc.mul_const(orc.softmax_vec(col), probe)), [col], self.rng)
+        _fd(lambda: orc.mean_all(dc.mul_const(orc.softmax_vec(col), probe)), [col], self.rng)
 
     def test_bce_with_logits(self):
         z = dc.parameter(self.rng.normal(size=(6, 1)))
@@ -340,7 +333,7 @@ class TestSelectRows:
             x = dc.parameter(data.copy())
             with dc.Tape() as t:
                 out = select(x, ids)
-                t.backward(dc.mean_all(dc.mul_const(out, c)))
+                t.backward(orc.mean_all(dc.mul_const(out, c)))
             outs.append(out.data.tobytes())
             grads.append(x.grad.tobytes())
         assert outs[0] == outs[1]
@@ -349,7 +342,7 @@ class TestSelectRows:
     def test_unselected_rows_get_zero_gradient(self):
         x = dc.parameter(self.rng.normal(size=(5, 2)))
         with dc.Tape() as t:
-            t.backward(dc.mean_all(dc.select_rows(x, [3, 1])))
+            t.backward(orc.mean_all(dc.select_rows(x, [3, 1])))
         np.testing.assert_array_equal(x.grad[[0, 2, 4]], 0.0)
         np.testing.assert_array_equal(x.grad[[1, 3]], 0.25)
 
@@ -381,14 +374,14 @@ class TestGatherSum:
         x = dc.parameter(self.rng.normal(size=(5, 3)))
         values = dc.parameter(self.rng.normal(size=(6, 1)))
         c = self.rng.normal(size=(3, 3))  # uneven upstream gradient per output entry
-        _fd(lambda: dc.mean_all(dc.mul_const(
+        _fd(lambda: orc.mean_all(dc.mul_const(
             dc.gather_sum(x, self.IDX, values, self.SIZES), c)), [x, values], self.rng)
 
     def test_constant_values_get_no_gradient(self):
         x = dc.parameter(self.rng.normal(size=(5, 3)))
         values = dc.tensor(self.rng.normal(size=(6, 1)))
         with dc.Tape() as t:
-            t.backward(dc.mean_all(dc.gather_sum(x, self.IDX, values, self.SIZES)))
+            t.backward(orc.mean_all(dc.gather_sum(x, self.IDX, values, self.SIZES)))
         assert values.grad is None
         assert np.abs(x.grad).sum() > 0.0
 
@@ -415,7 +408,7 @@ class TestGradientBuffers:
             t = orc.transpose(r)
             c = dc.concat_cols([r, orc.transpose(t)])
             build.tensors = [x, b, s, y, z, r, t, c]
-            return dc.mean_all(dc.tanh(c))
+            return orc.mean_all(dc.tanh(c))
 
         with dc.Tape() as tape:
             tape.backward(build())
@@ -437,7 +430,7 @@ class TestGradientBuffers:
 
         monkeypatch.setattr(dc, "_accum", record)
         with dc.Tape() as tape:
-            tape.backward(dc.mean_all(build()))
+            tape.backward(orc.mean_all(build()))
         return handed
 
     # op -> (constant shape, parameter shape, op applied to (constant, parameter))
@@ -488,7 +481,7 @@ class TestGuards:
             rng = np.random.default_rng(3)
             a = dc.parameter(rng.normal(size=(5, 4)))
             with dc.Tape() as t:
-                loss = dc.mean_all(dc.tanh(dc.matmul(a, orc.transpose(a))))
+                loss = orc.mean_all(dc.tanh(dc.matmul(a, orc.transpose(a))))
                 t.backward(loss)
             return loss.data.tobytes(), a.grad.tobytes()
 

@@ -188,7 +188,7 @@ class TestInterAttention:
         t = dc.tensor(rng.normal(size=(3, 4)))
         out = orc.inter_embedding(t, tids, state.w_inter).data[0]
         scores = np.tanh((t.data * state.w_inter.data[tids]).sum(axis=1))
-        beta = dc.sparsemax_project(scores)
+        beta = dc.segment_sparsemax(dc.tensor(scores.reshape(-1, 1)), [3]).data[:, 0]
         np.testing.assert_allclose(out, beta @ t.data, atol=1e-12)
 
     def test_sparsity_on_wide_score_vectors(self):
@@ -196,7 +196,8 @@ class TestInterAttention:
         supports = []
         for _ in range(100):
             z = rng.normal(0, 1, size=12)
-            supports.append((dc.sparsemax_project(z) > 0).sum())
+            beta = dc.segment_sparsemax(dc.tensor(z.reshape(-1, 1)), [12]).data
+            supports.append((beta > 0).sum())
         assert np.mean(supports) < 12
 
 
@@ -236,7 +237,7 @@ def scalar_head_oracle(g, state, a_hat, tau, index, v):
             type_rows.append((ws @ embs) / ws.sum())
         t_mat = np.array(type_rows)
         scores = np.tanh((t_mat * state.w_inter.data[sorted(by_type)]).sum(axis=1))
-        beta = dc.sparsemax_project(scores)
+        beta = dc.segment_sparsemax(dc.tensor(scores.reshape(-1, 1)), [scores.size]).data[:, 0]
         h_tilde = beta @ t_mat
     else:
         h_tilde = np.zeros(h.shape[1])
@@ -256,7 +257,7 @@ class TestNodeForward:
         h = gcn_forward(g.features, a_hat, state.gcn)
         opts = md.HeadOptions()
         z, y_hat = orc.node_forward(1, h, index, state, opts, tau)
-        d = state.embed_dim
+        d = state.gcn[-1].shape[1]
         np.testing.assert_allclose(z.data[0, :d], h.data[1])
         np.testing.assert_array_equal(z.data[0, d:], np.zeros(d))
         assert 0.0 < y_hat < 1.0
@@ -361,8 +362,8 @@ class TestGradientFlow:
                                             list(range(g.n)), opts, tau)
             return dc.bce_with_logits(logits, y)
 
-        err = dc.finite_difference_check(build, params, rng=np.random.default_rng(0),
-                                         max_per_tensor=4)
+        err = orc.finite_difference_check(build, params, rng=np.random.default_rng(0),
+                                          max_per_tensor=4)
         assert err < 1e-4, f"fd error {err}"
 
 
@@ -450,7 +451,7 @@ class TestTapeSize:
                                             md.HeadOptions.from_ablation(ablation), tau)
             dc.bce_with_logits(logits, g.labels[nodes].astype(float).reshape(-1, 1))
         shapes = [out.shape for out, _ in tape._nodes]
-        table = (g.n + catalog.size, state.embed_dim)   # [h; supernodes], read by row
+        table = (g.n + catalog.size, state.gcn[-1].shape[1])   # [h; supernodes], read by row
         assert m > 0 and table[0] != 3 * m
         assert [s for s in shapes if s[0] >= 3 * m and s[1] > 1 and s != table] == []
         assert len(shapes) < 44

@@ -11,7 +11,7 @@ import pytest
 from tmgad import motif
 from tmgad.txgraph import build_graph
 
-from oracles import (brute_force_instances, index_as_sets, index_from_instances,
+from oracles import (brute_force_instances, canonical_type, index_as_sets, index_from_instances,
                      earliest_rows, orbit_count_focal_rooted, orbit_count_unrooted, pearson_two_pass,
                      permute_sequence, random_graph)
 
@@ -35,9 +35,9 @@ class TestCatalog:
         seqs = motif.spanning_sequences()
         assert len(seqs) == 192
         for seq in seqs:
-            motif.canonical_type(seq, None, motif.UNROOTED, unrooted)
+            canonical_type(seq, None, motif.UNROOTED, unrooted)
             for focal in range(3):
-                motif.canonical_type(seq, focal, motif.FOCAL_ROOTED, rooted)
+                canonical_type(seq, focal, motif.FOCAL_ROOTED, rooted)
 
     def test_two_node_encoding_absent(self, unrooted):
         assert ((0, 1), (0, 1), (0, 1)) not in unrooted.types
@@ -54,45 +54,54 @@ class TestCatalog:
 
 class TestCanonicalType:
     def test_isomorphism_invariance(self, unrooted):
-        a = motif.canonical_type(((7, 8), (8, 9), (9, 7)), None, motif.UNROOTED, unrooted)
-        b = motif.canonical_type(((1, 5), (5, 3), (3, 1)), None, motif.UNROOTED, unrooted)
+        a = canonical_type(((7, 8), (8, 9), (9, 7)), None, motif.UNROOTED, unrooted)
+        b = canonical_type(((1, 5), (5, 3), (3, 1)), None, motif.UNROOTED, unrooted)
         assert a == b
 
     def test_direction_asymmetry(self, unrooted):
-        cycle = motif.canonical_type(((0, 1), (1, 2), (2, 0)), None, motif.UNROOTED, unrooted)
-        other = motif.canonical_type(((0, 1), (2, 1), (2, 0)), None, motif.UNROOTED, unrooted)
+        cycle = canonical_type(((0, 1), (1, 2), (2, 0)), None, motif.UNROOTED, unrooted)
+        other = canonical_type(((0, 1), (2, 1), (2, 0)), None, motif.UNROOTED, unrooted)
         assert cycle != other
 
     def test_relabeling_soundness(self, rooted, unrooted):
         rng = np.random.default_rng(0)
         for _ in range(40):
             seq = motif.spanning_sequences()[rng.integers(0, 192)]
-            base_u = motif.canonical_type(seq, None, motif.UNROOTED, unrooted)
+            base_u = canonical_type(seq, None, motif.UNROOTED, unrooted)
             for perm in permutations(range(3)):
-                assert motif.canonical_type(permute_sequence(seq, perm), None,
-                                            motif.UNROOTED, unrooted) == base_u
+                assert canonical_type(permute_sequence(seq, perm), None,
+                                      motif.UNROOTED, unrooted) == base_u
             focal = int(rng.integers(0, 3))
-            base_r = motif.canonical_type(seq, focal, motif.FOCAL_ROOTED, rooted)
+            base_r = canonical_type(seq, focal, motif.FOCAL_ROOTED, rooted)
             for perm in permutations(range(3)):
-                assert motif.canonical_type(permute_sequence(seq, perm), perm[focal],
-                                            motif.FOCAL_ROOTED, rooted) == base_r
+                assert canonical_type(permute_sequence(seq, perm), perm[focal],
+                                      motif.FOCAL_ROOTED, rooted) == base_r
 
     def test_rooted_distinguishes_focal_role(self, rooted):
         seq = ((0, 1), (1, 2), (0, 2))
-        ids = {motif.canonical_type(seq, f, motif.FOCAL_ROOTED, rooted) for f in range(3)}
+        ids = {canonical_type(seq, f, motif.FOCAL_ROOTED, rooted) for f in range(3)}
         assert len(ids) == 3
 
     def test_errors(self, rooted):
         with pytest.raises(motif.MotifError, match="3 nodes"):
-            motif.canonical_type(((0, 1), (1, 0), (0, 1)), 0, motif.FOCAL_ROOTED, rooted)
+            canonical_type(((0, 1), (1, 0), (0, 1)), 0, motif.FOCAL_ROOTED, rooted)
         with pytest.raises(motif.MotifError, match="focal"):
-            motif.canonical_type(((0, 1), (1, 2), (2, 0)), 9, motif.FOCAL_ROOTED, rooted)
+            canonical_type(((0, 1), (1, 2), (2, 0)), 9, motif.FOCAL_ROOTED, rooted)
+
+
+def instances(g, v, delta, catalog):
+    """Focal node v's instances at window delta, from a one-node uncapped `build_index`,
+    in its (type, edges) order. Each window's end is clamped to the graph's last
+    timestamp, so a delta past tau_max holds what tau_max holds."""
+    windows = np.full(g.n, min(delta, float(g.tau_max)))
+    by_type = motif.build_index(g, windows, catalog, nodes=[v], cap=None).instances_at(v)
+    return [m for t in sorted(by_type) for m in by_type[t]]
 
 
 class TestEnumerate:
     def test_star_example(self, rooted):
         g = build_graph(3, [0, 0, 1], [1, 2, 2], [1, 2, 3])
-        insts = motif.enumerate_instances(g, 0, 10.0, rooted)
+        insts = instances(g, 0, 10.0, rooted)
         assert len(insts) == 1
         inst = insts[0]
         assert rooted.types[inst.type_id] == (((0, 1), (0, 2), (1, 2)), 0)
@@ -100,7 +109,7 @@ class TestEnumerate:
 
     def test_window_excludes_late_edge(self, rooted):
         g = build_graph(3, [0, 0, 1], [1, 2, 2], [1, 2, 3])
-        assert motif.enumerate_instances(g, 0, 1.5, rooted) == []
+        assert instances(g, 0, 1.5, rooted) == []
 
     def test_window_holds_edges_up_to_start_plus_floor_delta(self, rooted):
         # node 0 starts at 8; 8 + nextafter(3, 0) rounds to 11.0 in float, but the
@@ -111,12 +120,7 @@ class TestEnumerate:
 
     def test_isolated_node_empty(self, rooted):
         g = build_graph(4, [0, 1], [1, 2], [1, 2])
-        assert motif.enumerate_instances(g, 3, 5.0, rooted) == []
-
-    def test_bad_delta(self, rooted):
-        g = build_graph(3, [0], [1], [1])
-        with pytest.raises(motif.MotifError):
-            motif.enumerate_instances(g, 0, 0.0, rooted)
+        assert instances(g, 3, 5.0, rooted) == []
 
     def test_matches_bruteforce_oracle(self, rooted):
         rng = np.random.default_rng(10)
@@ -126,14 +130,14 @@ class TestEnumerate:
             windows = {v: delta for v in range(g.n)}
             want = brute_force_instances(g, rooted, windows)
             for v in range(g.n):
-                insts = motif.enumerate_instances(g, v, delta, rooted)
+                insts = instances(g, v, delta, rooted)
                 assert {(m.edges, m.type_id) for m in insts} == want[v], f"node {v} delta {delta}"
-                assert [m.edges for m in insts] == sorted(m.edges for m in insts)
+                assert insts == sorted(insts, key=lambda m: (m.type_id, m.edges))
 
     def test_repeated_pair_instances_allowed(self, rooted):
         # two parallel 0->1 plus 1->2 spans three nodes
         g = build_graph(3, [0, 0, 1], [1, 1, 2], [1, 2, 3])
-        insts = motif.enumerate_instances(g, 0, 10.0, rooted)
+        insts = instances(g, 0, 10.0, rooted)
         assert len(insts) == 1
         assert insts[0].edges == (0, 1, 2)
 
@@ -386,7 +390,8 @@ def assert_same_columns(got, want):
 
 def check_window_rule(rooted, g, deltas):
     """(tau index, node 0's sorted instance t_max at each delta), after checking that
-    `build_index`, `restrict` of the tau index, `enumerate_instances` and the oracle agree."""
+    `build_index` for all nodes and for node 0, `restrict` of the tau index and the oracle
+    agree."""
     nodes = np.arange(g.n)
     full = motif.build_index(g, np.full(g.n, float(g.tau_max)), rooted, nodes=nodes, cap=None)
     t_max = []
@@ -396,7 +401,7 @@ def check_window_rule(rooted, g, deltas):
         assert_same_columns(full.restrict(windows), idx)
         want = brute_force_instances(g, rooted, dict(enumerate(windows)))
         assert index_as_sets(idx) == want
-        insts = motif.enumerate_instances(g, 0, delta, rooted)
+        insts = instances(g, 0, delta, rooted)
         assert {(m.edges, m.type_id) for m in insts} == want[0]
         t_max.append(sorted(m.t_max for m in insts))
     return full, t_max

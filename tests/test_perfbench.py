@@ -13,12 +13,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_train_full_run_is_correct():
+def traced_metrics(workload: str) -> dict:
+    """Per-layer metrics of one traced, untimed run of `workload`, which must be correct."""
     run = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
-                          "--workload", "train_full", "--seed", "0", "--seconds", "0",
+                          "--workload", workload, "--seed", "0", "--seconds", "0",
                           "--trace", "1"],
                          cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["correct"] is True, run.stderr
-    assert result["metrics"]["motif.build_index_calls"]["value"] > 0
+    return {k: m["value"] for k, m in result["metrics"].items()}
+
+
+def test_traced_train_full_run_is_correct():
+    assert traced_metrics("train_full")["motif.build_index_calls"] > 0
+
+
+def test_traced_motif_scan_compares_per_node_between_builds():
+    # several build_index calls, so `spans.Tracer.close_run` diffs `per_node` between them
+    metrics = traced_metrics("motif_scan")
+    assert metrics["motif.build_index_calls"] > 1
+    assert metrics["motif.refresh_changed_share"] > 0

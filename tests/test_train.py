@@ -418,7 +418,7 @@ class TestGcnOnlyClassifier:
         state, _ = tr.train(g, cfg)
         init = md.init_model(np.random.default_rng(0), g.num_features, GCNConfig(),
                              build_catalog().size)
-        d = state.embed_dim
+        d = state.gcn[-1].shape[1]
         assert state.clf_w1.data[d:].tobytes() == init.clf_w1.data[d:].tobytes()
         assert not np.array_equal(state.clf_w1.data[:d], init.clf_w1.data[:d])
 
