@@ -171,10 +171,11 @@ def _reach(deltas: np.ndarray) -> np.ndarray:
     return np.floor(np.minimum(deltas, 2.0 ** 63)).astype(np.uint64)
 
 
-def _window_ends(g: TransactionGraph, starts: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Each window's last tick: start + floor(delta), clamped to g's last timestamp."""
-    room = (g.timestamp.max(initial=0) - starts).astype(np.uint64)
-    return starts + np.minimum(_reach(deltas), room).astype(np.int64)
+def _window_edges(g: TransactionGraph, starts: np.ndarray, deltas: np.ndarray):
+    """(e0, e1): each window's edges are e0:e1, those at ticks start .. start + floor(delta)."""
+    room = (g.timestamp.max(initial=0) - starts).astype(np.uint64)  # clamp to the last tick
+    ends = starts + np.minimum(_reach(deltas), room).astype(np.int64)
+    return np.searchsorted(g.timestamp, starts, "left"), np.searchsorted(g.timestamp, ends, "right")
 
 
 def _expand(starts: np.ndarray, counts: np.ndarray):
@@ -235,15 +236,15 @@ class _Neighbours(NamedTuple):
     ptr: np.ndarray
 
 
-def _neighbours(inc, n, focal, w0, w1) -> _Neighbours:
-    s, t = inc.window(focal, w0, w1)
+def _neighbours(inc, n, focal, e0, e1) -> _Neighbours:
+    s, t = inc.window(focal, e0, e1)
     f, p = _expand(s, t - s)
     key = f * n + inc.other[p]
     order = np.argsort(key)
     key, f, p = key[order], f[order], p[order]
     first = _run_starts(key)
     nf, na = f[first], inc.other[p[first]]
-    lo, hi = inc.window(na, w0[nf], w1[nf])
+    lo, hi = inc.window(na, e0[nf], e1[nf])
     return _Neighbours(key=key[first], f=nf, a=na, start=first,
                        count=np.diff(np.append(first, key.size)), lo=lo, hi=hi,
                        vedge=inc.edge[p],
@@ -359,8 +360,8 @@ def _instance_rows(g, table, focal, f, lo, hi, members, member_ptr) -> tuple:
 
 
 def _enumerate(g: TransactionGraph, catalog: MotifCatalog, focal: np.ndarray,
-               w0: np.ndarray, w1: np.ndarray, cap: int | None):
-    """(counts, rows): instances of each focal node in [w0, w1], capped per type.
+               e0: np.ndarray, e1: np.ndarray, cap: int | None):
+    """(counts, rows): instances of each focal node on the edges e0:e1, capped per type.
 
     Rows are in (focal, type, edges) order. Focal nodes are processed in
     batches of at most BATCH_ROWS a-b and neighbour-pair rows, so a hub cannot
@@ -368,7 +369,7 @@ def _enumerate(g: TransactionGraph, catalog: MotifCatalog, focal: np.ndarray,
     """
     inc = g.incidence()  # also checks that every composite key below fits in int64
     table = catalog.role_table()
-    nb = _neighbours(inc, g.n, focal, w0, w1)
+    nb = _neighbours(inc, g.n, focal, e0, e1)
     heavy_pairs = (nb.count >= 2) * np.diff(nb.ptr)[nb.f]
     weight = 1 + np.bincount(nb.f, weights=nb.hi - nb.lo + heavy_pairs, minlength=focal.size)
     counts = np.zeros(focal.size, dtype=np.int64)
@@ -563,8 +564,7 @@ def build_index(g: TransactionGraph, windows, catalog: MotifCatalog,
     active = np.flatnonzero(starts != NO_TIMESTAMP)  # isolated nodes have no instances
     counts = np.zeros(node_ids.size, dtype=np.int64)
     counts[active], rows = _enumerate(
-        g, catalog, node_ids[active], starts[active],
-        _window_ends(g, starts[active], deltas[active]), cap)
+        g, catalog, node_ids[active], *_window_edges(g, starts[active], deltas[active]), cap)
     owner = np.repeat(node_ids, counts)
     return MotifIndex(catalog_size=catalog.size, tau_max=tau, cap=cap, node_ids=node_ids,
                       node_windows=deltas, node_starts=starts, offsets=_offsets(counts),

@@ -318,11 +318,11 @@ def train(g: TransactionGraph, cfg: TrainConfig, gcn_cfg: GCNConfig | None = Non
     """Full-batch training on one split; returns (ModelState, MetricsReport).
 
     Motifs are enumerated once, with the instance cap, at the largest window
-    the run can request; every `refresh_interval` epochs (None = once) the
-    motif index is restricted to the current windows by mask, which gives the
-    capped index at those windows. Between refreshes the window learner moves
-    the model only through the recency weights. Deterministic for a fixed
-    config seed.
+    the run can request, and restricted to the current windows by mask, which
+    gives the capped index at those windows: once for fixed windows, and
+    every `refresh_interval` epochs (None = once) for learned ones. Between
+    refreshes the window learner moves the model only through the recency
+    weights. Deterministic for a fixed config seed.
     """
     if g.features is None or g.labels is None:
         raise TrainError("graph needs features and labels before training")
@@ -350,8 +350,8 @@ def train(g: TransactionGraph, cfg: TrainConfig, gcn_cfg: GCNConfig | None = Non
     loss_curve: list[float] = []
     delta_stats: list[tuple] = []
     for epoch in range(cfg.epochs):
-        if opts.use_motifs and (index is None or (
-                cfg.refresh_interval is not None and epoch % cfg.refresh_interval == 0)):
+        if opts.use_motifs and (index is None or (opts.adaptive and (
+                cfg.refresh_interval is not None and epoch % cfg.refresh_interval == 0))):
             windows = _extraction_windows(g, state, a_hat, opts)
             if enumerated is None:  # fixed windows never change; learned ones stay <= tau
                 enumerated = build_index(g, np.full(g.n, tau) if opts.adaptive else windows,

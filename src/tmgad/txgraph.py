@@ -100,18 +100,18 @@ class TransactionGraph:
 class Incidence:
     """Edge endpoints grouped by node, in edge order within a node.
 
-    Node v's entries are `ptr[v]:ptr[v + 1]`. Edges are sorted by time, so
-    `key` (node, then time) is sorted over all entries and `window` finds a
-    node's edges in a time range with binary searches. `repeated` marks the
-    entries whose node pair has more edges; it is built on first use, so
-    building the incidence does not pay for it.
+    Node v's entries are `ptr[v]:ptr[v + 1]`, and `key` (node, then edge
+    position) ascends over all entries. Edges are sorted by time, so a time
+    window is a range of edge positions, and `window` finds a node's edges in
+    such a range with binary searches. `repeated` marks the entries whose node
+    pair has more edges; it is built on first use, so building the incidence
+    does not pay for it.
     """
 
     ptr: np.ndarray     # n + 1 entry offsets
     edge: np.ndarray    # 2m: edge index of each entry
     other: np.ndarray   # 2m: the edge's other endpoint
-    key: np.ndarray     # 2m: node * (len(times) + 1) + rank of the edge's timestamp
-    times: np.ndarray   # distinct timestamps, ascending
+    key: np.ndarray     # 2m: node * m + edge
 
     @classmethod
     def of(cls, g: "TransactionGraph") -> "Incidence":
@@ -123,10 +123,9 @@ class Incidence:
         ends = np.column_stack([g.src, g.dst]).ravel()
         order = np.argsort(ends, kind="stable")
         node, edge = ends[order], order // 2
-        times, rank = np.unique(g.timestamp, return_inverse=True)
         out = cls(ptr=np.searchsorted(node, np.arange(n + 1)), edge=edge,
-                  other=ends[order ^ 1], key=node * (times.size + 1) + rank[edge], times=times)
-        for arr in (out.ptr, out.edge, out.other, out.key, out.times):
+                  other=ends[order ^ 1], key=node * m + edge)
+        for arr in (out.ptr, out.edge, out.other, out.key):
             arr.setflags(write=False)
         return out
 
@@ -140,11 +139,10 @@ class Incidence:
         out.setflags(write=False)
         return out
 
-    def window(self, nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        """(start, stop): the entries of each node with a timestamp in [lo, hi]."""
-        base = nodes * (self.times.size + 1)
-        return (np.searchsorted(self.key, base + np.searchsorted(self.times, lo, "left")),
-                np.searchsorted(self.key, base + np.searchsorted(self.times, hi, "right")))
+    def window(self, nodes: np.ndarray, e0: np.ndarray, e1: np.ndarray):
+        """(start, stop): the entries of each node whose edge position is in [e0, e1)."""
+        base = nodes * (self.key.size // 2)  # node * m: each of the m edges has two entries
+        return np.searchsorted(self.key, base + e0), np.searchsorted(self.key, base + e1)
 
 
 def _earliest(n: int, src, dst, ts) -> np.ndarray:
@@ -503,15 +501,14 @@ def normalized_adjacency(g: TransactionGraph) -> sp.csr_matrix:
     are sorted.
     """
     if g._adjacency is None:
-        rows = np.concatenate([g.src, g.dst])
-        cols = np.concatenate([g.dst, g.src])
-        a = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(g.n, g.n))
-        a = (a > 0).astype(np.float64)  # collapse parallel edges
-        a_tilde = a + sp.identity(g.n, format="coo")
-        deg = np.asarray(a_tilde.sum(axis=1)).ravel()
+        loops = np.arange(g.n)
+        rows = np.concatenate([g.src, g.dst, loops])
+        cols = np.concatenate([g.dst, g.src, loops])
+        # one entry per distinct pair: the construction sums parallel edges and sorts indices
+        a_hat = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(g.n, g.n))
+        deg = np.diff(a_hat.indptr)  # entries per row: neighbours and the self loop
         d_inv_sqrt = 1.0 / np.sqrt(deg)
-        dmat = sp.diags(d_inv_sqrt)
-        a_hat = (dmat @ a_tilde @ dmat).tocsr()
+        a_hat.data = np.repeat(d_inv_sqrt, deg) * d_inv_sqrt[a_hat.indices]
         for arr in (a_hat.data, a_hat.indices, a_hat.indptr):
             arr.setflags(write=False)
         g._adjacency = a_hat

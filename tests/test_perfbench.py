@@ -26,7 +26,11 @@ def traced_metrics(workload: str) -> dict:
 
 
 def test_traced_train_full_run_is_correct():
-    assert traced_metrics("train_full")["motif.build_index_calls"] > 0
+    metrics = traced_metrics("train_full")
+    assert metrics["motif.build_index_calls"] > 0
+    # the set-up functions the trace wraps by name are still found and called
+    for name in ("parse_s", "cache_roundtrip_s", "adjacency_s", "incidence_s"):
+        assert metrics[f"txgraph.{name}"] > 0, name
 
 
 def test_traced_motif_scan_compares_per_node_between_builds():

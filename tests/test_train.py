@@ -11,7 +11,7 @@ from tmgad import diffcore as dc
 from tmgad import model as md
 from tmgad import train as tr
 from tmgad.backbone import GCNConfig
-from tmgad.motif import FOCAL_ROOTED, build_catalog, build_index
+from tmgad.motif import FOCAL_ROOTED, MotifIndex, build_catalog, build_index
 from tmgad.txgraph import build_graph, make_splits, normalized_adjacency, set_features_labels
 
 from oracles import auc_tie_loop, auprc_tie_loop, forward_nodes_zero_half
@@ -264,18 +264,26 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("ablation", ["full", "tm_fixed", "gcn_only"])
     def test_motifs_enumerated_once_per_run(self, monkeypatch, ablation):
-        calls = []
+        calls, restricts = [], []
+        restrict = MotifIndex.restrict
 
         def counting_build_index(*args, **kwargs):
             calls.append(kwargs.get("cap"))
             return build_index(*args, **kwargs)
 
+        def counting_restrict(self, windows):
+            restricts.append(windows)
+            return restrict(self, windows)
+
         monkeypatch.setattr(tr, "build_index", counting_build_index)
+        monkeypatch.setattr(MotifIndex, "restrict", counting_restrict)
         g = tiny_graph(seed=7)
         cfg = tr.TrainConfig(epochs=6, learning_rate=1e-2, seed=0, ablation=ablation,
                              delta_fixed=15.0, refresh_interval=1)
         _, rep = tr.train(g, cfg, GCNConfig(layers=2, hidden_dim=16, out_dim=8, dropout=0.0))
         assert calls == ([] if ablation == "gcn_only" else [cfg.instance_cap])
+        # fixed windows are restricted once; learned ones at every refresh
+        assert len(restricts) == {"gcn_only": 0, "tm_fixed": 1, "full": cfg.epochs}[ablation]
         if ablation != "gcn_only":
             # the last refresh's masked index is what a fresh build would give
             fresh = build_index(g, rep.extraction_windows, build_catalog(FOCAL_ROOTED),

@@ -418,25 +418,38 @@ class TestEdgeOrder:
 class TestIncidence:
     def test_matches_edge_scan(self):
         rng = np.random.default_rng(13)
-        for _ in range(20):
-            g = random_graph(rng, max_nodes=10, max_edges=40, max_ts=20)
-            inc = g.incidence()
+        graphs = [random_graph(rng, max_nodes=10, max_edges=40, max_ts=20) for _ in range(20)]
+        tied_ticks = cut_runs = 0
+        for g in [*graphs, tg.build_graph(3, [], [], [])]:
+            m, ts, inc = g.num_edges, g.timestamp, g.incidence()
+            # the edge range of each node's tick bounds [lo, hi], as build_index derives
+            # it (empty where lo > hi), and arbitrary ranges, which can cut a run of
+            # equal timestamps
             lo, hi = rng.integers(-2, 22, g.n), rng.integers(-2, 22, g.n)
-            start, stop = inc.window(np.arange(g.n), lo, hi)
+            ticks = np.searchsorted(ts, lo, "left"), np.searchsorted(ts, hi, "right")
+            cuts = np.sort(rng.integers(0, m + 1, (2, g.n)), axis=0)
+            tied = np.diff(ts) == 0  # tied[i]: edges i and i + 1 share a tick
+            tied_ticks += np.isin([lo, hi], ts[1:][tied]).sum()
+            cut_runs += np.isin(cuts, np.flatnonzero(tied) + 1).sum()
+            for (e0, e1), holds in ((ticks, lambda v, i: lo[v] <= ts[i] <= hi[v]),
+                                    (cuts, lambda v, i: cuts[0, v] <= i < cuts[1, v])):
+                start, stop = inc.window(np.arange(g.n), e0, e1)
+                for v in range(g.n):
+                    inside = [i for i in range(m) if v in (g.src[i], g.dst[i]) and holds(v, i)]
+                    assert inc.edge[start[v]:stop[v]].tolist() == inside
+                    other = g.src[inside] + g.dst[inside] - v
+                    assert inc.other[start[v]:stop[v]].tolist() == other.tolist()
             for v in range(g.n):
-                touching = [i for i in range(g.num_edges) if v in (g.src[i], g.dst[i])]
-                edges, ts = g.incident_with_ts(v)
+                touching = [i for i in range(m) if v in (g.src[i], g.dst[i])]
+                edges, edge_ts = g.incident_with_ts(v)
                 assert edges.tolist() == touching
-                assert ts.tolist() == g.timestamp[touching].tolist()
-                inside = [i for i in touching if lo[v] <= g.timestamp[i] <= hi[v]]
-                assert inc.edge[start[v]:stop[v]].tolist() == inside
-                other = g.src[inside] + g.dst[inside] - v
-                assert inc.other[start[v]:stop[v]].tolist() == other.tolist()
+                assert edge_ts.tolist() == ts[touching].tolist()
                 pair_edges = [sum(v in (g.src[i], g.dst[i]) and w in (g.src[i], g.dst[i])
-                                  for i in range(g.num_edges))
+                                  for i in range(m))
                               for w in inc.other[inc.ptr[v]:inc.ptr[v + 1]].tolist()]
                 assert inc.repeated[inc.ptr[v]:inc.ptr[v + 1]].tolist() == [
                     c >= 2 for c in pair_edges]
+        assert tied_ticks > 0 and cut_runs > 0
 
     def test_refuses_graphs_whose_keys_could_overflow(self):
         class Huge:
