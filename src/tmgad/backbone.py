@@ -45,7 +45,7 @@ def gcn_forward(x, a_hat, weights, *, training: bool = False,
     whose W is in x out with out < in computes ReLU(A_hat @ (H @ W)), any
     other layer ReLU((A_hat @ H) @ W). The two differ only by float
     reassociation. A_hat must be symmetric, as `normalized_adjacency` builds
-    it: `diffcore.spmm` multiplies by its transpose in both directions.
+    it: `diffcore.spmm` multiplies by it in both directions.
     Dropout (inverted, on the layer input H) only runs in training mode and
     needs an rng so runs stay reproducible per seed.
     """

@@ -185,18 +185,17 @@ def spmm(a_const, x: Tensor) -> Tensor:
     """Symmetric constant matrix times tensor; no gradient w.r.t. the matrix.
 
     `a_const` (sparse or dense) must equal its transpose, so both directions
-    multiply by `a_const.T`: for a CSR matrix, the same arrays read as CSC,
-    whose scipy kernel is the faster one. With sorted indices it sums each
-    output entry in the same order as the CSR kernel would.
+    multiply by `a_const` itself. `txgraph.normalized_adjacency` keeps Â as
+    CSC, whose scipy kernel is the faster one; with sorted indices it sums
+    each output entry in the same order as the CSR kernel would.
     """
     _shape_check("spmm", a_const.shape[1] == x.shape[0] == a_const.shape[0],
                  f"{a_const.shape} @ {x.shape}")
-    at = a_const.T
 
     def bwd(g):
-        _accum(x, at @ g)
+        _accum(x, a_const @ g)
 
-    return _make("spmm", np.asarray(at @ x.data), (x,), bwd)
+    return _make("spmm", np.asarray(a_const @ x.data), (x,), bwd)
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -284,8 +283,9 @@ def select_rows(x: Tensor, indices) -> Tensor:
     """Rows x[indices] in the given order; an index may repeat.
 
     Forward is the fancy index. Backward writes g into the selected rows of a
-    zero array when no index repeats, and otherwise sums g through the
-    transposed one-hot matrix of the indices, as `gather_sum` does.
+    zero array when no index repeats, and otherwise sums each (row, column)'s
+    entries of g in index order by one `np.bincount`, as the transposed
+    one-hot matrix of the indices would.
     """
     idx = np.asarray(indices, dtype=np.intp)
     _shape_check("select_rows", idx.ndim == 1, f"{idx.shape} indices")
@@ -298,9 +298,9 @@ def select_rows(x: Tensor, indices) -> Tensor:
             grad = np.zeros_like(x.data)
             grad[idx] = g
         else:
-            one_hot = sp.csr_matrix((np.ones(idx.size), idx, np.arange(idx.size + 1)),
-                                    shape=(idx.size, rows))
-            grad = one_hot.T @ g
+            d = g.shape[1]
+            keys = (idx[:, None] * d + np.arange(d)).ravel()
+            grad = np.bincount(keys, g.ravel(), minlength=rows * d).reshape(rows, d)
         _accum(x, grad)
 
     return _make("select_rows", x.data[idx], (x,), bwd)
@@ -499,7 +499,7 @@ def bce_with_logits(logits: Tensor, targets, pos_weight: float | None = None) ->
 
 
 def restore_tensors(named: dict, loaded: dict) -> None:
-    """Copy loaded arrays into existing tensors; names and shapes must match."""
+    """Copy loaded arrays into existing tensors of the same names and shapes; all finite."""
     missing = sorted(set(named) - set(loaded))
     extra = sorted(set(loaded) - set(named))
     if missing or extra:
@@ -509,4 +509,6 @@ def restore_tensors(named: dict, loaded: dict) -> None:
         if arr.shape != t.data.shape:
             raise DiffError(f"checkpoint shape mismatch for '{name}': "
                             f"{arr.shape} vs {t.data.shape}")
+        if not np.isfinite(arr).all():
+            raise DiffError(f"checkpoint tensor '{name}' holds non-finite values")
         t.data[...] = arr

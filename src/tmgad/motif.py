@@ -101,57 +101,44 @@ def _first_appearance_relabel(seq, focal=None):
     return pairs, mapping[focal]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MotifCatalog:
-    mode: str
-    types: tuple                      # ordered canonical encodings
-    _lookup: dict = field(repr=False, default=None)
-    _role_table: np.ndarray | None = field(repr=False, default=None)
+    """A mode's canonical encodings, and the type id of each role-coded triple.
 
-    def __post_init__(self):
-        if self._lookup is None:
-            self._lookup = {enc: i for i, enc in enumerate(self.types)}
+    Roles are 0 for the focal node and 1, 2 for the others in ascending
+    order; an edge s -> d has code 3s + d, and codes (c1, c2, c3) sit at
+    81 c1 + 9 c2 + c3 of the read-only `role_table`, -1 where they do not
+    span 3 nodes.
+    """
+    mode: str
+    types: tuple                                       # ordered canonical encodings
+    role_table: np.ndarray = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.types)
 
-    def index_of(self, enc) -> int:
-        try:
-            return self._lookup[enc]
-        except KeyError:
-            raise MotifError(f"encoding not in catalog: {enc!r}") from None
-
-    def role_table(self) -> np.ndarray:
-        """Type id of each triple of role-coded edges; -1 where it does not span 3 nodes.
-
-        Roles are 0 for the focal node and 1, 2 for the others in ascending
-        order; an edge s -> d has code 3s + d, and codes (c1, c2, c3) sit at
-        81 c1 + 9 c2 + c3. Built once, read-only.
-        """
-        if self._role_table is None:
-            table = np.full(9 ** 3, -1, dtype=np.int64)
-            for i, seq in enumerate(product(product(range(3), repeat=2), repeat=3)):
-                if all(s != d for s, d in seq) and len({r for e in seq for r in e}) == 3:
-                    table[i] = self.index_of(_first_appearance_relabel(
-                        seq, focal=0 if self.mode == FOCAL_ROOTED else None))
-            table.setflags(write=False)
-            self._role_table = table
-        return self._role_table
-
 
 def build_catalog(mode: str = FOCAL_ROOTED) -> MotifCatalog:
-    """Exhaustively generate all canonical motif encodings for the mode."""
+    """Exhaustively generate all canonical motif encodings for the mode.
+
+    Each spanning sequence on roles {0, 1, 2} is its own role-coded triple.
+    Relabeling can move any node to role 0, so the focal-rooted types are
+    exactly the encodings rooted at node 0.
+    """
     if mode not in (UNROOTED, FOCAL_ROOTED):
         raise MotifError(f"unknown catalog mode {mode!r}")
-    encodings = set()
+    focal = 0 if mode == FOCAL_ROOTED else None
+    keys, encodings = [], []
     for seq in spanning_sequences():
-        if mode == UNROOTED:
-            encodings.add(_first_appearance_relabel(seq))
-        else:
-            for focal in range(3):
-                encodings.add(_first_appearance_relabel(seq, focal=focal))
-    return MotifCatalog(mode=mode, types=tuple(sorted(encodings)))
+        c1, c2, c3 = (3 * s + d for s, d in seq)
+        keys.append((c1 * 9 + c2) * 9 + c3)
+        encodings.append(_first_appearance_relabel(seq, focal=focal))
+    types = tuple(sorted(set(encodings)))
+    table = np.full(9 ** 3, -1, dtype=np.int64)
+    table[keys] = [types.index(enc) for enc in encodings]
+    table.setflags(write=False)
+    return MotifCatalog(mode, types, table)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +355,7 @@ def _enumerate(g: TransactionGraph, catalog: MotifCatalog, focal: np.ndarray,
     blow up memory.
     """
     inc = g.incidence()  # also checks that every composite key below fits in int64
-    table = catalog.role_table()
+    table = catalog.role_table
     nb = _neighbours(inc, g.n, focal, e0, e1)
     heavy_pairs = (nb.count >= 2) * np.diff(nb.ptr)[nb.f]
     weight = 1 + np.bincount(nb.f, weights=nb.hi - nb.lo + heavy_pairs, minlength=focal.size)

@@ -59,7 +59,7 @@ class TransactionGraph:
     t_earliest: np.ndarray = field(default=None)  # int64, NO_TIMESTAMP for isolated nodes
     tau_max: int | None = None  # time span, latest minus earliest timestamp; None without edges
     _incidence: "Incidence | None" = field(default=None, repr=False)
-    _adjacency: "sp.csr_matrix | None" = field(default=None, repr=False)
+    _adjacency: "sp.csc_matrix | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         for arr in (self.src, self.dst, self.timestamp, self.amount):
@@ -227,9 +227,10 @@ def read_records(path, ncols: tuple, where: str = "line"):
     line is a header, and is skipped, when none of its fields parses as a
     number. Every data line must have one of the field counts in `ncols`.
     Line numbers count every line of the file; `where` prefixes them in errors.
+    A leading UTF-8 byte-order mark is not part of the first line.
     """
     header_possible = True
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -255,7 +256,7 @@ def _load_plain(path, dtypes: dict) -> np.ndarray | None:
     row (a warning, such as "no data", counts too).
     """
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             for skip in (0, 1):
                 line = f.readline().strip()
                 if not line or line.startswith("#"):
@@ -271,7 +272,7 @@ def _load_plain(path, dtypes: dict) -> np.ndarray | None:
         warnings.simplefilter("error")
         try:
             return np.loadtxt(path, dtype=dtypes[len(fields)], delimiter=",", comments=None,
-                              skiprows=skip, encoding="utf-8", ndmin=1)
+                              skiprows=skip, encoding="utf-8-sig", ndmin=1)
         except (ValueError, OverflowError, Warning):
             return None
 
@@ -392,7 +393,7 @@ def load_edge_list(path) -> TransactionGraph:
 def _first_feature_fault(path) -> str | None:
     """Where a features file first departs from loadtxt's format, in file line numbers."""
     width = None
-    with open(path, "r", encoding="utf-8", errors="replace") as f:
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as f:
         for lineno, line in enumerate(f, start=1):
             data = line.split("#", 1)[0].strip()
             if not data:
@@ -424,7 +425,8 @@ def attach_features_labels(g: TransactionGraph, features_path, labels_path) -> T
         # an empty file warns and gives no rows; the row count check reports it
         warnings.simplefilter("ignore", UserWarning)
         try:
-            feats = np.loadtxt(features_path, delimiter=",", dtype=np.float64, ndmin=2)
+            feats = np.loadtxt(features_path, delimiter=",", dtype=np.float64, ndmin=2,
+                               encoding="utf-8-sig")
         except ValueError as e:
             raise ParseError(_first_feature_fault(features_path)
                              or f"features file {features_path}: {e}") from None
@@ -493,20 +495,20 @@ def set_features_labels(g: TransactionGraph, features: np.ndarray,
                             t_earliest=g.t_earliest)  # edge columns are read-only
 
 
-def normalized_adjacency(g: TransactionGraph) -> sp.csr_matrix:
-    """Symmetric-normalized (A+I) over the direction-collapsed simple graph.
+def normalized_adjacency(g: TransactionGraph) -> sp.csc_matrix:
+    """Symmetric-normalized (A+I) over the direction-collapsed simple graph, as CSC.
 
     Built on first use, then cached on `g` with read-only arrays. The matrix
-    equals its transpose exactly, as `diffcore.spmm` needs, and its indices
-    are sorted.
+    equals its transpose exactly, as `diffcore.spmm` needs, so its CSC arrays
+    are its CSR arrays, and its indices are sorted.
     """
     if g._adjacency is None:
         loops = np.arange(g.n)
         rows = np.concatenate([g.src, g.dst, loops])
         cols = np.concatenate([g.dst, g.src, loops])
         # one entry per distinct pair: the construction sums parallel edges and sorts indices
-        a_hat = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(g.n, g.n))
-        deg = np.diff(a_hat.indptr)  # entries per row: neighbours and the self loop
+        a_hat = sp.csc_matrix((np.ones(rows.size), (rows, cols)), shape=(g.n, g.n))
+        deg = np.diff(a_hat.indptr)  # entries per column (= row): neighbours and the self loop
         d_inv_sqrt = 1.0 / np.sqrt(deg)
         a_hat.data = np.repeat(d_inv_sqrt, deg) * d_inv_sqrt[a_hat.indices]
         for arr in (a_hat.data, a_hat.indices, a_hat.indptr):

@@ -60,7 +60,9 @@ def canonical_type(edge_triple, focal, mode: str, catalog: MotifCatalog | None =
         enc = _first_appearance_relabel(edge_triple, focal=focal)
     else:
         enc = _first_appearance_relabel(edge_triple)
-    return catalog.index_of(enc)
+    if enc not in catalog.types:
+        raise MotifError(f"encoding not in catalog: {enc!r}")
+    return catalog.types.index(enc)
 
 
 def brute_force_instances(g, catalog, windows):

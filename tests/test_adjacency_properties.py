@@ -1,9 +1,10 @@
 """Property test: the normalized adjacency is what `diffcore.spmm` assumes.
 
-`spmm` multiplies by the transpose of its constant in both directions, so
-Â must equal its transpose exactly and keep sorted indices; then the CSC
-product sums each entry in the order the CSR product does. Graphs have few
-nodes, so many edges are parallel or reversed, and may end in isolated nodes.
+`spmm` multiplies by its constant in both directions, for the input and for
+its gradient, so Â must equal its transpose exactly and keep sorted indices;
+then Â's CSC product sums each entry in the order its CSR transpose does.
+Graphs have few nodes, so many edges are parallel or reversed, and may end in
+isolated nodes.
 """
 
 import numpy as np

@@ -171,7 +171,7 @@ class TestConfig:
         cfg = write_config(tmp_path, {"data": DATA, "output": {"directory": "out"},
                                       "train": {"ablation": "tm_fixed", "delta_fixed": 20.0,
                                                 "epochs": 2, key: value}})
-        assert literal in open(cfg).read()  # json.dumps writes the literal
+        assert literal in Path(cfg).read_text()  # json.dumps writes the literal
         assert cli.main(["--config", cfg, "train"]) == cli.EXIT_INPUT
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"code": cli.EXIT_INPUT, "context": "train",
@@ -311,6 +311,28 @@ class TestIngest:
         assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_OK
         assert (tmp_path / "out" / "graph.cache").read_bytes() == first
 
+
+    def test_leading_bom_does_not_split_the_first_account(self, tmp_path, capsys):
+        (tmp_path / "edges.csv").write_bytes("\ufeff0,1,5\n0,2,7\n1,2,9\n".encode("utf-8"))
+        cfg = write_config(tmp_path, {"data": {"edges": "edges.csv"},
+                                      "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_OK
+        out = tmp_path / "out"
+        assert json.loads((out / "ingest_summary.json").read_text())["nodes"] == 3
+        assert not (out / "id_map.json").exists()
+        np.testing.assert_array_equal(tg.load_cache(out / "graph.cache").src, [0, 0, 1])
+
+    @pytest.mark.parametrize("source", ["edges", "features", "labels"])
+    def test_leading_bom_is_ignored_in_each_file(self, tmp_path, source):
+        """Spreadsheet tools write a byte-order mark first; the files read as without it."""
+        g, *_ = small_dataset(tmp_path)
+        path = tmp_path / DATA[source]
+        path.write_bytes("\ufeff".encode("utf-8") + path.read_bytes())
+        cfg = write_config(tmp_path, {"data": DATA, "output": {"directory": "out"}})
+        assert cli.main(["--config", cfg, "ingest"]) == cli.EXIT_OK
+        g2 = tg.load_cache(tmp_path / "out" / "graph.cache")
+        for name in ("src", "dst", "timestamp", "amount", "features", "labels"):
+            np.testing.assert_array_equal(getattr(g2, name), getattr(g, name), err_msg=name)
 
     def test_hex_ids_with_from_to_header(self, tmp_path):
         g, edges, *_ = small_dataset(tmp_path)
@@ -812,7 +834,8 @@ class TestEvalMismatch:
         assert message.startswith(f"cannot read checkpoint {ckpt}: not a complete zip file")
 
     @pytest.mark.parametrize("fault", ["tensor listed twice", "unlisted tensor",
-                                       "renamed tensor", "unknown dtype", "bad shape"])
+                                       "renamed tensor", "unknown dtype", "bad shape",
+                                       "non-finite tensor"])
     def test_damaged_checkpoint_exits_2(self, trained, tmp_path, capsys, fault):
         _, run_path, _ = trained
         manifest, members = zip_members(run_path / "out" / "checkpoint_0.bin")
@@ -832,9 +855,14 @@ class TestEvalMismatch:
         elif fault == "unknown dtype":
             listed["tensors/clf.b1"][0] = "<f4"
             want = "cannot read checkpoint {}: array 'tensors/clf.b1' is listed as"
-        else:
+        elif fault == "bad shape":
             listed["tensors/clf.b1"][1] = [2, -4]
             want = "cannot read checkpoint {}: array 'tensors/clf.b1' is listed as"
+        else:  # a well-formed file whose model would score NaN
+            weights = np.frombuffer(members["tensors/gcn.0"], dtype="<f8").copy()
+            weights[3] = np.nan
+            members["tensors/gcn.0"] = weights.tobytes()
+            want = "cannot load checkpoint {}: checkpoint tensor 'gcn.0' holds non-finite values"
         ckpt = tmp_path / "checkpoint.bin"
         write_zip(ckpt, members, manifest)
         message = self.eval_error(trained, tmp_path, capsys, ckpt=ckpt)

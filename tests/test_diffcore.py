@@ -324,20 +324,24 @@ class TestSelectRows:
     rng = np.random.default_rng(14)
 
     @pytest.mark.parametrize("ids", [[4, 0, 2], [2, 2, 1, 0, 4, 2], list(range(5))[::-1],
-                                     [3] * 7])
+                                     [3] * 7, np.random.default_rng(3).integers(0, 5, 300),
+                                     np.repeat([4, 1, 0, 1], 40)])
     def test_matches_one_hot_product(self, ids):
-        data = self.rng.normal(size=(5, 3))
-        c = self.rng.normal(size=(len(ids), 3))  # uneven upstream gradient per entry
-        outs, grads = [], []
-        for select in (dc.select_rows, orc.one_hot_rows):
-            x = dc.parameter(data.copy())
-            with dc.Tape() as t:
-                out = select(x, ids)
-                t.backward(orc.mean_all(dc.mul_const(out, c)))
-            outs.append(out.data.tobytes())
-            grads.append(x.grad.tobytes())
-        assert outs[0] == outs[1]
-        assert grads[0] == grads[1]
+        for cols in (1, 3, 8, 0):
+            data = self.rng.normal(size=(5, cols))
+            c = self.rng.normal(size=(len(ids), cols))  # uneven upstream gradient per entry
+            outs, grads = [], []
+            for select in (dc.select_rows, orc.one_hot_rows):
+                x = dc.parameter(data.copy())
+                with dc.Tape() as t:
+                    out = select(x, ids)
+                    # the constant column keeps the mean defined at zero columns
+                    ones = dc.tensor(np.ones((len(ids), 1)))
+                    t.backward(orc.mean_all(dc.concat_cols([dc.mul_const(out, c), ones])))
+                outs.append(out.data.tobytes())
+                grads.append(x.grad.tobytes())
+            assert outs[0] == outs[1], cols
+            assert grads[0] == grads[1], cols
 
     def test_unselected_rows_get_zero_gradient(self):
         x = dc.parameter(self.rng.normal(size=(5, 2)))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import expit
 
 from tmgad import diffcore as dc
@@ -455,6 +456,30 @@ class TestTapeSize:
         assert m > 0 and table[0] != 3 * m
         assert [s for s in shapes if s[0] >= 3 * m and s[1] > 1 and s != table] == []
         assert len(shapes) < 44
+
+    @pytest.mark.parametrize("ablation, built", [("full", 2), ("gcn_only", 0)])
+    def test_sparse_matrices_built_per_step(self, fixture_graph, catalog, monkeypatch,
+                                            ablation, built):
+        """Only the two `gather_sum` pools build a sparse matrix, forward and backward."""
+        g, state, a_hat, tau, index = build_everything(fixture_graph, catalog)
+        calls = []
+
+        class CountingSparse:
+            def csr_matrix(self, *args, **kwargs):
+                calls.append(args)
+                return sp.csr_matrix(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(sp, name)
+
+        monkeypatch.setattr(dc, "sp", CountingSparse())
+        nodes = list(range(g.n))
+        with dc.Tape() as tape:
+            logits, _, _ = md.forward_nodes(g.features, a_hat, state, index, nodes,
+                                            md.HeadOptions.from_ablation(ablation), tau)
+            tape.backward(dc.bce_with_logits(logits, g.labels[nodes].astype(float)
+                                             .reshape(-1, 1)))
+        assert len(calls) == built
 
     def test_layout_built_once_per_index_and_nodes(self, fixture_graph, catalog):
         g, state, a_hat, tau, index = build_everything(fixture_graph, catalog)

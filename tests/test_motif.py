@@ -51,6 +51,18 @@ class TestCatalog:
         with pytest.raises(motif.MotifError):
             motif.build_catalog("sideways")
 
+    def test_role_table_types_each_triple(self, rooted, unrooted):
+        """Entry 81 c1 + 9 c2 + c3 types the role-coded edges c = 3s + d, focal at role 0."""
+        for cat, focal in ((unrooted, None), (rooted, 0)):
+            table = cat.role_table
+            assert table.shape == (9 ** 3,) and not table.flags.writeable
+            for key in range(9 ** 3):
+                seq = tuple(divmod(code, 3) for code in (key // 81, key // 9 % 9, key % 9))
+                spans = all(s != d for s, d in seq) and len({r for e in seq for r in e}) == 3
+                want = canonical_type(seq, focal, cat.mode, cat) if spans else -1
+                assert table[key] == want, (cat.mode, seq)
+            assert np.count_nonzero(table == -1) == 537
+
 
 class TestCanonicalType:
     def test_isomorphism_invariance(self, unrooted):

@@ -4,7 +4,7 @@ Plain files take one `np.loadtxt` pass and every other file goes through the
 line reader, so on any file the public readers must return byte-identical
 arrays (and id map) to the line reader, or raise the same class with the same
 message. Files start plain and then get up to three faults, each a feature
-the line reader exists for.
+the line reader exists for. A leading byte-order mark changes neither result.
 """
 
 import pytest
@@ -153,6 +153,9 @@ def label_files(draw):
     return draw(csv_text(draw(plain_label_rows()), "node_id,label", label_fault))
 
 
+BOM = "\ufeff"  # the UTF-8 byte-order mark spreadsheet tools write first
+
+
 def outcome(read):
     try:
         return "ok", read()
@@ -187,3 +190,30 @@ def test_labels_reader_equals_line_reader(tmp_path, text):
     got = outcome(lambda: tg.attach_features_labels(g, fp, lp).labels.tobytes())
     want = outcome(lambda: tg._read_label_lines(lp, N_NODES).tobytes())
     assert got == want
+
+
+@PROFILE
+@given(text=edge_files(), compact=st.booleans())
+def test_edge_reader_ignores_a_leading_bom(tmp_path, text, compact):
+    hypothesis.assume(not text.startswith(BOM))
+    p = tmp_path / "edges.csv"
+    got = []
+    for prefix in ("", BOM):
+        p.write_bytes((prefix + text).encode("utf-8"))
+        got.append(outcome(lambda: edge_arrays(tg.read_edge_list(p, compact=compact))))
+    assert got[0] == got[1]
+
+
+@PROFILE
+@given(text=label_files())
+def test_labels_reader_ignores_a_leading_bom(tmp_path, text):
+    hypothesis.assume(not text.startswith(BOM))
+    g = tg.build_graph(N_NODES, [0, 2, 4], [1, 3, 5], [1, 2, 3])
+    fp = tmp_path / "features.csv"
+    fp.write_text("".join(f"{v}.5\n" for v in range(N_NODES)))
+    lp = tmp_path / "labels.csv"
+    got = []
+    for prefix in ("", BOM):
+        lp.write_bytes((prefix + text).encode("utf-8"))
+        got.append(outcome(lambda: tg.attach_features_labels(g, fp, lp).labels.tobytes()))
+    assert got[0] == got[1]
